@@ -42,11 +42,7 @@ from .window import (
     Trajectory,
     WindowSchedule,
     decode_success,
-    f_update,
-    init_state,
     run_wd,
-    slide,
-    window_sweep,
 )
 
 __all__ = [
@@ -77,9 +73,7 @@ __all__ = [
     "decode_success",
     "delta_u1",
     "detect_steady_state",
-    "f_update",
     "from_pairs",
-    "init_state",
     "landscape",
     "slope_margin_check",
     "map_threshold",
@@ -90,8 +84,6 @@ __all__ = [
     "potential_d1",
     "potential_d2",
     "run_wd",
-    "slide",
-    "window_sweep",
 ]
 
 __version__ = "0.1.0"

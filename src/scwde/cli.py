@@ -8,6 +8,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -76,10 +78,6 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     sched = WindowSchedule(
         W=cfg.W[0], T=cfg.T, variant=cfg.schedule, T_first=cfg.T_first
     )
-    try:
-        sched.validate(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     final, traj = run_wd(
         spec, sched, record="per-window", record_windows=cfg.record.windows
     )
@@ -111,50 +109,28 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _speed_task(args) -> tuple[str, SpeedReport]:
-    label, ens, cfg_n, cfg_w, eps, W, opts = args
-    spec = CoupledSpec(ens=ens, N=cfg_n, w=cfg_w, epsilon=eps)
-    land = landscape(eps, ens, grid_n=opts["grid_n"]) if opts["bounds"] else None
-    report = measure_speed(
+def _speed_task(cfg: RunConfig, ens, eps: float, W: int) -> SpeedReport:
+    """One grid point: the T search over 1..T_max, or over [T, T] for a fixed T.
+
+    Fixed-T runs keep the per-sweep checks; the search runs without them.
+    """
+    spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps)
+    land = landscape(eps, ens, grid_n=cfg.grid_n) if cfg.bounds else None
+    fixed = cfg.T is not None
+    return measure_speed(
         spec,
         W,
-        T_max=opts["T_max"],
-        alpha=opts["alpha"],
-        success_policy=opts["policy"],
-        success_threshold=opts["threshold"],
-        schedule_variant=opts["schedule"],
-        steady_tol=opts["steady_tol"],
-        land=land,
-        compute_bounds=opts["bounds"],
-        validate=False,
-    )
-    return label, report
-
-
-def _fixed_t_report(ens, cfg: RunConfig, eps: float, W: int) -> SpeedReport:
-    """Single run at the configured T; T_min is filled only on success."""
-    spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps)
-    sched = WindowSchedule(W=W, T=cfg.T, variant=cfg.schedule, T_first=cfg.T_first)
-    final, _ = run_wd(spec, sched, record="none")
-    rep = decode_success(
-        final, spec, threshold=cfg.success.threshold, policy=cfg.success.policy
-    )
-    metric = rep.avg if cfg.success.policy == "average" else rep.max
-    return SpeedReport(
-        epsilon=eps,
-        W=W,
-        T_min=cfg.T if rep.success else None,
-        c_prime=None,
-        A1=None,
-        th2_finite=None,
-        th2_infinite=None,
+        T_lo=cfg.T if fixed else 1,
+        T_max=cfg.T if fixed else cfg.T_max,
+        T_first=cfg.T_first,
         alpha=cfg.alpha,
         success_policy=cfg.success.policy,
-        N=cfg.N,
-        w=cfg.w,
-        schedule=cfg.schedule,
-        T_max=cfg.T,
-        best_avg=metric,
+        success_threshold=cfg.success.threshold,
+        schedule_variant=cfg.schedule,
+        steady_tol=cfg.steady_tol,
+        land=land,
+        compute_bounds=cfg.bounds,
+        validate=fixed,
     )
 
 
@@ -162,33 +138,17 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
     multi = len(cfg.ensembles) > 1
-    opts = {
-        "T_max": cfg.T_max,
-        "alpha": cfg.alpha,
-        "policy": cfg.success.policy,
-        "threshold": cfg.success.threshold,
-        "schedule": cfg.schedule,
-        "steady_tol": cfg.steady_tol,
-        "bounds": cfg.bounds,
-        "grid_n": cfg.grid_n,
-    }
     by_label: dict[str, list[SpeedReport]] = {}
     for ens in cfg.ensembles:
-        label = ens.label()
-        epsilons = cfg.epsilons(ens)
-        tasks = [
-            (label, ens, cfg.N, cfg.w, eps, W, opts)
-            for eps in epsilons
-            for W in sorted(cfg.W)
-        ]
-        if cfg.T is not None:
-            reports = [_fixed_t_report(ens, cfg, eps, W) for _, _, _, _, eps, W, _ in tasks]
-        elif workers and workers > 1 and len(tasks) > 1:
+        points = list(product(cfg.epsilons(ens), sorted(cfg.W)))
+        task = partial(_speed_task, cfg, ens)
+        columns = ([eps for eps, _ in points], [W for _, W in points])
+        if workers and workers > 1 and len(points) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = [rep for _, rep in pool.map(_speed_task, tasks)]
+                reports = list(pool.map(task, *columns))
         else:
-            reports = [_speed_task(t)[1] for t in tasks]
-        by_label.setdefault(label, []).extend(reports)
+            reports = list(map(task, *columns))
+        by_label.setdefault(ens.label(), []).extend(reports)
 
     for label, reports in by_label.items():
         reports.sort(key=lambda r: (r.epsilon, r.W))

@@ -42,8 +42,8 @@ class RecordConfig:
     windows: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in ("none", "final", "per-window"):
-            raise ConfigError(f"unknown record policy {self.policy!r}")
+        if self.policy != "per-window":
+            raise ConfigError(f"record policy must be 'per-window', got {self.policy!r}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,15 @@ class RunConfig:
             raise ConfigError("epsilon (or an epsilon grid) is required")
         if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must lie in [0, 1]")
+        if self.N < 1 or self.w < 1:
+            raise ConfigError("N and w must be >= 1")
+        if any(not 1 <= W <= self.N for W in self.W):
+            raise ConfigError(f"window sizes {self.W} must lie in 1..N={self.N}")
+        for key in ("T", "T_first"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.T is None and self.T_max < 1:
+            raise ConfigError("T_max must be >= 1")
 
     def epsilons(self, ens: UncoupledEnsemble) -> tuple[float, ...]:
         """Expand the channel grid for one ensemble (ascending, within [0, 1])."""
@@ -164,6 +173,13 @@ def _parse_epsilon(raw: dict) -> tuple[Optional[float], Optional[dict]]:
     raise ConfigError(f"cannot parse epsilon from {eps!r}")
 
 
+def _section(raw: dict, key: str) -> dict:
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' must be a mapping, got {section!r}")
+    return dict(section)
+
+
 def config_from_mapping(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
@@ -176,17 +192,11 @@ def config_from_mapping(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     epsilon, epsilon_grid = _parse_epsilon(raw)
-    T = raw.get("T")
-    if T == "auto":
-        T = None
-    elif T is not None:
-        T = int(T)
-    success = SuccessConfig(**raw.get("success", {}))
-    rec_raw = dict(raw.get("record", {}))
-    if rec_raw.get("windows") is not None:
-        rec_raw["windows"] = tuple(int(c) for c in rec_raw["windows"])
-    record = RecordConfig(**rec_raw)
     try:
+        success = SuccessConfig(**_section(raw, "success"))
+        rec_raw = _section(raw, "record")
+        if rec_raw.get("windows") is not None:
+            rec_raw["windows"] = tuple(int(c) for c in rec_raw["windows"])
         return RunConfig(
             ensembles=_parse_ensembles(raw),
             N=int(raw.get("N", 100)),
@@ -194,13 +204,13 @@ def config_from_mapping(raw: dict) -> RunConfig:
             epsilon=epsilon,
             epsilon_grid=epsilon_grid,
             W=_parse_window_sizes(raw),
-            T=T,
+            T=None if raw.get("T") in (None, "auto") else int(raw["T"]),
             T_max=int(raw.get("T_max", 200)),
             T_first=None if raw.get("T_first") is None else int(raw["T_first"]),
             alpha=float(raw.get("alpha", 1.0)),
             schedule=raw.get("schedule", "literal"),
             success=success,
-            record=record,
+            record=RecordConfig(**rec_raw),
             steady_tol=float(raw.get("steady_tol", 1e-9)),
             grid_n=int(raw.get("grid_n", 10_001)),
             bounds=bool(raw.get("bounds", True)),

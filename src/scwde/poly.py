@@ -6,6 +6,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 NODE = "node"
 EDGE = "edge"
 
@@ -61,6 +63,9 @@ class DegreePolynomial:
 
     def __call__(self, x):
         """Evaluate by Horner's scheme (works on scalars and numpy arrays)."""
+        if len(self.coeffs) == 1 and isinstance(x, np.ndarray):
+            # a constant has no x term to carry the argument's shape
+            return np.full(x.shape, self.coeffs[0])
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c

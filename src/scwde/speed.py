@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -121,8 +121,7 @@ class LandscapeBounds:
     """Closed-form speed bounds from the scalar potential landscape.
 
     ``finite_w``/``infinite_w`` are None when the corresponding denominator
-    is not positive (bound vacuous). ``variant='w_inverse'`` replaces the
-    default W (U')^2 / D curvature terms by (U')^2 / (2 D W).
+    is not positive (bound vacuous).
     """
 
     finite_w: Optional[float]
@@ -132,8 +131,6 @@ class LandscapeBounds:
     numerator_finite: float
     numerator_infinite: float
     alpha: float
-    variant: str
-    subtrahend: str
 
 
 def bound_th2(
@@ -141,14 +138,10 @@ def bound_th2(
     W: int,
     land: PotentialLandscape,
     alpha: float = 1.0,
-    infinite_subtrahend: Literal["none", "x_e"] = "none",
-    variant: Literal["w_scaled", "w_inverse"] = "w_scaled",
 ) -> LandscapeBounds:
     """Evaluate the landscape-only speed bounds for window size W.
 
-    Requires the landscape to provide x_a, x_b, x_c0, x_d and D. The
-    infinite-coupling numerator optionally subtracts the potential at the
-    trailing inflection point x_e.
+    Requires the landscape to provide x_a, x_b, x_c0, x_d and D.
     """
     if abs(land.epsilon - spec.epsilon) > 1e-15:
         raise ValueError(
@@ -164,37 +157,19 @@ def bound_th2(
     u_xd = float(potential(land.x_d, eps, ens))
     du_xa = float(potential_d1(land.x_a, eps, ens))
     du_xc0 = float(potential_d1(land.x_c0, eps, ens))
-    if variant == "w_scaled":
-        curvature_terms = W * (du_xa**2 + du_xc0**2) / land.D
-    elif variant == "w_inverse":
-        curvature_terms = (du_xa**2 + du_xc0**2) / (2.0 * land.D * W)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    b2 = 2.0 * u_xb - u_xd + curvature_terms
+    b2 = 2.0 * u_xb - u_xd + W * (du_xa**2 + du_xc0**2) / land.D
     b1 = b2 - land.D * land.x_d / w
 
-    u_at_1 = float(potential(1.0, eps, ens))
-    num_finite = w * alpha * u_at_1
-    if infinite_subtrahend == "none":
-        sub = 0.0
-    elif infinite_subtrahend == "x_e":
-        if land.x_e is None:
-            raise ValueError("landscape lacks x_e for the requested subtrahend")
-        sub = float(potential(land.x_e, eps, ens))
-    else:
-        raise ValueError(f"unknown subtrahend {infinite_subtrahend!r}")
-    num_infinite = w * alpha * (u_at_1 - sub)
+    num = w * alpha * float(potential(1.0, eps, ens))
 
     return LandscapeBounds(
-        finite_w=(num_finite / b1) if b1 > 0.0 else None,
-        infinite_w=(num_infinite / b2) if b2 > 0.0 else None,
+        finite_w=(num / b1) if b1 > 0.0 else None,
+        infinite_w=(num / b2) if b2 > 0.0 else None,
         B1=b1,
         B2=b2,
-        numerator_finite=num_finite,
-        numerator_infinite=num_infinite,
+        numerator_finite=num,
+        numerator_infinite=num,
         alpha=alpha,
-        variant=variant,
-        subtrahend=infinite_subtrahend,
     )
 
 
@@ -277,18 +252,7 @@ class SpeedReport:
     )
 
     def csv_values(self) -> tuple:
-        return (
-            self.epsilon,
-            self.W,
-            self.T_min,
-            self.v,
-            self.c_prime,
-            self.A1,
-            self.th2_finite,
-            self.th2_infinite,
-            self.alpha,
-            self.success_policy,
-        )
+        return tuple(getattr(self, name) for name in self.CSV_COLUMNS)
 
 
 def _th2_left_edge_residual(traj: Trajectory) -> Optional[float]:
@@ -317,22 +281,26 @@ def measure_speed(
     land: Optional[PotentialLandscape] = None,
     compute_bounds: bool = True,
     validate: bool = True,
+    T_lo: int = 1,
+    T_first: Optional[int] = None,
 ) -> SpeedReport:
-    """Scan T = 1..T_max upward for the smallest iteration budget that decodes.
+    """Scan T = T_lo..T_max upward for the smallest iteration budget that decodes.
 
     The scan is linear so the reported minimum is exact even if success
-    were non-monotone in T. On success the run is repeated with trajectory
-    recording to locate the steady state and evaluate the trajectory bound;
-    the landscape bounds are attached when a landscape is supplied.
+    were non-monotone in T; T_lo = T_max tests one fixed budget. Every run
+    gives the first window ``T_first`` iterations when that is set. On
+    success the run is repeated with trajectory recording to locate the
+    steady state and evaluate the trajectory bound; the landscape bounds
+    are attached when a landscape is supplied.
     """
     if not 1 <= W <= spec.N:
         raise ValueError(f"window size {W} outside 1..{spec.N}")
-    if T_max < 1:
-        raise ValueError("T_max must be >= 1")
+    if not 1 <= T_lo <= T_max:
+        raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
     t_min = None
     best_avg = None
-    for T in range(1, T_max + 1):
-        sched = WindowSchedule(W=W, T=T, variant=schedule_variant)
+    for T in range(T_lo, T_max + 1):
+        sched = WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
         final, _ = run_wd(spec, sched, record="none", validate=validate)
         report = decode_success(
             final, spec, threshold=success_threshold, policy=success_policy
@@ -345,7 +313,7 @@ def measure_speed(
 
     c_prime = a1 = steady_residual = hyp_residual = None
     if t_min is not None and compute_bounds:
-        sched = WindowSchedule(W=W, T=t_min, variant=schedule_variant)
+        # ``sched`` is the schedule that decoded
         _, traj = run_wd(spec, sched, record="per-window", validate=validate)
         steady = detect_steady_state(traj, tol=steady_tol)
         c_prime = steady.c_prime

@@ -14,7 +14,7 @@ from .scalar import UncoupledEnsemble
 MONOTONE_SLACK = 1e-12
 
 ScheduleVariant = Literal["literal", "extended"]
-RecordPolicy = Literal["none", "final", "per-window"]
+RecordPolicy = Literal["none", "per-window"]
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,6 @@ class DEState:
             return float(self.x[z - 1])
         return 0.0
 
-    def vector(self) -> np.ndarray:
-        return self.x.copy()
-
-
-def init_state(spec: CoupledSpec) -> DEState:
-    """All-ones initial state at the first window configuration."""
-    return DEState(x=np.ones(spec.chain_len), c=1, t=0)
-
 
 def _padded_reads(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Values at positions lo..hi (1-based), zero outside 1..len(x)."""
@@ -153,59 +145,6 @@ def window_update_values(
     return _moving_mean(eps * lam_vals, w)
 
 
-def f_update(z: int, state: DEState, spec: CoupledSpec, sched: WindowSchedule) -> float:
-    """Single-position update: the windowed DE map at position z.
-
-    Inside the window c..c+W-1 this is the coupled erasure update; outside,
-    the stored value is returned unchanged.
-    """
-    if not 1 <= z <= spec.chain_len:
-        raise ValueError(f"position {z} outside 1..{spec.chain_len}")
-    if state.c <= z <= state.c + sched.W - 1:
-        return float(window_update_values(state.x, z, 1, spec)[0])
-    return state.get(z)
-
-
-def window_sweep(
-    state: DEState,
-    spec: CoupledSpec,
-    sched: WindowSchedule,
-    validate: bool = True,
-) -> DEState:
-    """One parallel update of the in-window positions; increments t.
-
-    Positions outside the window are bit-identical to before.
-    """
-    budget = sched.iterations_for(state.c)
-    if state.t >= budget:
-        raise ValueError(f"window already ran its {budget} iterations")
-    new_vals = window_update_values(state.x, state.c, sched.W, spec)
-    lo = state.c - 1
-    hi = lo + sched.W
-    if validate:
-        if np.any(new_vals > state.x[lo:hi] + MONOTONE_SLACK):
-            raise AssertionError(
-                f"erasure increased within window c={state.c}, t={state.t + 1}"
-            )
-        if np.any(new_vals < -MONOTONE_SLACK) or np.any(new_vals > 1.0 + MONOTONE_SLACK):
-            raise AssertionError("erasure left [0, 1]")
-    x = state.x.copy()
-    x[lo:hi] = new_vals
-    return DEState(x=x, c=state.c, t=state.t + 1)
-
-
-def slide(state: DEState, spec: CoupledSpec, sched: WindowSchedule) -> DEState:
-    """Move the window one position right; the vector carries over unchanged."""
-    budget = sched.iterations_for(state.c)
-    if state.t != budget:
-        raise ValueError(
-            f"cannot slide at t={state.t}; the window runs {budget} iterations"
-        )
-    if state.c >= sched.c_max(spec):
-        raise ValueError(f"cannot slide beyond configuration c={sched.c_max(spec)}")
-    return DEState(x=state.x, c=state.c + 1, t=0)
-
-
 class Trajectory:
     """Recorded states x^(c,t) for selected window configurations.
 
@@ -217,14 +156,6 @@ class Trajectory:
         self.sched = sched
         self.spec = spec
         self._blocks: dict[int, list[np.ndarray]] = {}
-
-    def add(self, state: DEState) -> None:
-        rows = self._blocks.setdefault(state.c, [])
-        if state.t != len(rows):
-            raise ValueError(
-                f"out-of-order recording at c={state.c}: expected t={len(rows)}"
-            )
-        rows.append(state.x.copy())
 
     def windows(self) -> list[int]:
         return sorted(self._blocks)
@@ -290,36 +221,38 @@ def run_wd(
     record_windows: Optional[Iterable[int]] = None,
     validate: bool = True,
 ) -> tuple[DEState, Optional[Trajectory]]:
-    """Run the full window schedule: T sweeps at each configuration, then slide.
+    """Run the full window schedule: T_c sweeps at each configuration c.
 
-    ``record='per-window'`` keeps every iteration of the selected window
-    configurations (all of them when ``record_windows`` is None);
-    ``'final'``/``'none'`` keep no trajectory.
+    One erasure vector is updated in place; sliding the window is the step
+    to the next c. ``record='per-window'`` keeps every iteration of the
+    selected window configurations (all of them when ``record_windows`` is
+    None); ``'none'`` keeps no trajectory.
     """
+    if record not in ("none", "per-window"):
+        raise ValueError(f"unknown record policy {record!r}")
     sched.validate(spec)
     wanted = None if record_windows is None else set(record_windows)
     traj = Trajectory(sched, spec) if record == "per-window" else None
-
-    def keep(state: DEState) -> None:
-        if traj is not None and (wanted is None or state.c in wanted):
-            traj.add(state)
-
-    state = init_state(spec)
-    keep(state)
+    x = np.ones(spec.chain_len)
     c_last = sched.c_max(spec)
-    while True:
-        prev = state.x
-        for _ in range(sched.iterations_for(state.c)):
-            state = window_sweep(state, spec, sched, validate=validate)
-            keep(state)
+    for c in range(1, c_last + 1):
+        lo, hi = c - 1, c - 1 + sched.W
+        rows = None
+        if traj is not None and (wanted is None or c in wanted):
+            rows = traj._blocks[c] = [x.copy()]
+        prev = x.copy() if validate else None
+        for t in range(1, sched.iterations_for(c) + 1):
+            new_vals = window_update_values(x, c, sched.W, spec)
+            if validate:
+                if np.any(new_vals > x[lo:hi] + MONOTONE_SLACK):
+                    raise AssertionError(f"erasure increased within window c={c}, t={t}")
+                if np.any(new_vals < -MONOTONE_SLACK) or np.any(new_vals > 1.0 + MONOTONE_SLACK):
+                    raise AssertionError("erasure left [0, 1]")
+            x[lo:hi] = new_vals
+            if rows is not None:
+                rows.append(x.copy())
         if validate:
-            lo, hi = state.c - 1, state.c - 1 + sched.W
-            outside = np.concatenate([state.x[:lo], state.x[hi:]])
-            outside_prev = np.concatenate([prev[:lo], prev[hi:]])
-            if not np.array_equal(outside, outside_prev):
+            outside = np.concatenate([x[:lo], x[hi:]])
+            if not np.array_equal(outside, np.concatenate([prev[:lo], prev[hi:]])):
                 raise AssertionError("out-of-window positions changed during sweeps")
-        if state.c >= c_last:
-            break
-        state = slide(state, spec, sched)
-        keep(state)
-    return state, traj
+    return DEState(x=x, c=c_last, t=sched.iterations_for(c_last)), traj

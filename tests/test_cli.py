@@ -115,6 +115,14 @@ class TestWaveCommand:
         })
         assert main(["wave", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_constant_check_distribution_runs(self, tmp_path):
+        # R = x^1 gives rho = 1, a degree-0 polynomial evaluated on arrays
+        cfg = write_cfg(tmp_path, {
+            "ensemble": {"L": "x^3", "R": "x^1"},
+            "N": 24, "w": 2, "epsilon": 0.30, "W": 8, "T": 3,
+        })
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_missing_T_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "ensemble": {"L": "x^3", "R": "x^6"},
@@ -183,6 +191,68 @@ class TestSpeedCommand:
                      "--workers", "1"]) == 0
         rows = read_csv(out / "speed.csv")
         assert rows[1][2] == "20"  # T_min column echoes the fixed budget
+
+
+    def run_speed(self, tmp_path, payload, name):
+        cfg = write_cfg(tmp_path, payload, name=f"{name}.yaml")
+        out = tmp_path / name
+        assert main(["speed", "--config", str(cfg), "--out", str(out),
+                     "--workers", "1"]) == 0
+        return read_csv(out / "speed.csv")
+
+    def test_auto_T_without_first_window_budget(self, tmp_path):
+        rows = self.run_speed(tmp_path, self.payload(), "plain")
+        assert rows[1][2] == "7"
+
+    def test_auto_T_applies_first_window_budget(self, tmp_path):
+        payload = self.payload()
+        payload["T_first"] = 50
+        rows = self.run_speed(tmp_path, payload, "warm")
+        assert rows[1][2] == "4"
+
+    def test_fixed_T_row_carries_bounds(self, tmp_path):
+        # a fixed T equal to the searched T_min reproduces the whole auto row
+        payload = {
+            "ensemble": {"L": "x^3", "R": "x^6"},
+            "N": 40, "w": 3, "epsilon": 0.45, "W": 10,
+            "T": "auto", "T_max": 60, "schedule": "extended", "grid_n": 2001,
+        }
+        auto = self.run_speed(tmp_path, payload, "auto")
+        payload["T"] = int(auto[1][2])
+        fixed = self.run_speed(tmp_path, payload, "fixed")
+        assert fixed == auto
+        assert all(auto[1][i] for i in (4, 5, 7))  # c_prime, A1, th2_infinite
+
+
+BASE_RUN = {
+    "ensemble": {"L": "x^3", "R": "x^6"},
+    "N": 24, "w": 2, "epsilon": 0.30, "W": 8, "T": 6,
+    "schedule": "extended", "bounds": False,
+}
+
+
+@pytest.mark.parametrize("command", ["wave", "speed"])
+@pytest.mark.parametrize("override", [
+    {"success": 5},
+    {"record": [1]},
+    {"record": {"policy": "none"}},
+    {"N": 0},
+    {"w": 0},
+    {"T": -3},
+    {"T": "many"},
+    {"T_first": 0},
+    {"W": 0},
+    {"W": 25},
+    {"T": "auto", "T_max": 0},
+], ids=repr)
+def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override):
+    cfg = write_cfg(tmp_path, {**BASE_RUN, **override})
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 *(["--workers", "1"] if command == "speed" else [])])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestThresholdsCommand:

@@ -11,10 +11,8 @@ from scwde.coupled import (
 from scwde.scalar import UncoupledEnsemble, potential
 from scwde.window import (
     CoupledSpec,
-    DEState,
     WindowSchedule,
     run_wd,
-    window_sweep,
     window_update_values,
 )
 
@@ -111,8 +109,8 @@ class TestDeltaU1:
         ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15, alpha=1.0)
         rng = np.random.default_rng(11)
         x = rng.uniform(0.2, 0.9, spec.chain_len)
-        state = DEState(x=x, c=15, t=0)
-        y = window_sweep(state, spec, sched, validate=False).x
+        y = x.copy()
+        y[14:22] = window_update_values(x, 15, 8, spec)
         got = delta_u1(y, x, ctx)
         zs = slice(14, 22)
         expected = -np.sum(ENS36.rho_d1(1.0 - x[zs]) * (y[zs] - x[zs]) ** 2)

@@ -26,6 +26,12 @@ def test_eval_mixed_half():
     assert p(0.5) == pytest.approx(0.1875, rel=1e-15)
 
 
+def test_constant_keeps_array_shape():
+    const = DegreePolynomial((0.25,))
+    assert np.array_equal(const(np.zeros((2, 3))), np.full((2, 3), 0.25))
+    assert const(0.5) == 0.25
+
+
 def test_derivative_power_rule():
     assert monomial(3).derivative().coeffs == (0.0, 0.0, 3.0)
     assert monomial(6).derivative().coeffs == (0.0, 0.0, 0.0, 0.0, 0.0, 6.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scwde.scalar import UncoupledEnsemble, landscape, potential
+from scwde.scalar import UncoupledEnsemble, landscape, potential, potential_d1
 from scwde.speed import (
     SpeedReport,
     bound_a1,
@@ -114,17 +114,20 @@ class TestBoundTh2:
             assert th2.infinite_w is not None and th2.infinite_w > 0
 
     def test_curvature_variant_and_subtrahend(self, land465):
-        spec = self.spec465()
-        scaled = bound_th2(spec, 15, land465, variant="w_scaled")
-        inverse = bound_th2(spec, 15, land465, variant="w_inverse")
-        # the w_inverse form divides the curvature terms by 2 D W instead
-        # of multiplying by W, so its B terms are strictly smaller here
-        assert inverse.B1 < scaled.B1
-        with_sub = bound_th2(spec, 15, land465, infinite_subtrahend="x_e")
-        u_xe = potential(land465.x_e, 0.465, ENS36)
-        assert with_sub.numerator_infinite == pytest.approx(
-            scaled.numerator_infinite - 4 * u_xe, rel=1e-12
+        # B2 = 2 U(x_b) - U(x_d) + W (U'(x_a)^2 + U'(x_c0)^2) / D, and the
+        # infinite-coupling numerator subtracts nothing from w alpha U(1)
+        scaled = bound_th2(self.spec465(), 15, land465)
+        curvature = 15 * (
+            potential_d1(land465.x_a, 0.465, ENS36) ** 2
+            + potential_d1(land465.x_c0, 0.465, ENS36) ** 2
+        ) / land465.D
+        expected = (
+            2 * potential(land465.x_b, 0.465, ENS36)
+            - potential(land465.x_d, 0.465, ENS36)
+            + curvature
         )
+        assert scaled.B2 == pytest.approx(expected, rel=1e-12)
+        assert scaled.numerator_infinite == scaled.numerator_finite
 
     def test_missing_landscape_points_rejected(self):
         land_low = landscape(0.3, ENS36)

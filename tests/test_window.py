@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 from scwde.scalar import UncoupledEnsemble
 from scwde.window import (
+    MONOTONE_SLACK,
     CoupledSpec,
     DEState,
     WindowSchedule,
     decode_success,
-    f_update,
-    init_state,
     run_wd,
-    slide,
-    window_sweep,
+    window_update_values,
 )
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
@@ -23,125 +21,89 @@ def spec36(N=100, w=3, eps=0.42):
     return CoupledSpec(ens=ENS36, N=N, w=w, epsilon=eps)
 
 
+def first_window(spec, sched):
+    """Recorded iterations t = 0..T_1 of window configuration 1."""
+    _, traj = run_wd(spec, sched, record="per-window", record_windows=[1])
+    return traj.block(1)
+
+
 class TestInitState:
     def test_standard_shape(self):
-        st0 = init_state(spec36())
-        assert st0.x.shape == (102,)
-        assert np.all(st0.x == 1.0)
-        assert (st0.c, st0.t) == (1, 0)
+        st0 = first_window(spec36(), WindowSchedule(W=11, T=1))[0]
+        assert st0.shape == (102,)
+        assert np.all(st0 == 1.0)
 
     def test_smallest_spec(self):
-        st0 = init_state(spec36(N=1, w=1))
-        assert st0.x.shape == (1,)
-        assert st0.x[0] == 1.0
+        st0 = first_window(spec36(N=1, w=1), WindowSchedule(W=1, T=1))[0]
+        assert st0.shape == (1,)
+        assert st0[0] == 1.0
 
     def test_boundary_reads_are_zero(self):
-        st0 = init_state(spec36())
+        spec = spec36()
+        _, traj = run_wd(spec, WindowSchedule(W=11, T=1), record="per-window")
+        st0 = traj.state(1, 0)
+        assert (st0.c, st0.t) == (1, 0)
         assert st0.get(0) == 0.0
         assert st0.get(103) == 0.0
         assert st0.get(1) == 1.0
 
 
 class TestFUpdate:
+    """The windowed DE map f at in-window positions (window_update_values)."""
+
     def test_interior_all_ones_gives_channel(self):
         spec = spec36()
-        sched = WindowSchedule(W=11, T=6)
-        state = init_state(spec)
-        state = DEState(x=state.x, c=4, t=0)
-        # interior in-window position: every variable group sees the channel
-        assert f_update(8, state, spec, sched) == pytest.approx(0.42, rel=1e-14)
+        vals = window_update_values(np.ones(spec.chain_len), 4, 11, spec)
+        # interior in-window position z = 8: every variable group sees the channel
+        assert vals[8 - 4] == pytest.approx(0.42, rel=1e-14)
 
     def test_all_zero_neighbors_give_zero(self):
         spec = spec36()
-        sched = WindowSchedule(W=11, T=6)
-        state = DEState(x=np.zeros(spec.chain_len), c=1, t=0)
-        assert f_update(3, state, spec, sched) == 0.0
-
-    def test_outside_window_returns_stored(self):
-        spec = spec36()
-        sched = WindowSchedule(W=11, T=6)
-        x = np.linspace(0.1, 0.9, spec.chain_len)
-        state = DEState(x=x, c=1, t=0)
-        assert f_update(50, state, spec, sched) == x[49]
+        vals = window_update_values(np.zeros(spec.chain_len), 1, 11, spec)
+        assert np.all(vals == 0.0)
 
     def test_left_boundary_fraction(self):
         # position z < w has only z non-virtual variable groups
         spec = spec36(w=3)
-        sched = WindowSchedule(W=11, T=6)
-        state = init_state(spec)
+        vals = window_update_values(np.ones(spec.chain_len), 1, 11, spec)
         for z in (1, 2):
-            assert f_update(z, state, spec, sched) == pytest.approx(
-                0.42 * z / 3, rel=1e-14
-            )
-
-    def test_position_out_of_range_rejected(self):
-        spec = spec36()
-        sched = WindowSchedule(W=11, T=6)
-        with pytest.raises(ValueError):
-            f_update(0, init_state(spec), spec, sched)
+            assert vals[z - 1] == pytest.approx(0.42 * z / 3, rel=1e-14)
 
 
 class TestSweepAndSlide:
     def test_first_sweep_pattern(self):
-        spec = spec36(w=3)
-        sched = WindowSchedule(W=11, T=6)
-        after = window_sweep(init_state(spec), spec, sched)
-        assert after.t == 1
+        after = first_window(spec36(w=3), WindowSchedule(W=11, T=6))[1]
         for z in range(3, 12):  # interior in-window positions
-            assert after.x[z - 1] == pytest.approx(0.42, rel=1e-14)
-        assert after.x[0] == pytest.approx(0.42 / 3, rel=1e-14)
-        assert after.x[1] == pytest.approx(0.42 * 2 / 3, rel=1e-14)
-        assert np.all(after.x[11:] == 1.0)
+            assert after[z - 1] == pytest.approx(0.42, rel=1e-14)
+        assert after[0] == pytest.approx(0.42 / 3, rel=1e-14)
+        assert after[1] == pytest.approx(0.42 * 2 / 3, rel=1e-14)
+        assert np.all(after[11:] == 1.0)
 
     def test_outside_window_bit_identical(self):
-        spec = spec36()
-        sched = WindowSchedule(W=11, T=6)
-        before = init_state(spec)
-        after = window_sweep(before, spec, sched)
-        assert np.array_equal(after.x[11:], before.x[11:])
+        # unvalidated, so run_wd's own out-of-window check cannot mask a change
+        spec = spec36(N=30)
+        sched = WindowSchedule(W=11, T=4, variant="extended")
+        _, traj = run_wd(spec, sched, record="per-window", validate=False)
+        for c in traj.windows():
+            block = traj.block(c)
+            inside = np.zeros(spec.chain_len, dtype=bool)
+            inside[c - 1 : c - 1 + sched.W] = True
+            assert np.all(block[:, ~inside] == block[0, ~inside])
 
     def test_monotone_in_iteration(self):
         spec = spec36()
-        sched = WindowSchedule(W=11, T=6)
-        state = init_state(spec)
-        for _ in range(6):
-            nxt = window_sweep(state, spec, sched)
-            assert np.all(nxt.x <= state.x + 1e-12)
-            state = nxt
+        _, traj = run_wd(spec, WindowSchedule(W=11, T=6), record="per-window",
+                         validate=False)
+        for c in traj.windows():
+            assert np.all(np.diff(traj.block(c), axis=0) <= 1e-12)
 
     def test_slide_keeps_vector_and_resets_t(self):
         spec = spec36()
-        sched = WindowSchedule(W=11, T=2)
-        state = init_state(spec)
-        for _ in range(2):
-            state = window_sweep(state, spec, sched)
-        slid = slide(state, spec, sched)
-        assert (slid.c, slid.t) == (2, 0)
-        assert np.array_equal(slid.x, state.x)
-
-    def test_slide_requires_full_iteration_budget(self):
-        spec = spec36()
-        sched = WindowSchedule(W=11, T=2)
-        state = window_sweep(init_state(spec), spec, sched)
-        with pytest.raises(ValueError, match="cannot slide at t=1"):
-            slide(state, spec, sched)
-
-    def test_slide_beyond_schedule_rejected(self):
-        spec = spec36(N=12)
-        sched = WindowSchedule(W=11, T=1)
-        state = init_state(spec)
-        state = window_sweep(state, spec, sched)
-        state = slide(state, spec, sched)  # c_max = 2 for the literal rule
-        state = window_sweep(state, spec, sched)
-        with pytest.raises(ValueError, match="beyond"):
-            slide(state, spec, sched)
-
-    def test_sweep_past_budget_rejected(self):
-        spec = spec36()
-        sched = WindowSchedule(W=11, T=1)
-        state = window_sweep(init_state(spec), spec, sched)
-        with pytest.raises(ValueError, match="already ran"):
-            window_sweep(state, spec, sched)
+        sched = WindowSchedule(W=11, T=2, T_first=5)
+        _, traj = run_wd(spec, sched, record="per-window", record_windows=[1, 2])
+        assert traj.block(1).shape[0] == 6
+        assert traj.block(2).shape[0] == 3
+        assert np.array_equal(traj.block(2)[0], traj.block(1)[-1])
 
 
 class TestRunWd:
@@ -150,6 +112,10 @@ class TestRunWd:
         sched = WindowSchedule(W=11, T=1)
         final, _ = run_wd(spec, sched)
         assert np.all(final.x[: spec.N] <= 1e-12)
+
+    def test_unknown_record_policy_rejected(self):
+        with pytest.raises(ValueError, match="record policy"):
+            run_wd(spec36(), WindowSchedule(W=11, T=1), record="all")
 
     def test_window_larger_than_chain_rejected(self):
         spec = spec36(N=5)
@@ -221,7 +187,7 @@ class TestDecodeSuccess:
 
     def test_all_ones_fails(self):
         spec = spec36()
-        rep = decode_success(init_state(spec), spec)
+        rep = decode_success(DEState(x=np.ones(spec.chain_len), c=1, t=0), spec)
         assert not rep.success
 
     def test_max_policy_is_stricter(self):
@@ -235,7 +201,8 @@ class TestDecodeSuccess:
     def test_bad_policy_rejected(self):
         spec = spec36()
         with pytest.raises(ValueError):
-            decode_success(init_state(spec), spec, policy="median")
+            decode_success(DEState(x=np.ones(spec.chain_len), c=1, t=0), spec,
+                           policy="median")
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,3 +223,22 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
         block = traj.block(c)
         assert np.all(block >= 0.0) and np.all(block <= 1.0)
         assert np.all(np.diff(block, axis=0) <= 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=30),
+    w=st.integers(min_value=1, max_value=4),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+    T=st.integers(min_value=1, max_value=8),
+    variant=st.sampled_from(["literal", "extended"]),
+    degrees=st.sampled_from([(3, 6), (4, 8)]),
+    data=st.data(),
+)
+def test_final_erasures_monotone_in_T(N, w, eps, T, variant, degrees, data):
+    # one more iteration per window never leaves more erasures behind
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
+    fewer, _ = run_wd(spec, WindowSchedule(W=W, T=T, variant=variant), validate=False)
+    more, _ = run_wd(spec, WindowSchedule(W=W, T=T + 1, variant=variant), validate=False)
+    assert np.all(more.x <= fewer.x + MONOTONE_SLACK)
