@@ -86,9 +86,8 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     def potential_rows():
         for c in traj.windows():
             ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c, alpha=cfg.alpha)
-            block = traj.block(c)
-            for t in range(block.shape[0]):
-                yield c, t, coupled_potential(block[t], ctx)
+            for t, x in enumerate(traj.block(c)):
+                yield c, t, coupled_potential(x, ctx)
 
     _write_csv(out / "potential_trace.csv", ("c", "t", "U"), potential_rows())
 

@@ -91,6 +91,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.T is None and self.T_max < 1:
             raise ConfigError("T_max must be >= 1")
+        if self.grid_n < 1000:
+            raise ConfigError("grid_n must be >= 1000 for reliable bracketing")
+        if not isinstance(self.bounds, bool):
+            raise ConfigError(f"bounds must be true or false, got {self.bounds!r}")
 
     def epsilons(self, ens: UncoupledEnsemble) -> tuple[float, ...]:
         """Expand the channel grid for one ensemble (ascending, within [0, 1])."""
@@ -152,6 +156,9 @@ def _parse_window_sizes(raw: dict) -> tuple[int, ...]:
     if isinstance(W, (list, tuple)):
         return tuple(int(v) for v in W)
     if isinstance(W, dict):
+        missing = {"start", "stop"} - set(W)
+        if missing:
+            raise ConfigError(f"window grid lacks {sorted(missing)}")
         start, stop, step = int(W["start"]), int(W["stop"]), int(W.get("step", 1))
         if step <= 0 or stop < start:
             raise ConfigError("window grid must ascend")
@@ -169,6 +176,9 @@ def _parse_epsilon(raw: dict) -> tuple[Optional[float], Optional[dict]]:
         missing = {"start", "stop", "step"} - set(eps)
         if missing:
             raise ConfigError(f"epsilon grid lacks {sorted(missing)}")
+        for key in ("start", "stop", "step"):
+            if not isinstance(eps[key], (int, float)) and (key, eps[key]) != ("stop", MAP_STOP):
+                raise ConfigError(f"epsilon grid {key} must be a number, got {eps[key]!r}")
         return None, dict(eps)
     raise ConfigError(f"cannot parse epsilon from {eps!r}")
 
@@ -213,7 +223,7 @@ def config_from_mapping(raw: dict) -> RunConfig:
             record=RecordConfig(**rec_raw),
             steady_tol=float(raw.get("steady_tol", 1e-9)),
             grid_n=int(raw.get("grid_n", 10_001)),
-            bounds=bool(raw.get("bounds", True)),
+            bounds=raw.get("bounds", True),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .window import CoupledSpec, WindowSchedule, _moving_mean, _padded_reads, window_update_values
+from .window import CoupledSpec, WindowSchedule, window_update_values
+from .window import _channel_profile, _moving_mean, _padded, _window_inputs
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,6 @@ class CoupledPotentialContext:
         if not 1.0 <= self.alpha <= 2.0:
             raise ValueError("alpha must lie in [1, 2]")
 
-    @property
-    def window(self) -> range:
-        return range(self.c, self.c + self.sched.W)
-
 
 def coupled_potential(x: np.ndarray, ctx: CoupledPotentialContext) -> float:
     """Potential of the coupled state under window configuration c.
@@ -43,15 +40,13 @@ def coupled_potential(x: np.ndarray, ctx: CoupledPotentialContext) -> float:
     """
     spec, w = ctx.spec, ctx.spec.w
     ens = spec.ens
-    z_lo = ctx.c - (w - 1)
-    z_hi = ctx.c + ctx.sched.W - 1
-    vals = _padded_reads(np.asarray(x, dtype=float), z_lo, z_hi + w - 1)
+    vals, eps = _window_inputs(
+        _padded(np.asarray(x, dtype=float), w), _channel_profile(spec), ctx.c, ctx.sched.W, w
+    )
     one_minus = 1.0 - vals
     rho_vals = ens.rho(one_minus)
-    s = _moving_mean(rho_vals, w)  # S_z for z = z_lo..z_hi
-    z = np.arange(z_lo, z_hi + 1)
-    eps = np.where((z >= 1) & (z <= spec.N), spec.epsilon, 0.0)
-    xs = vals[: z_hi - z_lo + 1]
+    s = _moving_mean(rho_vals, w)  # S_z for z = c-(w-1)..c+W-1
+    xs = vals[: len(eps)]
     free = (1.0 - ens.R(one_minus[: len(xs)])) / ens.R_prime_1 - xs * rho_vals[: len(xs)]
     channel = (eps / ens.L_prime_1) * ens.L(1.0 - s)
     return float(np.sum(free - channel))

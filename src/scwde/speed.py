@@ -8,12 +8,13 @@ from typing import Optional
 import numpy as np
 
 from .coupled import CoupledPotentialContext, coupled_potential
-from .scalar import PotentialLandscape, potential, potential_d1
+from .scalar import PotentialLandscape, de_step, potential, potential_d1
 from .window import (
     CoupledSpec,
     DEState,
     Trajectory,
     WindowSchedule,
+    _slope_segment,
     decode_success,
     run_wd,
 )
@@ -102,15 +103,11 @@ def bound_a1(
     if c_prime + 1 not in set(traj.windows()):
         raise ValueError(f"trajectory lacks window {c_prime + 1}")
     ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c_prime, alpha=alpha)
-    x_now = traj.vector(c_prime, 0)
-    x_next = traj.vector(c_prime + 1, 0)
+    x_now = traj.block(c_prime)[0]
+    x_next = traj.block(c_prime + 1)[0]
     num = alpha * (coupled_potential(x_now, ctx) - coupled_potential(x_next, ctx))
-    lo = c_prime - 1
-    xs = x_now[lo : lo + sched.W]
-    left = np.empty_like(xs)
-    left[1:] = xs[:-1]
-    left[0] = x_now[lo - 1] if lo >= 1 else 0.0
-    den = float(np.sum(spec.ens.rho_d1(1.0 - xs) * (xs - left) ** 2))
+    seg = _slope_segment(x_now, c_prime, sched.W, spec.w)
+    den = float(np.sum(spec.ens.rho_d1(1.0 - seg[1:]) * np.diff(seg) ** 2))
     if abs(den) < 1e-300:
         raise ZeroDivisionError("flat steady profile: speed-bound denominator is zero")
     return float(num / den)
@@ -128,8 +125,7 @@ class LandscapeBounds:
     infinite_w: Optional[float]
     B1: float
     B2: float
-    numerator_finite: float
-    numerator_infinite: float
+    numerator: float
     alpha: float
 
 
@@ -167,8 +163,7 @@ def bound_th2(
         infinite_w=(num / b2) if b2 > 0.0 else None,
         B1=b1,
         B2=b2,
-        numerator_finite=num,
-        numerator_infinite=num,
+        numerator=num,
         alpha=alpha,
     )
 
@@ -192,18 +187,14 @@ def slope_margin_check(
     (x_z - x_{z-1}) - |x_z - eps lam(1 - rho(1 - x_z))| / w;
     the bound holds when every margin is >= -tol.
     """
-    ens, w = spec.ens, spec.w
-    margins = []
-    for z in range(state.c, state.c + sched.W):
-        xz = state.get(z)
-        diff = xz - state.get(z - 1)
-        proxy = abs(xz - spec.epsilon * ens.lam(1.0 - ens.rho(1.0 - xz))) / w
-        margins.append(diff - proxy)
-    min_margin = min(margins)
+    seg = _slope_segment(state.x, state.c, sched.W, spec.w)
+    xs = seg[1:]
+    margins = np.diff(seg) - np.abs(xs - de_step(xs, spec.epsilon, spec.ens)) / spec.w
+    min_margin = float(np.min(margins))
     return SlopeMarginReport(
-        min_margin=float(min_margin),
-        holds=bool(min_margin >= -tol),
-        margins=tuple(float(m) for m in margins),
+        min_margin=min_margin,
+        holds=min_margin >= -tol,
+        margins=tuple(margins.tolist()),
     )
 
 
@@ -261,11 +252,7 @@ def _th2_left_edge_residual(traj: Trajectory) -> Optional[float]:
     Diagnoses the closed-form bound's hypothesis that the position just
     left of the window has fully decoded when the window arrives.
     """
-    vals = [
-        traj.vector(c, 0)[c - 2]
-        for c in traj.windows()
-        if c > 1 and c - 2 < traj.spec.chain_len
-    ]
+    vals = [traj.block(c)[0, c - 2] for c in traj.windows() if c > 1]
     return float(max(vals)) if vals else None
 
 
@@ -293,8 +280,6 @@ def measure_speed(
     steady state and evaluate the trajectory bound; the landscape bounds
     are attached when a landscape is supplied.
     """
-    if not 1 <= W <= spec.N:
-        raise ValueError(f"window size {W} outside 1..{spec.N}")
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
     t_min = None
@@ -305,8 +290,7 @@ def measure_speed(
         report = decode_success(
             final, spec, threshold=success_threshold, policy=success_policy
         )
-        metric = report.avg if success_policy == "average" else report.max
-        best_avg = metric if best_avg is None else min(best_avg, metric)
+        best_avg = report.metric if best_avg is None else min(best_avg, report.metric)
         if report.success:
             t_min = T
             break
@@ -319,20 +303,18 @@ def measure_speed(
         c_prime = steady.c_prime
         steady_residual = steady.residual
         if c_prime is not None:
-            a1 = bound_a1(traj, c_prime, alpha=alpha)
+            try:
+                a1 = bound_a1(traj, c_prime, alpha=alpha)
+            except ZeroDivisionError:  # flat steady profile: A1 is undefined
+                pass
         hyp_residual = _th2_left_edge_residual(traj)
 
-    th2_finite = th2_infinite = th2_b1 = th2_b2 = None
+    th2 = None
     if land is not None and compute_bounds:
         try:
             th2 = bound_th2(spec, W, land, alpha=alpha)
-        except ValueError:
-            th2 = None
-        if th2 is not None:
-            th2_finite = th2.finite_w
-            th2_infinite = th2.infinite_w
-            th2_b1 = th2.B1
-            th2_b2 = th2.B2
+        except ValueError:  # the landscape lacks a critical point
+            pass
 
     return SpeedReport(
         epsilon=spec.epsilon,
@@ -340,8 +322,8 @@ def measure_speed(
         T_min=t_min,
         c_prime=c_prime,
         A1=a1,
-        th2_finite=th2_finite,
-        th2_infinite=th2_infinite,
+        th2_finite=th2.finite_w if th2 else None,
+        th2_infinite=th2.infinite_w if th2 else None,
         alpha=alpha,
         success_policy=success_policy,
         N=spec.N,
@@ -350,7 +332,7 @@ def measure_speed(
         T_max=T_max,
         best_avg=best_avg,
         steady_residual=steady_residual,
-        th2_B1=th2_b1,
-        th2_B2=th2_b2,
+        th2_B1=th2.B1 if th2 else None,
+        th2_B2=th2.B2 if th2 else None,
         th2_hypothesis_residual=hyp_residual,
     )

@@ -43,10 +43,6 @@ class CoupledSpec:
         """Number of check positions: N + w - 1."""
         return self.N + self.w - 1
 
-    def channel(self, z: int) -> float:
-        """Erasure probability seen by variable position z."""
-        return self.epsilon if 1 <= z <= self.N else 0.0
-
 
 @dataclass(frozen=True)
 class WindowSchedule:
@@ -100,21 +96,34 @@ class DEState:
     c: int
     t: int
 
-    def get(self, z: int) -> float:
-        """Position read with the zero boundary rule outside 1..N+w-1."""
-        if 1 <= z <= len(self.x):
-            return float(self.x[z - 1])
-        return 0.0
+
+def _padded(x: np.ndarray, w: int) -> np.ndarray:
+    """Values at positions 1-w..len(x)+w: position p sits at index p+w-1.
+
+    The w zero ghost positions on each side cover every read of the window
+    kernel (w-1 beyond the chain) and the x_{c-1} read of the slope terms.
+    """
+    buf = np.zeros(len(x) + 2 * w)
+    buf[w : w + len(x)] = x
+    return buf
 
 
-def _padded_reads(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Values at positions lo..hi (1-based), zero outside 1..len(x)."""
-    out = np.zeros(hi - lo + 1)
-    src_lo = max(lo, 1)
-    src_hi = min(hi, len(x))
-    if src_lo <= src_hi:
-        out[src_lo - lo : src_hi - lo + 1] = x[src_lo - 1 : src_hi]
-    return out
+def _channel_profile(spec: CoupledSpec) -> np.ndarray:
+    """Erasure probability in the padded layout: eps on positions 1..N only."""
+    return _padded(np.full(spec.N, spec.epsilon), spec.w)
+
+
+def _window_inputs(
+    buf: np.ndarray, eps: np.ndarray, c: int, W: int, w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the reads at positions c-w+1..c+W+w-2 and of the channel at
+    the check averages u = c-w+1..c+W-1 that window c needs."""
+    return buf[c : c + W + 2 * w - 2], eps[c : c + W + w - 1]
+
+
+def _slope_segment(x: np.ndarray, c: int, W: int, w: int) -> np.ndarray:
+    """Positions c-1..c+W-1 of a chain vector: window c and its left neighbour."""
+    return _padded(x, w)[c + w - 2 : c + W + w - 1]
 
 
 def _moving_mean(v: np.ndarray, width: int) -> np.ndarray:
@@ -132,58 +141,56 @@ def window_update_values(
     Every neighbor read comes from the supplied vector (flooding update);
     positions outside 1..N+w-1 read as zero.
     """
+    return _window_kernel(_padded(x, spec.w), _channel_profile(spec), c, W, spec)
+
+
+def _window_kernel(
+    buf: np.ndarray, eps: np.ndarray, c: int, W: int, spec: CoupledSpec
+) -> np.ndarray:
+    """``window_update_values`` on the padded layout and channel profile."""
     w = spec.w
-    z_lo, z_hi = c, c + W - 1
-    # Check averages S_u are needed for u = z_lo-w+1..z_hi and read
-    # positions u..u+w-1.
-    reads = _padded_reads(x, z_lo - w + 1, z_hi + w - 1)
+    # Check averages S_u for u = c-w+1..c+W-1 read positions u..u+w-1.
+    reads, eps_u = _window_inputs(buf, eps, c, W, w)
     rho_vals = spec.ens.rho(1.0 - reads)
-    s = _moving_mean(rho_vals, w)  # S_u for u = z_lo-w+1 .. z_hi
+    s = _moving_mean(rho_vals, w)
     lam_vals = spec.ens.lam(1.0 - s)
-    u = np.arange(z_lo - w + 1, z_hi + 1)
-    eps = np.where((u >= 1) & (u <= spec.N), spec.epsilon, 0.0)
-    return _moving_mean(eps * lam_vals, w)
+    return _moving_mean(eps_u * lam_vals, w)
 
 
 class Trajectory:
     """Recorded states x^(c,t) for selected window configurations.
 
-    ``block(c)`` is an array of shape (T_c+1, N+w-1) holding iterations
-    t = 0..T_c of configuration c.
+    ``block(c)`` is the read-only array of shape (T_c+1, N+w-1) holding
+    iterations t = 0..T_c of configuration c.
     """
 
     def __init__(self, sched: WindowSchedule, spec: CoupledSpec):
         self.sched = sched
         self.spec = spec
-        self._blocks: dict[int, list[np.ndarray]] = {}
+        self._blocks: dict[int, np.ndarray] = {}
 
     def windows(self) -> list[int]:
         return sorted(self._blocks)
 
     def block(self, c: int) -> np.ndarray:
-        return np.asarray(self._blocks[c])
-
-    def state(self, c: int, t: int) -> DEState:
-        return DEState(x=self._blocks[c][t].copy(), c=c, t=t)
-
-    def vector(self, c: int, t: int) -> np.ndarray:
-        return self._blocks[c][t]
+        return self._blocks[c]
 
     def rows(self) -> Iterable[tuple[int, int, int, float]]:
         """(c, t, z, x) rows in deterministic order."""
         for c in self.windows():
-            for t, vec in enumerate(self._blocks[c]):
-                for z in range(1, len(vec) + 1):
-                    yield c, t, z, float(vec[z - 1])
+            for t, vec in enumerate(self._blocks[c].tolist()):
+                for z, val in enumerate(vec, start=1):
+                    yield c, t, z, val
 
 
 @dataclass(frozen=True)
 class SuccessReport:
+    """``metric`` is the value the policy compares: ``avg`` or ``max``."""
+
     success: bool
     avg: float
     max: float
-    policy: str
-    threshold: float
+    metric: float
 
 
 def decode_success(
@@ -205,13 +212,7 @@ def decode_success(
     avg = float(np.mean(region))
     mx = float(np.max(region))
     metric = avg if policy == "average" else mx
-    return SuccessReport(
-        success=bool(metric < threshold),
-        avg=avg,
-        max=mx,
-        policy=policy,
-        threshold=threshold,
-    )
+    return SuccessReport(success=bool(metric < threshold), avg=avg, max=mx, metric=metric)
 
 
 def run_wd(
@@ -223,26 +224,30 @@ def run_wd(
 ) -> tuple[DEState, Optional[Trajectory]]:
     """Run the full window schedule: T_c sweeps at each configuration c.
 
-    One erasure vector is updated in place; sliding the window is the step
-    to the next c. ``record='per-window'`` keeps every iteration of the
-    selected window configurations (all of them when ``record_windows`` is
-    None); ``'none'`` keeps no trajectory.
+    One erasure vector, a view into the padded layout, is updated in place;
+    sliding the window is the step to the next c. ``record='per-window'``
+    keeps every iteration of the selected window configurations (all of
+    them when ``record_windows`` is None); ``'none'`` keeps no trajectory.
     """
     if record not in ("none", "per-window"):
         raise ValueError(f"unknown record policy {record!r}")
     sched.validate(spec)
     wanted = None if record_windows is None else set(record_windows)
     traj = Trajectory(sched, spec) if record == "per-window" else None
-    x = np.ones(spec.chain_len)
+    buf = _padded(np.ones(spec.chain_len), spec.w)
+    x = buf[spec.w : spec.w + spec.chain_len]
+    eps = _channel_profile(spec)
     c_last = sched.c_max(spec)
     for c in range(1, c_last + 1):
         lo, hi = c - 1, c - 1 + sched.W
+        T_c = sched.iterations_for(c)
         rows = None
         if traj is not None and (wanted is None or c in wanted):
-            rows = traj._blocks[c] = [x.copy()]
+            rows = traj._blocks[c] = np.empty((T_c + 1, spec.chain_len))
+            rows[0] = x
         prev = x.copy() if validate else None
-        for t in range(1, sched.iterations_for(c) + 1):
-            new_vals = window_update_values(x, c, sched.W, spec)
+        for t in range(1, T_c + 1):
+            new_vals = _window_kernel(buf, eps, c, sched.W, spec)
             if validate:
                 if np.any(new_vals > x[lo:hi] + MONOTONE_SLACK):
                     raise AssertionError(f"erasure increased within window c={c}, t={t}")
@@ -250,7 +255,9 @@ def run_wd(
                     raise AssertionError("erasure left [0, 1]")
             x[lo:hi] = new_vals
             if rows is not None:
-                rows.append(x.copy())
+                rows[t] = x
+        if rows is not None:
+            rows.flags.writeable = False
         if validate:
             outside = np.concatenate([x[:lo], x[hi:]])
             if not np.array_equal(outside, np.concatenate([prev[:lo], prev[hi:]])):

@@ -33,7 +33,7 @@ from scwde.speed import (
     slope_margin_check,
     measure_speed,
 )
-from scwde.window import CoupledSpec, WindowSchedule, decode_success, run_wd
+from scwde.window import CoupledSpec, DEState, WindowSchedule, decode_success, run_wd
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 
@@ -294,7 +294,7 @@ def test_criterion_5_potential_property_suite():
     for _ in range(100):
         x = rng.uniform(0.05, 0.95, spec.chain_len)
         grad = coupled_gradient(x, ctx)
-        for j, z in enumerate(ctx.window):
+        for j, z in enumerate(range(ctx.c, ctx.c + sched.W)):
             up, down = x.copy(), x.copy()
             up[z - 1] += hg
             down[z - 1] -= hg
@@ -357,7 +357,8 @@ def test_criterion_7_profile_slope_bound(fig3_run):
     spec, sched, final, traj = fig3_run
     steady = detect_steady_state(traj)
     assert steady.c_prime is not None
-    rep = slope_margin_check(traj.state(steady.c_prime, 0), spec, sched)
+    state = DEState(x=traj.block(steady.c_prime)[0], c=steady.c_prime, t=0)
+    rep = slope_margin_check(state, spec, sched)
     ok = rep.holds and rep.min_margin >= -1e-9
     detail = f"min margin {rep.min_margin:.3e} at steady window {steady.c_prime} (target >= -1e-9)"
     report(7, "profile slope dominates the scaled scalar gradient", ok, detail)

@@ -1,9 +1,13 @@
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scwde.cli import main
 from scwde.config import ConfigError, load_config, load_preset
@@ -223,6 +227,15 @@ class TestSpeedCommand:
         assert fixed == auto
         assert all(auto[1][i] for i in (4, 5, 7))  # c_prime, A1, th2_infinite
 
+    def test_flat_steady_profile_leaves_A1_empty(self, tmp_path):
+        # rho = 1 clears each window in one sweep: the steady profile is
+        # flat, so A1 is undefined for that row and the grid still completes
+        payload = {**self.payload(), "ensemble": {"L": "x^3", "R": "x^1"},
+                   "T": 3, "bounds": True}
+        rows = self.run_speed(tmp_path, payload, "flat")
+        assert rows[1][2] == "3" and rows[1][4] != ""  # T_min, c_prime
+        assert rows[1][5] == ""  # A1
+
 
 BASE_RUN = {
     "ensemble": {"L": "x^3", "R": "x^6"},
@@ -244,6 +257,10 @@ BASE_RUN = {
     {"W": 0},
     {"W": 25},
     {"T": "auto", "T_max": 0},
+    {"grid_n": 5},
+    {"epsilon": {"start": 0.3, "stop": "foo", "step": 0.01}},
+    {"W": {"start": 4}},
+    {"bounds": "nope"},
 ], ids=repr)
 def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override):
     cfg = write_cfg(tmp_path, {**BASE_RUN, **override})
@@ -253,6 +270,35 @@ def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override
     assert code == 1
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Bounded values: every run they can configure stays small and fast.
+FUZZ_BASE = {**BASE_RUN, "T_max": 16}
+fuzz_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2, max_value=16)
+    | st.floats(min_value=-1.0, max_value=2.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    override=st.dictionaries(st.sampled_from(sorted(FUZZ_BASE)), fuzz_values,
+                             min_size=1, max_size=2),
+    command=st.sampled_from(["wave", "speed"]),
+)
+def test_fuzzed_config_exits_cleanly(tmp_path_factory, override, command):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = write_cfg(tmp, {**FUZZ_BASE, **override})
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(tmp / "out"),
+                     *(["--workers", "1"] if command == "speed" else [])])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
 
 
 class TestThresholdsCommand:

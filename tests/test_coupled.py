@@ -65,7 +65,7 @@ class TestCoupledGradient:
         for _ in range(10):
             x = rng.uniform(0.05, 0.95, ctx.spec.chain_len)
             grad = coupled_gradient(x, ctx)
-            for j, z in enumerate(ctx.window):
+            for j, z in enumerate(range(ctx.c, ctx.c + ctx.sched.W)):
                 up, down = x.copy(), x.copy()
                 up[z - 1] += h
                 down[z - 1] -= h

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scwde.scalar import UncoupledEnsemble, landscape, potential, potential_d1
+from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, potential_d1
 from scwde.speed import (
     SpeedReport,
     bound_a1,
@@ -90,7 +90,7 @@ class TestBoundTh2:
         # U(1; eps) = 1/R'(1) - eps/L'(1) for the (3,6) ensemble
         th2 = bound_th2(self.spec465(), 15, land465)
         expected = 4 * 1.0 * (1.0 / 6.0 - 0.465 / 3.0)
-        assert th2.numerator_finite == pytest.approx(expected, rel=1e-12)
+        assert th2.numerator == pytest.approx(expected, rel=1e-12)
 
     def test_b1_b2_identity(self, land465):
         th2 = bound_th2(self.spec465(), 15, land465)
@@ -115,7 +115,7 @@ class TestBoundTh2:
 
     def test_curvature_variant_and_subtrahend(self, land465):
         # B2 = 2 U(x_b) - U(x_d) + W (U'(x_a)^2 + U'(x_c0)^2) / D, and the
-        # infinite-coupling numerator subtracts nothing from w alpha U(1)
+        # infinite-coupling bound divides the same numerator w alpha U(1) by it
         scaled = bound_th2(self.spec465(), 15, land465)
         curvature = 15 * (
             potential_d1(land465.x_a, 0.465, ENS36) ** 2
@@ -127,7 +127,7 @@ class TestBoundTh2:
             + curvature
         )
         assert scaled.B2 == pytest.approx(expected, rel=1e-12)
-        assert scaled.numerator_infinite == scaled.numerator_finite
+        assert scaled.infinite_w == scaled.numerator / scaled.B2
 
     def test_missing_landscape_points_rejected(self):
         land_low = landscape(0.3, ENS36)
@@ -143,9 +143,21 @@ class TestSlopeMargin:
     def test_steady_profile_satisfies_bound(self, fig3_traj):
         spec, sched, traj = fig3_traj
         ss = detect_steady_state(traj)
-        rep = slope_margin_check(traj.state(ss.c_prime, 0), spec, sched)
+        state = DEState(x=traj.block(ss.c_prime)[0], c=ss.c_prime, t=0)
+        rep = slope_margin_check(state, spec, sched)
         assert rep.holds
         assert rep.min_margin >= -1e-9
+
+    def test_first_margin_reads_zero_left_of_chain(self):
+        # at c = 1 the first margin's left neighbour x_0 lies outside the chain
+        sched = WindowSchedule(W=6, T=1)
+        for w in (1, 3):
+            spec = CoupledSpec(ens=ENS36, N=10, w=w, epsilon=0.42)
+            x = np.linspace(0.9, 0.2, spec.chain_len)
+            rep = slope_margin_check(DEState(x=x, c=1, t=0), spec, sched)
+            proxy = abs(x[0] - de_step(x[0], 0.42, ENS36)) / w
+            assert len(rep.margins) == 6
+            assert rep.margins[0] == pytest.approx(x[0] - proxy, rel=1e-14)
 
     def test_constant_profile_fails(self):
         spec = CoupledSpec(ens=ENS36, N=100, w=3, epsilon=0.0)

@@ -38,15 +38,6 @@ class TestInitState:
         assert st0.shape == (1,)
         assert st0[0] == 1.0
 
-    def test_boundary_reads_are_zero(self):
-        spec = spec36()
-        _, traj = run_wd(spec, WindowSchedule(W=11, T=1), record="per-window")
-        st0 = traj.state(1, 0)
-        assert (st0.c, st0.t) == (1, 0)
-        assert st0.get(0) == 0.0
-        assert st0.get(103) == 0.0
-        assert st0.get(1) == 1.0
-
 
 class TestFUpdate:
     """The windowed DE map f at in-window positions (window_update_values)."""
@@ -68,6 +59,50 @@ class TestFUpdate:
         vals = window_update_values(np.ones(spec.chain_len), 1, 11, spec)
         for z in (1, 2):
             assert vals[z - 1] == pytest.approx(0.42 * z / 3, rel=1e-14)
+
+
+def update_by_definition(x, c, W, spec):
+    """The windowed DE map at z = c..c+W-1, one position at a time.
+
+    x_z <- (1/w) sum_{i<w} eps_{z-i} lam(1 - (1/w) sum_{j<w} rho(1 - x_{z-i+j})),
+    with x read as zero outside 1..N+w-1 and eps_u = eps only on 1..N.
+    """
+    w, ens = spec.w, spec.ens
+
+    def read(p):
+        return float(x[p - 1]) if 1 <= p <= spec.chain_len else 0.0
+
+    def channel(u):
+        return spec.epsilon if 1 <= u <= spec.N else 0.0
+
+    out = []
+    for z in range(c, c + W):
+        total = 0.0
+        for u in range(z - w + 1, z + 1):
+            s = sum(ens.rho(1.0 - read(u + j)) for j in range(w)) / w
+            total += channel(u) * ens.lam(1.0 - s)
+        out.append(total / w)
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=20),
+    w=st.integers(min_value=1, max_value=4),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+    degrees=st.sampled_from([(3, 6), (4, 8)]),
+    data=st.data(),
+)
+def test_window_update_matches_definition(N, w, eps, degrees, data):
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
+    x = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                    min_size=spec.chain_len, max_size=spec.chain_len)))
+    # the extended schedule's configurations include the literal ones
+    c_max = WindowSchedule(W=W, T=1, variant="extended").c_max(spec)
+    for c in range(1, c_max + 1):
+        np.testing.assert_allclose(window_update_values(x, c, W, spec),
+                                   update_by_definition(x, c, W, spec), rtol=0, atol=1e-13)
 
 
 class TestSweepAndSlide:
