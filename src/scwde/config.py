@@ -19,6 +19,9 @@ PRESETS = ("table1", "fig2", "fig3", "fig4")
 # resolved per ensemble at expansion time.
 MAP_STOP = "map_threshold"
 
+# Largest epsilon grid a config may expand to; every point is a full T search.
+MAX_EPSILON_POINTS = 10_000
+
 
 class ConfigError(ValueError):
     """Invalid or missing run-configuration data."""
@@ -109,14 +112,18 @@ class RunConfig:
         else:
             stop_val = float(stop)
             inclusive = True
-        if step <= 0:
+        if not step > 0:
             raise ConfigError("epsilon grid step must be positive")
         if not 0.0 <= start <= 1.0 or not 0.0 <= stop_val <= 1.0:
             raise ConfigError("epsilon grid must stay within [0, 1]")
         if stop_val < start:
             raise ConfigError("epsilon grid must ascend")
-        slack = 1e-12
-        n = int(math.floor((stop_val - start) / step + slack)) + 1
+        steps = (stop_val - start) / step + 1e-12
+        if steps >= MAX_EPSILON_POINTS:
+            raise ConfigError(
+                f"epsilon grid has {steps + 1:.4g} points, more than {MAX_EPSILON_POINTS}"
+            )
+        n = int(math.floor(steps)) + 1
         vals = [start + i * step for i in range(n)]
         if not inclusive:
             vals = [v for v in vals if v < stop_val - 1e-15]
@@ -147,19 +154,27 @@ def _parse_ensembles(raw: dict) -> tuple[UncoupledEnsemble, ...]:
     return tuple(out)
 
 
+def _integer(key: str, value: Any) -> int:
+    """An integer config value; YAML booleans and fractional floats are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_window_sizes(raw: dict) -> tuple[int, ...]:
     if "W" not in raw:
         return ()
     W = raw["W"]
-    if isinstance(W, int):
-        return (W,)
+    if isinstance(W, (int, float)):
+        return (_integer("W", W),)
     if isinstance(W, (list, tuple)):
-        return tuple(int(v) for v in W)
+        return tuple(_integer("W", v) for v in W)
     if isinstance(W, dict):
         missing = {"start", "stop"} - set(W)
         if missing:
             raise ConfigError(f"window grid lacks {sorted(missing)}")
-        start, stop, step = int(W["start"]), int(W["stop"]), int(W.get("step", 1))
+        start, stop = _integer("W start", W["start"]), _integer("W stop", W["stop"])
+        step = _integer("W step", W.get("step", 1))
         if step <= 0 or stop < start:
             raise ConfigError("window grid must ascend")
         return tuple(range(start, stop + 1, step))
@@ -206,23 +221,25 @@ def config_from_mapping(raw: dict) -> RunConfig:
         success = SuccessConfig(**_section(raw, "success"))
         rec_raw = _section(raw, "record")
         if rec_raw.get("windows") is not None:
-            rec_raw["windows"] = tuple(int(c) for c in rec_raw["windows"])
+            rec_raw["windows"] = tuple(
+                _integer("record.windows", c) for c in rec_raw["windows"]
+            )
         return RunConfig(
             ensembles=_parse_ensembles(raw),
-            N=int(raw.get("N", 100)),
-            w=int(raw.get("w", 1)),
+            N=_integer("N", raw.get("N", 100)),
+            w=_integer("w", raw.get("w", 1)),
             epsilon=epsilon,
             epsilon_grid=epsilon_grid,
             W=_parse_window_sizes(raw),
-            T=None if raw.get("T") in (None, "auto") else int(raw["T"]),
-            T_max=int(raw.get("T_max", 200)),
-            T_first=None if raw.get("T_first") is None else int(raw["T_first"]),
+            T=None if raw.get("T") in (None, "auto") else _integer("T", raw["T"]),
+            T_max=_integer("T_max", raw.get("T_max", 200)),
+            T_first=None if raw.get("T_first") is None else _integer("T_first", raw["T_first"]),
             alpha=float(raw.get("alpha", 1.0)),
             schedule=raw.get("schedule", "literal"),
             success=success,
             record=RecordConfig(**rec_raw),
             steady_tol=float(raw.get("steady_tol", 1e-9)),
-            grid_n=int(raw.get("grid_n", 10_001)),
+            grid_n=_integer("grid_n", raw.get("grid_n", 10_001)),
             bounds=raw.get("bounds", True),
         )
     except (TypeError, ValueError) as exc:

@@ -12,6 +12,7 @@ from .scalar import PotentialLandscape, de_step, potential, potential_d1
 from .window import (
     CoupledSpec,
     DEState,
+    SuccessReport,
     Trajectory,
     WindowSchedule,
     _slope_segment,
@@ -271,34 +272,59 @@ def measure_speed(
     T_lo: int = 1,
     T_first: Optional[int] = None,
 ) -> SpeedReport:
-    """Scan T = T_lo..T_max upward for the smallest iteration budget that decodes.
+    """Find the smallest iterations-per-window count T in [T_lo, T_max] that decodes.
 
-    The scan is linear so the reported minimum is exact even if success
-    were non-monotone in T; T_lo = T_max tests one fixed budget. Every run
-    gives the first window ``T_first`` iterations when that is set. On
-    success the run is repeated with trajectory recording to locate the
-    steady state and evaluate the trajectory bound; the landscape bounds
-    are attached when a landscape is supplied.
+    Decoding success is monotone in T: one more iteration per window never
+    leaves more erasures behind (property-tested in ``tests/test_window.py``).
+    So the search gallops from T_lo through T_lo+1, T_lo+3, T_lo+7, ... (the
+    step doubles; the probe is clipped to T_max) until a T decodes, then
+    bisects between the last failing and the first decoding T. Runs below
+    T_max use ``run_wd``'s exact abort: they stop as soon as the positions
+    the window has left already fail the success policy, which never
+    happens to a run that decodes. The run at T_max is never aborted, so
+    T_lo = T_max tests one fixed budget with one full run. Every run gives
+    the first window ``T_first`` iterations when that is set.
+
+    ``best_avg`` is the success policy's metric of the run at T_min when a
+    T decodes, and of the full run at T_max when none does. On success the
+    T_min run is repeated with trajectory recording to locate the steady
+    state and evaluate the trajectory bound; the landscape bounds are
+    attached when a landscape is supplied.
     """
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
-    t_min = None
-    best_avg = None
-    for T in range(T_lo, T_max + 1):
-        sched = WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
-        final, _ = run_wd(spec, sched, record="none", validate=validate)
-        report = decode_success(
-            final, spec, threshold=success_threshold, policy=success_policy
+    rule = (success_threshold, success_policy)
+
+    def schedule(T: int) -> WindowSchedule:
+        return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
+
+    def attempt(T: int) -> Optional[SuccessReport]:
+        """The verdict at T; None when the run aborted, which means it fails."""
+        final, _ = run_wd(
+            spec, schedule(T), validate=validate, abort=None if T == T_max else rule
         )
-        best_avg = report.metric if best_avg is None else min(best_avg, report.metric)
-        if report.success:
-            t_min = T
-            break
+        if final is None:
+            return None
+        return decode_success(final, spec, threshold=success_threshold, policy=success_policy)
+
+    failed, T = T_lo - 1, T_lo
+    report = attempt(T)
+    while not (report is not None and report.success) and T < T_max:
+        failed, T = T, min(2 * T - T_lo + 1, T_max)
+        report = attempt(T)
+    t_min = T if report.success else None
+    while t_min is not None and t_min - failed > 1:
+        mid = (failed + t_min) // 2
+        probe = attempt(mid)
+        if probe is not None and probe.success:
+            t_min, report = mid, probe
+        else:
+            failed = mid
+    best_avg = report.metric
 
     c_prime = a1 = steady_residual = hyp_residual = None
     if t_min is not None and compute_bounds:
-        # ``sched`` is the schedule that decoded
-        _, traj = run_wd(spec, sched, record="per-window", validate=validate)
+        _, traj = run_wd(spec, schedule(t_min), record="per-window", validate=validate)
         steady = detect_steady_state(traj, tol=steady_tol)
         c_prime = steady.c_prime
         steady_residual = steady.residual

@@ -13,6 +13,10 @@ from .scalar import UncoupledEnsemble
 # recursion is monotone, rounding may wiggle by a few ulps.
 MONOTONE_SLACK = 1e-12
 
+# Relative margin by which the frozen erasures must exceed the average-policy
+# limit before ``run_wd`` aborts; far above the rounding of a sum over N terms.
+ABORT_SLACK = 1e-9
+
 ScheduleVariant = Literal["literal", "extended"]
 RecordPolicy = Literal["none", "per-window"]
 
@@ -221,16 +225,30 @@ def run_wd(
     record: RecordPolicy = "none",
     record_windows: Optional[Iterable[int]] = None,
     validate: bool = True,
-) -> tuple[DEState, Optional[Trajectory]]:
+    abort: Optional[tuple[float, str]] = None,
+) -> tuple[Optional[DEState], Optional[Trajectory]]:
     """Run the full window schedule: T_c sweeps at each configuration c.
 
     One erasure vector, a view into the padded layout, is updated in place;
     sliding the window is the step to the next c. ``record='per-window'``
     keeps every iteration of the selected window configurations (all of
     them when ``record_windows`` is None); ``'none'`` keeps no trajectory.
+
+    ``abort=(threshold, policy)`` ends a run that ``decode_success`` with
+    that threshold and policy is sure to judge failed, and returns None for
+    the final state. Once window c ends, position c is frozen: every later
+    window updates positions c+1 and up only. The run has failed for good
+    once the frozen positions 1..min(c, N) sum to N*threshold (``average``,
+    inflated by ``ABORT_SLACK`` so that the rounding of ``np.mean`` cannot
+    turn a decoding run into an aborted one) or one of them reaches the
+    threshold (``max``). Recording is not combined with an abort.
     """
     if record not in ("none", "per-window"):
         raise ValueError(f"unknown record policy {record!r}")
+    if abort is not None and record != "none":
+        raise ValueError("an aborted run leaves no trajectory to record")
+    if abort is not None and abort[1] not in ("average", "max"):
+        raise ValueError(f"unknown success policy {abort[1]!r}")
     sched.validate(spec)
     wanted = None if record_windows is None else set(record_windows)
     traj = Trajectory(sched, spec) if record == "per-window" else None
@@ -238,6 +256,10 @@ def run_wd(
     x = buf[spec.w : spec.w + spec.chain_len]
     eps = _channel_profile(spec)
     c_last = sched.c_max(spec)
+    if abort is not None:
+        threshold, policy = abort
+        frozen_limit = spec.N * threshold * (1.0 + ABORT_SLACK)
+        frozen_sum = 0.0
     for c in range(1, c_last + 1):
         lo, hi = c - 1, c - 1 + sched.W
         T_c = sched.iterations_for(c)
@@ -262,4 +284,12 @@ def run_wd(
             outside = np.concatenate([x[:lo], x[hi:]])
             if not np.array_equal(outside, np.concatenate([prev[:lo], prev[hi:]])):
                 raise AssertionError("out-of-window positions changed during sweeps")
+        if abort is not None and c <= spec.N:
+            if policy == "max":
+                if x[c - 1] >= threshold:
+                    return None, None
+            else:
+                frozen_sum += x[c - 1]
+                if frozen_sum >= frozen_limit:
+                    return None, None
     return DEState(x=x, c=c_last, t=sched.iterations_for(c_last)), traj

@@ -261,6 +261,20 @@ BASE_RUN = {
     {"epsilon": {"start": 0.3, "stop": "foo", "step": 0.01}},
     {"W": {"start": 4}},
     {"bounds": "nope"},
+    {"W": True},
+    {"W": [8, 8.5]},
+    {"W": {"start": 4, "stop": 8.5}},
+    {"N": 24.7},
+    {"w": True},
+    {"T": 6.5},
+    {"T": "auto", "T_max": 30.5},
+    {"T_first": True},
+    {"grid_n": 2001.5},
+    {"record": {"windows": [1, 2.5]}},
+    {"record": {"windows": [True]}},
+    {"epsilon": {"start": 0.0, "stop": 1.0, "step": 1.0e-6}},
+    {"epsilon": {"start": 0.0, "stop": 1.0, "step": 1.0e-300}},
+    {"epsilon": {"start": 0.3, "stop": 0.31, "step": float("nan")}},
 ], ids=repr)
 def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override):
     cfg = write_cfg(tmp_path, {**BASE_RUN, **override})

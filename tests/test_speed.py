@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, potential_d1
 from scwde.speed import (
@@ -10,7 +12,7 @@ from scwde.speed import (
     slope_margin_check,
     measure_speed,
 )
-from scwde.window import CoupledSpec, DEState, WindowSchedule, run_wd
+from scwde.window import CoupledSpec, DEState, WindowSchedule, decode_success, run_wd
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 
@@ -184,19 +186,20 @@ class TestMeasureSpeed:
         rep = measure_speed(spec, W=8, T_max=30, schedule_variant="extended")
         assert rep.T_min is not None
         assert rep.v == 1.0 / rep.T_min
-        # linear scan: every smaller T fails
+        # a minimum: the budget just below it fails when run in full
         sched = WindowSchedule(W=8, T=rep.T_min - 1, variant="extended")
         if rep.T_min > 1:
-            from scwde.window import decode_success
-
             final, _ = run_wd(spec, sched)
             assert not decode_success(final, spec).success
 
     def test_budget_exhaustion_reports_best_average(self):
+        # with no decoding T, best_avg is the average of the full run at T_max
         spec = CoupledSpec(ens=ENS36, N=40, w=4, epsilon=0.487)
         rep = measure_speed(spec, W=12, T_max=3, schedule_variant="extended")
         assert rep.T_min is None and rep.v is None
         assert rep.best_avg is not None and rep.best_avg > 1e-6
+        final, _ = run_wd(spec, WindowSchedule(W=12, T=3, variant="extended"))
+        assert rep.best_avg == decode_success(final, spec).avg
 
     def test_report_carries_bounds_when_landscape_given(self):
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
@@ -243,3 +246,38 @@ class TestMeasureSpeed:
         row = rep.csv_values()
         assert len(row) == len(SpeedReport.CSV_COLUMNS)
         assert row[0] == 0.4 and row[2] == 5 and row[3] == 0.2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=30),
+    w=st.integers(min_value=1, max_value=4),
+    eps=st.floats(min_value=0.0, max_value=0.45),
+    variant=st.sampled_from(["literal", "extended"]),
+    degrees=st.sampled_from([(3, 6), (4, 8)]),
+    policy=st.sampled_from(["average", "max"]),
+    T_first=st.none() | st.integers(min_value=1, max_value=20),
+    T_lo=st.integers(min_value=1, max_value=6),
+    span=st.integers(min_value=0, max_value=24),
+    data=st.data(),
+)
+def test_search_matches_linear_scan(
+    N, w, eps, variant, degrees, policy, T_first, T_lo, span, data
+):
+    # the galloping search with aborted runs finds what a plain upward scan of
+    # full runs finds, and reports the metric of the run it stopped at
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
+    T_max = T_lo + span
+    rep = measure_speed(
+        spec, W, T_lo=T_lo, T_max=T_max, success_policy=policy,
+        schedule_variant=variant, T_first=T_first, compute_bounds=False, validate=False,
+    )
+    for T in range(T_lo, T_max + 1):
+        sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
+        final, _ = run_wd(spec, sched, validate=False)
+        verdict = decode_success(final, spec, policy=policy)
+        if verdict.success:
+            break
+    assert rep.T_min == (T if verdict.success else None)
+    assert rep.best_avg == verdict.metric

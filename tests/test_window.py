@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,3 +279,68 @@ def test_final_erasures_monotone_in_T(N, w, eps, T, variant, degrees, data):
     fewer, _ = run_wd(spec, WindowSchedule(W=W, T=T, variant=variant), validate=False)
     more, _ = run_wd(spec, WindowSchedule(W=W, T=T + 1, variant=variant), validate=False)
     assert np.all(more.x <= fewer.x + MONOTONE_SLACK)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=30),
+    w=st.integers(min_value=1, max_value=4),
+    eps=st.floats(min_value=0.3, max_value=0.6),
+    T=st.integers(min_value=1, max_value=12),
+    variant=st.sampled_from(["literal", "extended"]),
+    degrees=st.sampled_from([(3, 6), (4, 8)]),
+    policy=st.sampled_from(["average", "max"]),
+    threshold=st.sampled_from([1e-10, 1e-6, 1e-3, "tie"]),
+    T_first=st.none() | st.integers(min_value=1, max_value=20),
+    data=st.data(),
+)
+def test_abort_stops_only_failing_runs(
+    N, w, eps, T, variant, degrees, policy, threshold, T_first, data
+):
+    # an aborted run fails when run in full; an unaborted one is the full run.
+    # "tie" puts the threshold one ulp above the full run's own metric, so the
+    # run decodes while its frozen erasures sit right at the limit
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
+    sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
+    full, _ = run_wd(spec, sched, validate=False)
+    if threshold == "tie":
+        metric = decode_success(full, spec, policy=policy).metric
+        threshold = max(float(np.nextafter(metric, 1.0)), 1e-300)
+    verdict = decode_success(full, spec, threshold=threshold, policy=policy)
+    stopped, _ = run_wd(spec, sched, validate=False, abort=(threshold, policy))
+    if stopped is None:
+        assert not verdict.success
+    else:
+        assert np.array_equal(stopped.x, full.x)
+
+
+def test_abort_slack_keeps_a_tie_decoding():
+    # with W <= w on the extended schedule the whole chain is frozen before
+    # the last window ends; a threshold one ulp above the average decodes,
+    # and the abort must agree although its running sum and np.mean round
+    # differently (without the slack it fires on several of these runs)
+    for N, w, eps, T in itertools.product((10, 30), (2, 3, 4), (0.3, 0.4, 0.45), (1, 2, 4)):
+        spec = spec36(N=N, w=w, eps=eps)
+        for W in (1, w):
+            sched = WindowSchedule(W=W, T=T, variant="extended")
+            full, _ = run_wd(spec, sched, validate=False)
+            avg = decode_success(full, spec).avg
+            tie = float(np.nextafter(avg, 1.0))
+            assert decode_success(full, spec, threshold=tie).success
+            stopped, _ = run_wd(spec, sched, validate=False, abort=(tie, "average"))
+            assert stopped is not None
+            # a threshold clearly below the average does abort
+            stopped, _ = run_wd(spec, sched, validate=False, abort=(avg * (1 - 1e-6), "average"))
+            assert stopped is None
+
+
+class TestAbortArguments:
+    def test_recording_rejected(self):
+        with pytest.raises(ValueError, match="trajectory"):
+            run_wd(spec36(N=10, w=2), WindowSchedule(W=4, T=2),
+                   record="per-window", abort=(1e-6, "average"))
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="policy"):
+            run_wd(spec36(N=10, w=2), WindowSchedule(W=4, T=2), abort=(1e-6, "median"))
