@@ -161,7 +161,9 @@ def _integer(key: str, value: Any) -> int:
     return int(value)
 
 
-def _parse_window_sizes(raw: dict) -> tuple[int, ...]:
+def _parse_window_sizes(raw: dict, N: int) -> tuple[int, ...]:
+    """Window sizes from a value, a list or a grid; a grid must lie in 1..N
+    before it is expanded."""
     if "W" not in raw:
         return ()
     W = raw["W"]
@@ -177,22 +179,29 @@ def _parse_window_sizes(raw: dict) -> tuple[int, ...]:
         step = _integer("W step", W.get("step", 1))
         if step <= 0 or stop < start:
             raise ConfigError("window grid must ascend")
+        if start < 1 or stop > N:
+            raise ConfigError(f"window grid {start}..{stop} must lie in 1..N={N}")
         return tuple(range(start, stop + 1, step))
     raise ConfigError(f"cannot parse window sizes from {W!r}")
+
+
+def _is_number(value: Any) -> bool:
+    """An int or float that is not a YAML boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_epsilon(raw: dict) -> tuple[Optional[float], Optional[dict]]:
     if "epsilon" not in raw:
         return None, None
     eps = raw["epsilon"]
-    if isinstance(eps, (int, float)):
+    if _is_number(eps):
         return float(eps), None
     if isinstance(eps, dict):
         missing = {"start", "stop", "step"} - set(eps)
         if missing:
             raise ConfigError(f"epsilon grid lacks {sorted(missing)}")
         for key in ("start", "stop", "step"):
-            if not isinstance(eps[key], (int, float)) and (key, eps[key]) != ("stop", MAP_STOP):
+            if not _is_number(eps[key]) and (key, eps[key]) != ("stop", MAP_STOP):
                 raise ConfigError(f"epsilon grid {key} must be a number, got {eps[key]!r}")
         return None, dict(eps)
     raise ConfigError(f"cannot parse epsilon from {eps!r}")
@@ -218,6 +227,7 @@ def config_from_mapping(raw: dict) -> RunConfig:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     epsilon, epsilon_grid = _parse_epsilon(raw)
     try:
+        N = _integer("N", raw.get("N", 100))
         success = SuccessConfig(**_section(raw, "success"))
         rec_raw = _section(raw, "record")
         if rec_raw.get("windows") is not None:
@@ -226,11 +236,11 @@ def config_from_mapping(raw: dict) -> RunConfig:
             )
         return RunConfig(
             ensembles=_parse_ensembles(raw),
-            N=_integer("N", raw.get("N", 100)),
+            N=N,
             w=_integer("w", raw.get("w", 1)),
             epsilon=epsilon,
             epsilon_grid=epsilon_grid,
-            W=_parse_window_sizes(raw),
+            W=_parse_window_sizes(raw, N),
             T=None if raw.get("T") in (None, "auto") else _integer("T", raw["T"]),
             T_max=_integer("T_max", raw.get("T_max", 200)),
             T_first=None if raw.get("T_first") is None else _integer("T_first", raw["T_first"]),

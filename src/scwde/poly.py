@@ -62,13 +62,17 @@ class DegreePolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """Evaluate by Horner's scheme (works on scalars and numpy arrays)."""
+        """Evaluate by Horner's scheme (works on scalars and numpy arrays).
+
+        A step whose coefficient is zero only multiplies: for x >= 0 and
+        non-negative coefficients, acc * x + 0.0 == acc * x bitwise.
+        """
         if len(self.coeffs) == 1 and isinstance(x, np.ndarray):
             # a constant has no x term to carry the argument's shape
             return np.full(x.shape, self.coeffs[0])
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
+            acc = acc * x + c if c else acc * x
         return acc
 
     def derivative(self) -> "DegreePolynomial":

@@ -216,9 +216,6 @@ class SpeedReport:
     th2_infinite: Optional[float]
     alpha: float
     success_policy: str
-    N: int
-    w: int
-    schedule: str
     T_max: int
     best_avg: Optional[float] = None
     steady_residual: Optional[float] = None
@@ -274,22 +271,31 @@ def measure_speed(
 ) -> SpeedReport:
     """Find the smallest iterations-per-window count T in [T_lo, T_max] that decodes.
 
-    Decoding success is monotone in T: one more iteration per window never
-    leaves more erasures behind (property-tested in ``tests/test_window.py``).
-    So the search gallops from T_lo through T_lo+1, T_lo+3, T_lo+7, ... (the
-    step doubles; the probe is clipped to T_max) until a T decodes, then
-    bisects between the last failing and the first decoding T. Runs below
-    T_max use ``run_wd``'s exact abort: they stop as soon as the positions
-    the window has left already fail the success policy, which never
-    happens to a run that decodes. The run at T_max is never aborted, so
-    T_lo = T_max tests one fixed budget with one full run. Every run gives
-    the first window ``T_first`` iterations when that is set.
+    A run "survives prefix c" when ``run_wd``'s abort has not fired by the
+    end of window c; on the whole schedule it must also decode. A decoding
+    run survives every prefix, and survival of a prefix is monotone in T
+    (one more iteration per window never leaves more frozen erasures
+    behind; property-tested in ``tests/test_window.py``). So the search
+    goes in rounds, from prefix 1 and lo = T_lo:
+
+    - gallop through lo, lo+1, lo+3, lo+7, ... (clipped to T_max) until a T
+      survives the prefix, then bisect below it. Probes run only the
+      prefix's windows; T_max counts as surviving without a probe;
+    - run that T on the whole schedule with the abort (none at T_max),
+      recording it when ``compute_bounds`` is on. If it decodes it is T_min;
+      if it fails at window c (the last one when only the final policy
+      fails), drop its trajectory and search prefix c from lo = T+1.
+
+    The full run repeats its probe's windows, so it can only fail past the
+    prefix: the prefix grows every round. Most points take one round; a
+    round on the whole schedule repeats its winner once, to record it.
+    T_lo = T_max tests one fixed budget with one full run, and every run
+    gives the first window ``T_first`` iterations when that is set.
 
     ``best_avg`` is the success policy's metric of the run at T_min when a
-    T decodes, and of the full run at T_max when none does. On success the
-    T_min run is repeated with trajectory recording to locate the steady
-    state and evaluate the trajectory bound; the landscape bounds are
-    attached when a landscape is supplied.
+    T decodes, and of the full run at T_max when none does. The T_min run's
+    trajectory locates the steady state and gives the trajectory bound; the
+    landscape bounds are attached when a landscape is supplied.
     """
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
@@ -298,33 +304,45 @@ def measure_speed(
     def schedule(T: int) -> WindowSchedule:
         return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
 
-    def attempt(T: int) -> Optional[SuccessReport]:
-        """The verdict at T; None when the run aborted, which means it fails."""
-        final, _ = run_wd(
-            spec, schedule(T), validate=validate, abort=None if T == T_max else rule
-        )
-        if final is None:
-            return None
+    def judge(final: DEState) -> SuccessReport:
         return decode_success(final, spec, threshold=success_threshold, policy=success_policy)
 
-    failed, T = T_lo - 1, T_lo
-    report = attempt(T)
-    while not (report is not None and report.success) and T < T_max:
-        failed, T = T, min(2 * T - T_lo + 1, T_max)
-        report = attempt(T)
+    c_last = schedule(T_lo).c_max(spec)
+
+    def survives(T: int, c_stop: int) -> bool:
+        if T == T_max:
+            return True
+        final, _ = run_wd(spec, schedule(T), validate=validate, abort=rule, c_stop=c_stop)
+        return not final.aborted and (c_stop < c_last or judge(final).success)
+
+    lo, c_stop = T_lo, 1
+    while True:
+        failed, T = lo - 1, lo
+        while not survives(T, c_stop):
+            failed, T = T, min(2 * T - lo + 1, T_max)
+        while T - failed > 1:
+            mid = (failed + T) // 2
+            if survives(mid, c_stop):
+                T = mid
+            else:
+                failed = mid
+        final, traj = run_wd(
+            spec,
+            schedule(T),
+            record="per-window" if compute_bounds else "none",
+            validate=validate,
+            abort=None if T == T_max else rule,
+        )
+        if not final.aborted:
+            report = judge(final)
+            if report.success or T == T_max:
+                break
+        lo, c_stop, traj = T + 1, final.c, None
     t_min = T if report.success else None
-    while t_min is not None and t_min - failed > 1:
-        mid = (failed + t_min) // 2
-        probe = attempt(mid)
-        if probe is not None and probe.success:
-            t_min, report = mid, probe
-        else:
-            failed = mid
     best_avg = report.metric
 
     c_prime = a1 = steady_residual = hyp_residual = None
     if t_min is not None and compute_bounds:
-        _, traj = run_wd(spec, schedule(t_min), record="per-window", validate=validate)
         steady = detect_steady_state(traj, tol=steady_tol)
         c_prime = steady.c_prime
         steady_residual = steady.residual
@@ -352,9 +370,6 @@ def measure_speed(
         th2_infinite=th2.infinite_w if th2 else None,
         alpha=alpha,
         success_policy=success_policy,
-        N=spec.N,
-        w=spec.w,
-        schedule=schedule_variant,
         T_max=T_max,
         best_avg=best_avg,
         steady_residual=steady_residual,

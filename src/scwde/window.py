@@ -94,11 +94,15 @@ class WindowSchedule:
 
 @dataclass(frozen=True)
 class DEState:
-    """Erasure vector over check positions 1..N+w-1 at (window c, iteration t)."""
+    """Erasure vector over check positions 1..N+w-1 at (window c, iteration t).
+
+    ``aborted`` marks the state at which ``run_wd``'s abort ended a run.
+    """
 
     x: np.ndarray
     c: int
     t: int
+    aborted: bool = False
 
 
 def _padded(x: np.ndarray, w: int) -> np.ndarray:
@@ -226,27 +230,33 @@ def run_wd(
     record_windows: Optional[Iterable[int]] = None,
     validate: bool = True,
     abort: Optional[tuple[float, str]] = None,
-) -> tuple[Optional[DEState], Optional[Trajectory]]:
-    """Run the full window schedule: T_c sweeps at each configuration c.
+    c_stop: Optional[int] = None,
+) -> tuple[DEState, Optional[Trajectory]]:
+    """Run the window schedule: T_c sweeps at each configuration c.
 
     One erasure vector, a view into the padded layout, is updated in place;
     sliding the window is the step to the next c. ``record='per-window'``
     keeps every iteration of the selected window configurations (all of
     them when ``record_windows`` is None); ``'none'`` keeps no trajectory.
+    ``c_stop`` (at least 1) ends the run after window c_stop; None runs the
+    whole schedule. The returned state is the vector after the last window
+    run, and its ``c`` is that window.
 
     ``abort=(threshold, policy)`` ends a run that ``decode_success`` with
-    that threshold and policy is sure to judge failed, and returns None for
-    the final state. Once window c ends, position c is frozen: every later
+    that threshold and policy is sure to judge failed, and marks the state
+    ``aborted``. Once window c ends, position c is frozen: every later
     window updates positions c+1 and up only. The run has failed for good
     once the frozen positions 1..min(c, N) sum to N*threshold (``average``,
     inflated by ``ABORT_SLACK`` so that the rounding of ``np.mean`` cannot
     turn a decoding run into an aborted one) or one of them reaches the
-    threshold (``max``). Recording is not combined with an abort.
+    threshold (``max``). A run "survives prefix c" when the abort has not
+    fired by the end of window c. The frozen values only fall as T grows
+    (the argument that makes the final erasures monotone in T), so survival
+    of every prefix is monotone in T; ``measure_speed`` rests on that. An
+    aborted run keeps the trajectory of the windows it ran.
     """
     if record not in ("none", "per-window"):
         raise ValueError(f"unknown record policy {record!r}")
-    if abort is not None and record != "none":
-        raise ValueError("an aborted run leaves no trajectory to record")
     if abort is not None and abort[1] not in ("average", "max"):
         raise ValueError(f"unknown success policy {abort[1]!r}")
     sched.validate(spec)
@@ -255,7 +265,7 @@ def run_wd(
     buf = _padded(np.ones(spec.chain_len), spec.w)
     x = buf[spec.w : spec.w + spec.chain_len]
     eps = _channel_profile(spec)
-    c_last = sched.c_max(spec)
+    c_last = sched.c_max(spec) if c_stop is None else min(c_stop, sched.c_max(spec))
     if abort is not None:
         threshold, policy = abort
         frozen_limit = spec.N * threshold * (1.0 + ABORT_SLACK)
@@ -286,10 +296,10 @@ def run_wd(
                 raise AssertionError("out-of-window positions changed during sweeps")
         if abort is not None and c <= spec.N:
             if policy == "max":
-                if x[c - 1] >= threshold:
-                    return None, None
+                failed = x[c - 1] >= threshold
             else:
                 frozen_sum += x[c - 1]
-                if frozen_sum >= frozen_limit:
-                    return None, None
+                failed = frozen_sum >= frozen_limit
+            if failed:
+                return DEState(x=x, c=c, t=T_c, aborted=True), traj
     return DEState(x=x, c=c_last, t=sched.iterations_for(c_last)), traj

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scwde.cli import main
-from scwde.config import ConfigError, load_config, load_preset
+from scwde.config import ConfigError, config_from_mapping, load_config, load_preset
 
 
 def write_cfg(tmp_path: Path, payload: dict, name="run.yaml") -> Path:
@@ -275,6 +275,10 @@ BASE_RUN = {
     {"epsilon": {"start": 0.0, "stop": 1.0, "step": 1.0e-6}},
     {"epsilon": {"start": 0.0, "stop": 1.0, "step": 1.0e-300}},
     {"epsilon": {"start": 0.3, "stop": 0.31, "step": float("nan")}},
+    {"W": {"start": 1, "stop": 2000000}},
+    {"epsilon": True},
+    {"epsilon": {"start": 0.3, "stop": True, "step": 0.01}},
+    {"epsilon": {"start": 0.3, "stop": 0.31, "step": True}},
 ], ids=repr)
 def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override):
     cfg = write_cfg(tmp_path, {**BASE_RUN, **override})
@@ -284,6 +288,14 @@ def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override
     assert code == 1
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_window_grid_beyond_chain_rejected_before_expansion():
+    # the grid is checked against 1..N by its bounds: the message names the
+    # range instead of listing two million window sizes
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping({**BASE_RUN, "W": {"start": 1, "stop": 2000000}})
+    assert str(exc.value) == "window grid 1..2000000 must lie in 1..N=24"
 
 
 # Bounded values: every run they can configure stays small and fast.

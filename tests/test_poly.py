@@ -143,3 +143,30 @@ def test_horner_matches_numpy_polyval_on_arrays():
     xs = np.linspace(0.0, 1.0, 17)
     expected = np.array([p(float(v)) for v in xs])
     assert np.array_equal(p(xs), expected)
+
+
+def plain_horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+sparse_node_polys = st.dictionaries(
+    st.integers(min_value=1, max_value=12), st.floats(min_value=0.01, max_value=1.0),
+    min_size=1, max_size=4,
+).map(lambda d: from_pairs([(k, v / sum(d.values())) for k, v in d.items()]))
+
+
+@given(sparse_node_polys,
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20))
+@settings(max_examples=200)
+def test_zero_coefficient_steps_skipped_bitwise(p, xs):
+    # skipping the "+ 0.0" Horner steps changes no bit on [0, 1], for the
+    # distribution, its edge perspective and the derivative the kernel uses
+    xs = np.array(xs)
+    for q in (p, p.to_edge_perspective(), p.to_edge_perspective().derivative()):
+        expected = np.broadcast_to(plain_horner(q.coeffs, xs), xs.shape)  # constants too
+        assert q(xs).tobytes() == expected.tobytes()
+        for v in xs.tolist():
+            assert np.float64(q(v)).tobytes() == np.float64(plain_horner(q.coeffs, v)).tobytes()

@@ -238,14 +238,22 @@ class TestMeasureSpeed:
             th2_infinite=1.2,
             alpha=1.0,
             success_policy="average",
-            N=40,
-            w=3,
-            schedule="extended",
             T_max=60,
         )
         row = rep.csv_values()
         assert len(row) == len(SpeedReport.CSV_COLUMNS)
         assert row[0] == 0.4 and row[2] == 5 and row[3] == 0.2
+
+
+def steady_and_a1(traj):
+    """c' and A1 of a recorded run, as ``measure_speed`` reports them."""
+    c_prime = detect_steady_state(traj).c_prime
+    if c_prime is None:
+        return None, None
+    try:
+        return c_prime, bound_a1(traj, c_prime)
+    except ZeroDivisionError:
+        return c_prime, None
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,25 +267,52 @@ class TestMeasureSpeed:
     T_first=st.none() | st.integers(min_value=1, max_value=20),
     T_lo=st.integers(min_value=1, max_value=6),
     span=st.integers(min_value=0, max_value=24),
+    compute_bounds=st.booleans(),
     data=st.data(),
 )
 def test_search_matches_linear_scan(
-    N, w, eps, variant, degrees, policy, T_first, T_lo, span, data
+    N, w, eps, variant, degrees, policy, T_first, T_lo, span, compute_bounds, data
 ):
-    # the galloping search with aborted runs finds what a plain upward scan of
-    # full runs finds, and reports the metric of the run it stopped at
+    # the prefix-deepening search with aborted runs finds what a plain upward
+    # scan of full runs finds, reports the metric of the run it stopped at,
+    # and takes c' and A1 from that run's trajectory. With T_first, runs
+    # abort at later windows and the search takes several rounds
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     T_max = T_lo + span
     rep = measure_speed(
-        spec, W, T_lo=T_lo, T_max=T_max, success_policy=policy,
-        schedule_variant=variant, T_first=T_first, compute_bounds=False, validate=False,
+        spec, W, T_lo=T_lo, T_max=T_max, success_policy=policy, schedule_variant=variant,
+        T_first=T_first, compute_bounds=compute_bounds, validate=False,
     )
     for T in range(T_lo, T_max + 1):
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-        final, _ = run_wd(spec, sched, validate=False)
+        final, traj = run_wd(spec, sched, record="per-window", validate=False)
         verdict = decode_success(final, spec, policy=policy)
         if verdict.success:
             break
     assert rep.T_min == (T if verdict.success else None)
     assert rep.best_avg == verdict.metric
+    expected = steady_and_a1(traj) if verdict.success and compute_bounds else (None, None)
+    assert (rep.c_prime, rep.A1) == expected
+
+
+def test_search_runs_the_whole_schedule_once(monkeypatch):
+    # near the MAP threshold (T_min = 75) the smallest T that survives the
+    # first window decodes: the search runs the whole schedule once, records
+    # that run, and takes c' and A1 from it without a rerun
+    calls = []
+
+    def counting_run_wd(spec, sched, **kwargs):
+        final, traj = run_wd(spec, sched, **kwargs)
+        calls.append((sched.c_max(spec), final, traj))
+        return final, traj
+
+    monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
+    spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.480)
+    rep = measure_speed(spec, W=15, schedule_variant="extended", validate=False)
+    whole = [(final, traj) for c_last, final, traj in calls if final.c == c_last]
+    assert rep.T_min == 75 and rep.c_prime is not None
+    assert len(whole) == 1
+    final, traj = whole[0]
+    assert not final.aborted and final.t == 75
+    assert (rep.c_prime, rep.A1) == steady_and_a1(traj)

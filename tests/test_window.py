@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ class TestRunWd:
         for c in range(1, 13):
             assert np.array_equal(traj.block(c)[3], traj.block(c + 1)[0])
 
+    def test_c_stop_ends_after_window(self):
+        spec = spec36(N=20)
+        sched = WindowSchedule(W=8, T=3)
+        _, full = run_wd(spec, sched, record="per-window")
+        final, traj = run_wd(spec, sched, record="per-window", c_stop=5)
+        assert traj.windows() == [1, 2, 3, 4, 5]
+        assert (final.c, final.t, final.aborted) == (5, 3, False)
+        assert np.array_equal(final.x, full.block(5)[-1])
+        # past the last configuration, c_stop runs the whole schedule
+        beyond, _ = run_wd(spec, sched, c_stop=99)
+        assert beyond.c == 13 and np.array_equal(beyond.x, full.block(13)[-1])
+
     def test_trajectory_window_filter(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
@@ -262,6 +275,12 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
         assert np.all(np.diff(block, axis=0) <= 1e-12)
 
 
+def abort_window(spec, sched, rule):
+    """The window where the abort ended the run; inf when it never fired."""
+    final, _ = run_wd(spec, sched, validate=False, abort=rule)
+    return final.c if final.aborted else math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     N=st.integers(min_value=1, max_value=30),
@@ -270,15 +289,30 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
     T=st.integers(min_value=1, max_value=8),
     variant=st.sampled_from(["literal", "extended"]),
     degrees=st.sampled_from([(3, 6), (4, 8)]),
+    policy=st.sampled_from(["average", "max"]),
+    threshold=st.sampled_from([1e-10, 1e-6, 1e-3, 1e-1]),
+    T_first=st.none() | st.integers(min_value=1, max_value=20),
     data=st.data(),
 )
-def test_final_erasures_monotone_in_T(N, w, eps, T, variant, degrees, data):
-    # one more iteration per window never leaves more erasures behind
+def test_final_erasures_monotone_in_T(
+    N, w, eps, T, variant, degrees, policy, threshold, T_first, data
+):
+    # one more iteration per window never leaves more erasures behind, at
+    # the end of any window; so the abort, which reads the positions frozen
+    # at the end of each window, fires no earlier at T+1 than at T: survival
+    # of every prefix is monotone in T
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
-    fewer, _ = run_wd(spec, WindowSchedule(W=W, T=T, variant=variant), validate=False)
-    more, _ = run_wd(spec, WindowSchedule(W=W, T=T + 1, variant=variant), validate=False)
+    fewer_sched, more_sched = (
+        WindowSchedule(W=W, T=T_, variant=variant, T_first=T_first) for T_ in (T, T + 1)
+    )
+    fewer, fewer_traj = run_wd(spec, fewer_sched, record="per-window", validate=False)
+    more, more_traj = run_wd(spec, more_sched, record="per-window", validate=False)
     assert np.all(more.x <= fewer.x + MONOTONE_SLACK)
+    for c in fewer_traj.windows():
+        assert np.all(more_traj.block(c)[-1] <= fewer_traj.block(c)[-1] + MONOTONE_SLACK)
+    rule = (threshold, policy)
+    assert abort_window(spec, more_sched, rule) >= abort_window(spec, fewer_sched, rule)
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,16 +337,25 @@ def test_abort_stops_only_failing_runs(
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    full, _ = run_wd(spec, sched, validate=False)
+    full, full_traj = run_wd(spec, sched, record="per-window", validate=False)
     if threshold == "tie":
         metric = decode_success(full, spec, policy=policy).metric
         threshold = max(float(np.nextafter(metric, 1.0)), 1e-300)
     verdict = decode_success(full, spec, threshold=threshold, policy=policy)
-    stopped, _ = run_wd(spec, sched, validate=False, abort=(threshold, policy))
-    if stopped is None:
+    stopped, traj = run_wd(spec, sched, record="per-window", validate=False,
+                           abort=(threshold, policy))
+    if stopped.aborted:
         assert not verdict.success
     else:
         assert np.array_equal(stopped.x, full.x)
+    # an aborted run keeps the windows it ran, as the full run recorded them
+    assert traj.windows() == list(range(1, stopped.c + 1))
+    assert all(np.array_equal(traj.block(c), full_traj.block(c)) for c in traj.windows())
+    # a run stopped after window c_stop survives it unless the abort fired by then
+    c_stop = data.draw(st.integers(min_value=1, max_value=sched.c_max(spec)))
+    prefix, _ = run_wd(spec, sched, validate=False, abort=(threshold, policy), c_stop=c_stop)
+    assert prefix.aborted == (stopped.aborted and stopped.c <= c_stop)
+    assert prefix.c == min(c_stop, stopped.c)
 
 
 def test_abort_slack_keeps_a_tie_decoding():
@@ -329,18 +372,13 @@ def test_abort_slack_keeps_a_tie_decoding():
             tie = float(np.nextafter(avg, 1.0))
             assert decode_success(full, spec, threshold=tie).success
             stopped, _ = run_wd(spec, sched, validate=False, abort=(tie, "average"))
-            assert stopped is not None
+            assert not stopped.aborted
             # a threshold clearly below the average does abort
             stopped, _ = run_wd(spec, sched, validate=False, abort=(avg * (1 - 1e-6), "average"))
-            assert stopped is None
+            assert stopped.aborted
 
 
 class TestAbortArguments:
-    def test_recording_rejected(self):
-        with pytest.raises(ValueError, match="trajectory"):
-            run_wd(spec36(N=10, w=2), WindowSchedule(W=4, T=2),
-                   record="per-window", abort=(1e-6, "average"))
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             run_wd(spec36(N=10, w=2), WindowSchedule(W=4, T=2), abort=(1e-6, "median"))
