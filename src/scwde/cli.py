@@ -78,9 +78,10 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     sched = WindowSchedule(
         W=cfg.W[0], T=cfg.T, variant=cfg.schedule, T_first=cfg.T_first
     )
-    final, traj = run_wd(
-        spec, sched, record="per-window", record_windows=cfg.record.windows
-    )
+    c_max, windows = sched.c_max(spec), cfg.record.windows
+    if windows is not None and (not windows or not all(1 <= c <= c_max for c in windows)):
+        raise ConfigError(f"record.windows must name windows in 1..{c_max}, this run's windows")
+    final, traj = run_wd(spec, sched, record=True, record_windows=windows)
     _write_csv(out / "trajectory.csv", ("c", "t", "z", "x"), traj.rows())
 
     def potential_rows():
@@ -143,7 +144,7 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
         task = partial(_speed_task, cfg, ens)
         columns = ([eps for eps, _ in points], [W for _, W in points])
         if workers and workers > 1 and len(points) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
                 reports = list(pool.map(task, *columns))
         else:
             reports = list(map(task, *columns))

@@ -22,6 +22,10 @@ MAP_STOP = "map_threshold"
 # Largest epsilon grid a config may expand to; every point is a full T search.
 MAX_EPSILON_POINTS = 10_000
 
+# Largest landscape grid: about 80 B and 12 us per point, so about 80 MB and
+# 12 s per landscape at the cap.
+MAX_GRID_N = 1_000_001
+
 
 class ConfigError(ValueError):
     """Invalid or missing run-configuration data."""
@@ -96,6 +100,10 @@ class RunConfig:
             raise ConfigError("T_max must be >= 1")
         if self.grid_n < 1000:
             raise ConfigError("grid_n must be >= 1000 for reliable bracketing")
+        if self.grid_n > MAX_GRID_N:
+            raise ConfigError(f"grid_n must be <= {MAX_GRID_N}")
+        if self.steady_tol < 0:
+            raise ConfigError("steady_tol must be >= 0")
         if not isinstance(self.bounds, bool):
             raise ConfigError(f"bounds must be true or false, got {self.bounds!r}")
 
@@ -159,6 +167,17 @@ def _integer(key: str, value: Any) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(key: str, value: Any) -> float:
+    """A finite config value converted with float(); YAML booleans are rejected."""
+    try:
+        result = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        result = math.nan
+    if not math.isfinite(result):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return result
 
 
 def _parse_window_sizes(raw: dict, N: int) -> tuple[int, ...]:
@@ -228,9 +247,14 @@ def config_from_mapping(raw: dict) -> RunConfig:
     epsilon, epsilon_grid = _parse_epsilon(raw)
     try:
         N = _integer("N", raw.get("N", 100))
-        success = SuccessConfig(**_section(raw, "success"))
+        success_raw = _section(raw, "success")
+        if "threshold" in success_raw:
+            success_raw["threshold"] = _real("success.threshold", success_raw["threshold"])
+        success = SuccessConfig(**success_raw)
         rec_raw = _section(raw, "record")
         if rec_raw.get("windows") is not None:
+            if not isinstance(rec_raw["windows"], list):
+                raise ConfigError(f"record.windows must be a list, got {rec_raw['windows']!r}")
             rec_raw["windows"] = tuple(
                 _integer("record.windows", c) for c in rec_raw["windows"]
             )
@@ -244,11 +268,11 @@ def config_from_mapping(raw: dict) -> RunConfig:
             T=None if raw.get("T") in (None, "auto") else _integer("T", raw["T"]),
             T_max=_integer("T_max", raw.get("T_max", 200)),
             T_first=None if raw.get("T_first") is None else _integer("T_first", raw["T_first"]),
-            alpha=float(raw.get("alpha", 1.0)),
+            alpha=_real("alpha", raw.get("alpha", 1.0)),
             schedule=raw.get("schedule", "literal"),
             success=success,
             record=RecordConfig(**rec_raw),
-            steady_tol=float(raw.get("steady_tol", 1e-9)),
+            steady_tol=_real("steady_tol", raw.get("steady_tol", 1e-9)),
             grid_n=_integer("grid_n", raw.get("grid_n", 10_001)),
             bounds=raw.get("bounds", True),
         )

@@ -23,6 +23,10 @@ from .window import (
 STEADY_TOL = 1e-9
 T_MAX_DEFAULT = 200
 
+# Relative margin by which the frozen erasures must exceed the average-policy
+# limit before a search run stops; far above the rounding of a sum over N terms.
+ABORT_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -254,6 +258,38 @@ def _th2_left_edge_residual(traj: Trajectory) -> Optional[float]:
     return float(max(vals)) if vals else None
 
 
+class _FrozenPrefixStop:
+    """``run_wd`` stop hook of the T search, one per run. It ends the run
+    after window ``c_stop`` (None: the last), or at the first window c after
+    which ``decode_success`` is sure to judge the run failed; ``failed_at``
+    is then c.
+
+    Once window c ends, position c never changes again. The run has failed
+    for good once the frozen positions 1..min(c, N) sum to N*threshold
+    (``average``, inflated by ``ABORT_SLACK`` so that the rounding of
+    ``np.mean`` cannot stop a decoding run) or one of them reaches the
+    threshold (``max``). Frozen values only fall as T grows, so the window
+    where a run fails is monotone in T.
+    """
+
+    def __init__(self, spec: CoupledSpec, threshold: float, policy: str,
+                 c_stop: Optional[int] = None):
+        if policy not in ("average", "max"):
+            raise ValueError(f"unknown success policy {policy!r}")
+        self.N, self.threshold, self.policy, self.c_stop = spec.N, threshold, policy, c_stop
+        self.limit = spec.N * threshold * (1.0 + ABORT_SLACK)
+        self.frozen_sum = 0.0
+        self.failed_at: Optional[int] = None
+
+    def __call__(self, c: int, x: np.ndarray) -> bool:
+        if c <= self.N:
+            self.frozen_sum += x[c - 1]
+            if (x[c - 1] >= self.threshold if self.policy == "max"
+                    else self.frozen_sum >= self.limit):
+                self.failed_at = c
+        return self.failed_at is not None or c == self.c_stop
+
+
 def measure_speed(
     spec: CoupledSpec,
     W: int,
@@ -271,20 +307,19 @@ def measure_speed(
 ) -> SpeedReport:
     """Find the smallest iterations-per-window count T in [T_lo, T_max] that decodes.
 
-    A run "survives prefix c" when ``run_wd``'s abort has not fired by the
-    end of window c; on the whole schedule it must also decode. A decoding
-    run survives every prefix, and survival of a prefix is monotone in T
-    (one more iteration per window never leaves more frozen erasures
-    behind; property-tested in ``tests/test_window.py``). So the search
-    goes in rounds, from prefix 1 and lo = T_lo:
+    A run "survives prefix c" when ``_FrozenPrefixStop`` has not failed it
+    by the end of window c; on the whole schedule it must also decode. A
+    decoding run survives every prefix, and survival of a prefix is
+    monotone in T (property-tested in ``tests/test_window.py``). So the
+    search goes in rounds, from prefix 1 and lo = T_lo:
 
     - gallop through lo, lo+1, lo+3, lo+7, ... (clipped to T_max) until a T
       survives the prefix, then bisect below it. Probes run only the
       prefix's windows; T_max counts as surviving without a probe;
-    - run that T on the whole schedule with the abort (none at T_max),
-      recording it when ``compute_bounds`` is on. If it decodes it is T_min;
-      if it fails at window c (the last one when only the final policy
-      fails), drop its trajectory and search prefix c from lo = T+1.
+    - run that T on the whole schedule, stopped when it fails (never at
+      T_max), recording it when ``compute_bounds`` is on. If it decodes it
+      is T_min; if it fails at window c (the last one when only the final
+      policy fails), drop its trajectory and search prefix c from lo = T+1.
 
     The full run repeats its probe's windows, so it can only fail past the
     prefix: the prefix grows every round. Most points take one round; a
@@ -299,7 +334,6 @@ def measure_speed(
     """
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
-    rule = (success_threshold, success_policy)
 
     def schedule(T: int) -> WindowSchedule:
         return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
@@ -312,8 +346,9 @@ def measure_speed(
     def survives(T: int, c_stop: int) -> bool:
         if T == T_max:
             return True
-        final, _ = run_wd(spec, schedule(T), validate=validate, abort=rule, c_stop=c_stop)
-        return not final.aborted and (c_stop < c_last or judge(final).success)
+        stop = _FrozenPrefixStop(spec, success_threshold, success_policy, c_stop)
+        final, _ = run_wd(spec, schedule(T), validate=validate, stop=stop)
+        return stop.failed_at is None and (c_stop < c_last or judge(final).success)
 
     lo, c_stop = T_lo, 1
     while True:
@@ -326,14 +361,11 @@ def measure_speed(
                 T = mid
             else:
                 failed = mid
-        final, traj = run_wd(
-            spec,
-            schedule(T),
-            record="per-window" if compute_bounds else "none",
-            validate=validate,
-            abort=None if T == T_max else rule,
-        )
-        if not final.aborted:
+        stop = None if T == T_max else _FrozenPrefixStop(spec, success_threshold,
+                                                          success_policy)
+        final, traj = run_wd(spec, schedule(T), record=compute_bounds, validate=validate,
+                             stop=stop)
+        if stop is None or stop.failed_at is None:
             report = judge(final)
             if report.success or T == T_max:
                 break

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Callable, Iterable, Literal, Optional
 
 import numpy as np
 
@@ -13,12 +13,7 @@ from .scalar import UncoupledEnsemble
 # recursion is monotone, rounding may wiggle by a few ulps.
 MONOTONE_SLACK = 1e-12
 
-# Relative margin by which the frozen erasures must exceed the average-policy
-# limit before ``run_wd`` aborts; far above the rounding of a sum over N terms.
-ABORT_SLACK = 1e-9
-
 ScheduleVariant = Literal["literal", "extended"]
-RecordPolicy = Literal["none", "per-window"]
 
 
 @dataclass(frozen=True)
@@ -94,15 +89,11 @@ class WindowSchedule:
 
 @dataclass(frozen=True)
 class DEState:
-    """Erasure vector over check positions 1..N+w-1 at (window c, iteration t).
-
-    ``aborted`` marks the state at which ``run_wd``'s abort ended a run.
-    """
+    """Erasure vector over check positions 1..N+w-1 at (window c, iteration t)."""
 
     x: np.ndarray
     c: int
     t: int
-    aborted: bool = False
 
 
 def _padded(x: np.ndarray, w: int) -> np.ndarray:
@@ -226,51 +217,29 @@ def decode_success(
 def run_wd(
     spec: CoupledSpec,
     sched: WindowSchedule,
-    record: RecordPolicy = "none",
+    record: bool = False,
     record_windows: Optional[Iterable[int]] = None,
     validate: bool = True,
-    abort: Optional[tuple[float, str]] = None,
-    c_stop: Optional[int] = None,
+    stop: Optional[Callable[[int, np.ndarray], bool]] = None,
 ) -> tuple[DEState, Optional[Trajectory]]:
     """Run the window schedule: T_c sweeps at each configuration c.
 
     One erasure vector, a view into the padded layout, is updated in place;
-    sliding the window is the step to the next c. ``record='per-window'``
-    keeps every iteration of the selected window configurations (all of
-    them when ``record_windows`` is None); ``'none'`` keeps no trajectory.
-    ``c_stop`` (at least 1) ends the run after window c_stop; None runs the
-    whole schedule. The returned state is the vector after the last window
-    run, and its ``c`` is that window.
-
-    ``abort=(threshold, policy)`` ends a run that ``decode_success`` with
-    that threshold and policy is sure to judge failed, and marks the state
-    ``aborted``. Once window c ends, position c is frozen: every later
-    window updates positions c+1 and up only. The run has failed for good
-    once the frozen positions 1..min(c, N) sum to N*threshold (``average``,
-    inflated by ``ABORT_SLACK`` so that the rounding of ``np.mean`` cannot
-    turn a decoding run into an aborted one) or one of them reaches the
-    threshold (``max``). A run "survives prefix c" when the abort has not
-    fired by the end of window c. The frozen values only fall as T grows
-    (the argument that makes the final erasures monotone in T), so survival
-    of every prefix is monotone in T; ``measure_speed`` rests on that. An
-    aborted run keeps the trajectory of the windows it ran.
+    sliding the window is the step to the next c. ``record`` keeps every
+    iteration of the selected window configurations (all of them when
+    ``record_windows`` is None). ``stop(c, x)`` is called once after each
+    window c with the live erasure vector, which it must not write to; a
+    true result ends the run there. The returned state is the vector after
+    the last window run, and its ``c`` is that window; a stopped run keeps
+    the trajectory of the windows it ran.
     """
-    if record not in ("none", "per-window"):
-        raise ValueError(f"unknown record policy {record!r}")
-    if abort is not None and abort[1] not in ("average", "max"):
-        raise ValueError(f"unknown success policy {abort[1]!r}")
     sched.validate(spec)
     wanted = None if record_windows is None else set(record_windows)
-    traj = Trajectory(sched, spec) if record == "per-window" else None
+    traj = Trajectory(sched, spec) if record else None
     buf = _padded(np.ones(spec.chain_len), spec.w)
     x = buf[spec.w : spec.w + spec.chain_len]
     eps = _channel_profile(spec)
-    c_last = sched.c_max(spec) if c_stop is None else min(c_stop, sched.c_max(spec))
-    if abort is not None:
-        threshold, policy = abort
-        frozen_limit = spec.N * threshold * (1.0 + ABORT_SLACK)
-        frozen_sum = 0.0
-    for c in range(1, c_last + 1):
+    for c in range(1, sched.c_max(spec) + 1):
         lo, hi = c - 1, c - 1 + sched.W
         T_c = sched.iterations_for(c)
         rows = None
@@ -294,12 +263,6 @@ def run_wd(
             outside = np.concatenate([x[:lo], x[hi:]])
             if not np.array_equal(outside, np.concatenate([prev[:lo], prev[hi:]])):
                 raise AssertionError("out-of-window positions changed during sweeps")
-        if abort is not None and c <= spec.N:
-            if policy == "max":
-                failed = x[c - 1] >= threshold
-            else:
-                frozen_sum += x[c - 1]
-                failed = frozen_sum >= frozen_limit
-            if failed:
-                return DEState(x=x, c=c, t=T_c, aborted=True), traj
-    return DEState(x=x, c=c_last, t=sched.iterations_for(c_last)), traj
+        if stop is not None and stop(c, x):
+            break
+    return DEState(x=x, c=c, t=T_c), traj

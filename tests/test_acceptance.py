@@ -48,7 +48,7 @@ def fig3_run():
     cfg = load_preset("fig3")
     spec = CoupledSpec(ens=cfg.ensembles[0], N=cfg.N, w=cfg.w, epsilon=cfg.epsilon)
     sched = WindowSchedule(W=cfg.W[0], T=cfg.T, variant=cfg.schedule)
-    final, traj = run_wd(spec, sched, record="per-window")
+    final, traj = run_wd(spec, sched, record=True)
     return spec, sched, final, traj
 
 

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scwde.cli import main
-from scwde.config import ConfigError, config_from_mapping, load_config, load_preset
+from scwde.config import (
+    MAX_GRID_N,
+    ConfigError,
+    config_from_mapping,
+    load_config,
+    load_preset,
+)
 
 
 def write_cfg(tmp_path: Path, payload: dict, name="run.yaml") -> Path:
@@ -244,8 +250,7 @@ BASE_RUN = {
 }
 
 
-@pytest.mark.parametrize("command", ["wave", "speed"])
-@pytest.mark.parametrize("override", [
+MALFORMED = [
     {"success": 5},
     {"record": [1]},
     {"record": {"policy": "none"}},
@@ -279,7 +284,29 @@ BASE_RUN = {
     {"epsilon": True},
     {"epsilon": {"start": 0.3, "stop": True, "step": 0.01}},
     {"epsilon": {"start": 0.3, "stop": 0.31, "step": True}},
-], ids=repr)
+    {"alpha": True},
+    {"alpha": "x"},
+    {"steady_tol": -1.0},
+    {"steady_tol": float("inf")},
+    {"success": {"threshold": float("nan")}},
+    {"success": {"threshold": True}},
+    {"success": {"threshold": "1e-6x"}},
+    {"success": {"threshold": -1e-6}},
+    {"record": {"windows": 5}},
+]
+# record.windows selects windows of the wave command's one run
+MALFORMED_WAVE = [
+    {"record": {"windows": [0, 999]}},
+    {"record": {"windows": []}},
+]
+
+
+@pytest.mark.parametrize(
+    ("override", "command"),
+    [*((o, c) for o in MALFORMED for c in ("wave", "speed")),
+     *((o, "wave") for o in MALFORMED_WAVE)],
+    ids=lambda v: repr(v) if isinstance(v, dict) else v,
+)
 def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override):
     cfg = write_cfg(tmp_path, {**BASE_RUN, **override})
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -296,6 +323,56 @@ def test_window_grid_beyond_chain_rejected_before_expansion():
     with pytest.raises(ConfigError) as exc:
         config_from_mapping({**BASE_RUN, "W": {"start": 1, "stop": 2000000}})
     assert str(exc.value) == "window grid 1..2000000 must lie in 1..N=24"
+
+
+def test_record_windows_checked_against_the_run(tmp_path, capfd):
+    # the extended schedule of BASE_RUN has windows 1..N+w-W = 1..18
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "record": {"windows": [18, 19]}})
+    assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "must name windows in 1..18" in capfd.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_float_keys_convert_like_float():
+    # PyYAML reads 1e-6 (no dot) as a string; float() still takes it
+    cfg = config_from_mapping({**BASE_RUN, "success": {"threshold": "1e-6"},
+                               "alpha": 2, "steady_tol": 0})
+    assert (cfg.success.threshold, cfg.alpha, cfg.steady_tol) == (1e-6, 2.0, 0.0)
+
+
+def test_grid_n_capped():
+    # checked on the config only: a landscape at the rejected size would
+    # take about 75 GiB
+    assert config_from_mapping({**BASE_RUN, "grid_n": MAX_GRID_N}).grid_n == MAX_GRID_N
+    with pytest.raises(ConfigError, match="grid_n must be <= "):
+        config_from_mapping({**BASE_RUN, "grid_n": 1_000_000_000})
+
+
+def test_worker_pool_capped_at_grid_points(tmp_path, monkeypatch):
+    # a process pool starts all of its workers at the first task, so the
+    # pool must not ask for more than there are points; checked with a
+    # stand-in pool that runs the tasks inline
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    monkeypatch.setattr("scwde.cli.ProcessPoolExecutor", InlinePool)
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
+    assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", "100000"]) == 0
+    assert sizes == [2]
+    assert len(read_csv(tmp_path / "out" / "speed.csv")) == 3
 
 
 # Bounded values: every run they can configure stays small and fast.

@@ -131,7 +131,7 @@ class TestAlphaInequality:
         # (the trail coordinates sit in the convex basin of the potential)
         spec = CoupledSpec(ens=ENS36, N=60, w=3, epsilon=0.42)
         sched = WindowSchedule(W=11, T=6)
-        _, traj = run_wd(spec, sched, record="per-window")
+        _, traj = run_wd(spec, sched, record=True)
         saw_alpha1_violation = False
         for c in (30, 35, 40):
             ctx2 = CoupledPotentialContext(spec=spec, sched=sched, c=c, alpha=2.0)
@@ -152,7 +152,7 @@ class TestAlphaInequality:
     def test_alpha_two_diagnostic_runs(self):
         spec = CoupledSpec(ens=ENS36, N=60, w=3, epsilon=0.42)
         sched = WindowSchedule(W=11, T=6)
-        _, traj = run_wd(spec, sched, record="per-window")
+        _, traj = run_wd(spec, sched, record=True)
         ctx = CoupledPotentialContext(spec=spec, sched=sched, c=35, alpha=2.0)
         block = traj.block(35)
         outcomes = [

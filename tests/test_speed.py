@@ -21,7 +21,7 @@ ENS36 = UncoupledEnsemble.regular(3, 6)
 def fig3_traj():
     spec = CoupledSpec(ens=ENS36, N=100, w=3, epsilon=0.42)
     sched = WindowSchedule(W=11, T=6)
-    _, traj = run_wd(spec, sched, record="per-window")
+    _, traj = run_wd(spec, sched, record=True)
     return spec, sched, traj
 
 
@@ -52,7 +52,7 @@ class TestDetectSteadyState:
         # rejected for having a flat in-window profile
         spec = CoupledSpec(ens=ENS36, N=30, w=3, epsilon=0.0)
         sched = WindowSchedule(W=8, T=2)
-        _, traj = run_wd(spec, sched, record="per-window")
+        _, traj = run_wd(spec, sched, record=True)
         ss = detect_steady_state(traj)
         assert ss.c_prime is not None
         with pytest.raises(ZeroDivisionError):
@@ -70,7 +70,7 @@ class TestBoundA1:
         spec, sched, traj = fig3_traj
         ss = detect_steady_state(traj)
         a1 = bound_a1(traj, ss.c_prime)
-        _, traj2 = run_wd(spec, sched, record="per-window")
+        _, traj2 = run_wd(spec, sched, record=True)
         assert bound_a1(traj2, ss.c_prime) == a1
 
     def test_missing_window_rejected(self, fig3_traj):
@@ -273,10 +273,10 @@ def steady_and_a1(traj):
 def test_search_matches_linear_scan(
     N, w, eps, variant, degrees, policy, T_first, T_lo, span, compute_bounds, data
 ):
-    # the prefix-deepening search with aborted runs finds what a plain upward
+    # the prefix-deepening search with stopped runs finds what a plain upward
     # scan of full runs finds, reports the metric of the run it stopped at,
     # and takes c' and A1 from that run's trajectory. With T_first, runs
-    # abort at later windows and the search takes several rounds
+    # fail at later windows and the search takes several rounds
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     T_max = T_lo + span
@@ -286,7 +286,7 @@ def test_search_matches_linear_scan(
     )
     for T in range(T_lo, T_max + 1):
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-        final, traj = run_wd(spec, sched, record="per-window", validate=False)
+        final, traj = run_wd(spec, sched, record=True, validate=False)
         verdict = decode_success(final, spec, policy=policy)
         if verdict.success:
             break
@@ -304,15 +304,15 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
 
     def counting_run_wd(spec, sched, **kwargs):
         final, traj = run_wd(spec, sched, **kwargs)
-        calls.append((sched.c_max(spec), final, traj))
+        calls.append((sched.c_max(spec), final, traj, kwargs["stop"]))
         return final, traj
 
     monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.480)
     rep = measure_speed(spec, W=15, schedule_variant="extended", validate=False)
-    whole = [(final, traj) for c_last, final, traj in calls if final.c == c_last]
+    whole = [(final, traj, stop) for c_last, final, traj, stop in calls if final.c == c_last]
     assert rep.T_min == 75 and rep.c_prime is not None
     assert len(whole) == 1
-    final, traj = whole[0]
-    assert not final.aborted and final.t == 75
+    final, traj, stop = whole[0]
+    assert stop.failed_at is None and final.t == 75
     assert (rep.c_prime, rep.A1) == steady_and_a1(traj)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scwde.scalar import UncoupledEnsemble
+from scwde.speed import _FrozenPrefixStop
 from scwde.window import (
     MONOTONE_SLACK,
     CoupledSpec,
@@ -26,7 +27,7 @@ def spec36(N=100, w=3, eps=0.42):
 
 def first_window(spec, sched):
     """Recorded iterations t = 0..T_1 of window configuration 1."""
-    _, traj = run_wd(spec, sched, record="per-window", record_windows=[1])
+    _, traj = run_wd(spec, sched, record=True, record_windows=[1])
     return traj.block(1)
 
 
@@ -121,7 +122,7 @@ class TestSweepAndSlide:
         # unvalidated, so run_wd's own out-of-window check cannot mask a change
         spec = spec36(N=30)
         sched = WindowSchedule(W=11, T=4, variant="extended")
-        _, traj = run_wd(spec, sched, record="per-window", validate=False)
+        _, traj = run_wd(spec, sched, record=True, validate=False)
         for c in traj.windows():
             block = traj.block(c)
             inside = np.zeros(spec.chain_len, dtype=bool)
@@ -130,7 +131,7 @@ class TestSweepAndSlide:
 
     def test_monotone_in_iteration(self):
         spec = spec36()
-        _, traj = run_wd(spec, WindowSchedule(W=11, T=6), record="per-window",
+        _, traj = run_wd(spec, WindowSchedule(W=11, T=6), record=True,
                          validate=False)
         for c in traj.windows():
             assert np.all(np.diff(traj.block(c), axis=0) <= 1e-12)
@@ -138,7 +139,7 @@ class TestSweepAndSlide:
     def test_slide_keeps_vector_and_resets_t(self):
         spec = spec36()
         sched = WindowSchedule(W=11, T=2, T_first=5)
-        _, traj = run_wd(spec, sched, record="per-window", record_windows=[1, 2])
+        _, traj = run_wd(spec, sched, record=True, record_windows=[1, 2])
         assert traj.block(1).shape[0] == 6
         assert traj.block(2).shape[0] == 3
         assert np.array_equal(traj.block(2)[0], traj.block(1)[-1])
@@ -150,10 +151,6 @@ class TestRunWd:
         sched = WindowSchedule(W=11, T=1)
         final, _ = run_wd(spec, sched)
         assert np.all(final.x[: spec.N] <= 1e-12)
-
-    def test_unknown_record_policy_rejected(self):
-        with pytest.raises(ValueError, match="record policy"):
-            run_wd(spec36(), WindowSchedule(W=11, T=1), record="all")
 
     def test_window_larger_than_chain_rejected(self):
         spec = spec36(N=5)
@@ -185,7 +182,7 @@ class TestRunWd:
     def test_trajectory_layout(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
-        final, traj = run_wd(spec, sched, record="per-window")
+        final, traj = run_wd(spec, sched, record=True)
         assert traj.windows() == list(range(1, 14))
         assert traj.block(5).shape == (4, spec.chain_len)
         assert np.array_equal(traj.block(13)[3], final.x)
@@ -193,28 +190,42 @@ class TestRunWd:
         for c in range(1, 13):
             assert np.array_equal(traj.block(c)[3], traj.block(c + 1)[0])
 
-    def test_c_stop_ends_after_window(self):
+    def test_stop_sees_each_window_and_ends_at_first_true(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
-        _, full = run_wd(spec, sched, record="per-window")
-        final, traj = run_wd(spec, sched, record="per-window", c_stop=5)
+        _, full = run_wd(spec, sched, record=True)
+
+        def run_with(stop_at):
+            seen = []
+
+            def stop(c, x):
+                seen.append((c, x.copy()))
+                return c in stop_at
+
+            final, traj = run_wd(spec, sched, record=True, stop=stop)
+            # called once per window run, in order, with the state after it
+            assert [c for c, _ in seen] == list(range(1, final.c + 1))
+            assert all(np.array_equal(x, full.block(c)[-1]) for c, x in seen)
+            return final, traj
+
+        final, traj = run_with({5, 7})
         assert traj.windows() == [1, 2, 3, 4, 5]
-        assert (final.c, final.t, final.aborted) == (5, 3, False)
+        assert (final.c, final.t) == (5, 3)
         assert np.array_equal(final.x, full.block(5)[-1])
-        # past the last configuration, c_stop runs the whole schedule
-        beyond, _ = run_wd(spec, sched, c_stop=99)
-        assert beyond.c == 13 and np.array_equal(beyond.x, full.block(13)[-1])
+        # a hook that never returns true runs the whole schedule
+        final, _ = run_with(set())
+        assert final.c == 13 and np.array_equal(final.x, full.block(13)[-1])
 
     def test_trajectory_window_filter(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
-        _, traj = run_wd(spec, sched, record="per-window", record_windows=[4, 5])
+        _, traj = run_wd(spec, sched, record=True, record_windows=[4, 5])
         assert traj.windows() == [4, 5]
 
     def test_monotone_across_configurations(self):
         spec = spec36(N=30)
         sched = WindowSchedule(W=8, T=4)
-        _, traj = run_wd(spec, sched, record="per-window")
+        _, traj = run_wd(spec, sched, record=True)
         for c in range(1, 23):
             cur, nxt = traj.block(c), traj.block(c + 1)
             rows = min(cur.shape[0], nxt.shape[0])
@@ -223,7 +234,7 @@ class TestRunWd:
     def test_first_window_warm_start(self):
         spec = spec36(N=30)
         sched = WindowSchedule(W=8, T=3, T_first=20)
-        _, traj = run_wd(spec, sched, record="per-window")
+        _, traj = run_wd(spec, sched, record=True)
         assert traj.block(1).shape[0] == 21
         assert traj.block(2).shape[0] == 4
 
@@ -267,7 +278,7 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=ENS36, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T)
-    final, traj = run_wd(spec, sched, record="per-window")
+    final, traj = run_wd(spec, sched, record=True)
     assert np.all(final.x >= 0.0) and np.all(final.x <= 1.0)
     for c in traj.windows():
         block = traj.block(c)
@@ -275,10 +286,12 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
         assert np.all(np.diff(block, axis=0) <= 1e-12)
 
 
-def abort_window(spec, sched, rule):
-    """The window where the abort ended the run; inf when it never fired."""
-    final, _ = run_wd(spec, sched, validate=False, abort=rule)
-    return final.c if final.aborted else math.inf
+def abort_window(spec, sched, threshold, policy):
+    """The window where the search's stop rule failed the run; inf when it never did."""
+    stop = _FrozenPrefixStop(spec, threshold, policy)
+    final, _ = run_wd(spec, sched, validate=False, stop=stop)
+    assert final.c == (sched.c_max(spec) if stop.failed_at is None else stop.failed_at)
+    return math.inf if stop.failed_at is None else stop.failed_at
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,21 +311,21 @@ def test_final_erasures_monotone_in_T(
     N, w, eps, T, variant, degrees, policy, threshold, T_first, data
 ):
     # one more iteration per window never leaves more erasures behind, at
-    # the end of any window; so the abort, which reads the positions frozen
-    # at the end of each window, fires no earlier at T+1 than at T: survival
-    # of every prefix is monotone in T
+    # the end of any window; so the search's stop rule, which reads the
+    # positions frozen at the end of each window, fails a run no earlier at
+    # T+1 than at T: survival of every prefix is monotone in T
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     fewer_sched, more_sched = (
         WindowSchedule(W=W, T=T_, variant=variant, T_first=T_first) for T_ in (T, T + 1)
     )
-    fewer, fewer_traj = run_wd(spec, fewer_sched, record="per-window", validate=False)
-    more, more_traj = run_wd(spec, more_sched, record="per-window", validate=False)
+    fewer, fewer_traj = run_wd(spec, fewer_sched, record=True, validate=False)
+    more, more_traj = run_wd(spec, more_sched, record=True, validate=False)
     assert np.all(more.x <= fewer.x + MONOTONE_SLACK)
     for c in fewer_traj.windows():
         assert np.all(more_traj.block(c)[-1] <= fewer_traj.block(c)[-1] + MONOTONE_SLACK)
-    rule = (threshold, policy)
-    assert abort_window(spec, more_sched, rule) >= abort_window(spec, fewer_sched, rule)
+    assert (abort_window(spec, more_sched, threshold, policy)
+            >= abort_window(spec, fewer_sched, threshold, policy))
 
 
 @settings(max_examples=80, deadline=None)
@@ -331,38 +344,40 @@ def test_final_erasures_monotone_in_T(
 def test_abort_stops_only_failing_runs(
     N, w, eps, T, variant, degrees, policy, threshold, T_first, data
 ):
-    # an aborted run fails when run in full; an unaborted one is the full run.
+    # a stopped run fails when run in full; a run not stopped is the full run.
     # "tie" puts the threshold one ulp above the full run's own metric, so the
     # run decodes while its frozen erasures sit right at the limit
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    full, full_traj = run_wd(spec, sched, record="per-window", validate=False)
+    full, full_traj = run_wd(spec, sched, record=True, validate=False)
     if threshold == "tie":
         metric = decode_success(full, spec, policy=policy).metric
         threshold = max(float(np.nextafter(metric, 1.0)), 1e-300)
     verdict = decode_success(full, spec, threshold=threshold, policy=policy)
-    stopped, traj = run_wd(spec, sched, record="per-window", validate=False,
-                           abort=(threshold, policy))
-    if stopped.aborted:
+    stop = _FrozenPrefixStop(spec, threshold, policy)
+    stopped, traj = run_wd(spec, sched, record=True, validate=False, stop=stop)
+    if stop.failed_at is not None:
+        assert stopped.c == stop.failed_at
         assert not verdict.success
     else:
         assert np.array_equal(stopped.x, full.x)
-    # an aborted run keeps the windows it ran, as the full run recorded them
+    # a stopped run keeps the windows it ran, as the full run recorded them
     assert traj.windows() == list(range(1, stopped.c + 1))
     assert all(np.array_equal(traj.block(c), full_traj.block(c)) for c in traj.windows())
-    # a run stopped after window c_stop survives it unless the abort fired by then
+    # a run stopped after window c_stop survives it unless the rule failed it by then
     c_stop = data.draw(st.integers(min_value=1, max_value=sched.c_max(spec)))
-    prefix, _ = run_wd(spec, sched, validate=False, abort=(threshold, policy), c_stop=c_stop)
-    assert prefix.aborted == (stopped.aborted and stopped.c <= c_stop)
+    prefix_stop = _FrozenPrefixStop(spec, threshold, policy, c_stop)
+    prefix, _ = run_wd(spec, sched, validate=False, stop=prefix_stop)
+    assert prefix_stop.failed_at == (stop.failed_at if stopped.c <= c_stop else None)
     assert prefix.c == min(c_stop, stopped.c)
 
 
 def test_abort_slack_keeps_a_tie_decoding():
     # with W <= w on the extended schedule the whole chain is frozen before
     # the last window ends; a threshold one ulp above the average decodes,
-    # and the abort must agree although its running sum and np.mean round
-    # differently (without the slack it fires on several of these runs)
+    # and the stop rule must agree although its running sum and np.mean
+    # round differently (without the slack it fails several of these runs)
     for N, w, eps, T in itertools.product((10, 30), (2, 3, 4), (0.3, 0.4, 0.45), (1, 2, 4)):
         spec = spec36(N=N, w=w, eps=eps)
         for W in (1, w):
@@ -371,14 +386,12 @@ def test_abort_slack_keeps_a_tie_decoding():
             avg = decode_success(full, spec).avg
             tie = float(np.nextafter(avg, 1.0))
             assert decode_success(full, spec, threshold=tie).success
-            stopped, _ = run_wd(spec, sched, validate=False, abort=(tie, "average"))
-            assert not stopped.aborted
-            # a threshold clearly below the average does abort
-            stopped, _ = run_wd(spec, sched, validate=False, abort=(avg * (1 - 1e-6), "average"))
-            assert stopped.aborted
+            assert abort_window(spec, sched, tie, "average") == math.inf
+            # a threshold clearly below the average does stop the run
+            assert abort_window(spec, sched, avg * (1 - 1e-6), "average") < math.inf
 
 
 class TestAbortArguments:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            run_wd(spec36(N=10, w=2), WindowSchedule(W=4, T=2), abort=(1e-6, "median"))
+            _FrozenPrefixStop(spec36(N=10, w=2), 1e-6, "median")
