@@ -8,6 +8,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -17,11 +18,16 @@ from .config import ConfigError, RunConfig, load_config, load_preset
 from .coupled import CoupledPotentialContext, coupled_potential
 from .scalar import NonConvergence, bp_threshold, landscape, map_threshold
 from .speed import SpeedReport, detect_steady_state, measure_speed
-from .window import CoupledSpec, WindowSchedule, decode_success, run_wd
+from .window import CoupledSpec, Trajectory, WindowSchedule, decode_success, run_wd
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
+
+# Lines per formatting template of trajectory.csv. A chunk this short formats
+# to a small string; one template per 400-position row would build a string
+# of about 10 KB per row and grow the C heap.
+_TRAJECTORY_CHUNK = 16
 
 
 def _fmt(value) -> str:
@@ -42,6 +48,29 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_trajectory(path: Path, traj: Trajectory) -> None:
+    """trajectory.csv, byte for byte what ``_write_csv`` writes for the
+    (c, t, z, x) rows: ``'%.17g' % v`` equals ``format(v, ".17g")`` for every
+    float, and rows end in csv's ``\\r\\n``. Each row is formatted a chunk of
+    z at a time, from templates built once whose ``\\0`` stands for the
+    row's ``c,t,`` prefix.
+    """
+    zs = range(1, traj.spec.chain_len + 1)
+    chunks = [
+        ("".join(f"\0{z},%.17g\r\n" for z in zs[lo : lo + _TRAJECTORY_CHUNK]),
+         lo, lo + _TRAJECTORY_CHUNK)
+        for lo in range(0, len(zs), _TRAJECTORY_CHUNK)
+    ]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("c,t,z,x\r\n")
+        for c in traj.windows():
+            for t, vec in enumerate(traj.block(c).tolist()):
+                prefix = f"{c},{t},"
+                for template, lo, hi in chunks:
+                    fh.write(template.replace("\0", prefix) % tuple(vec[lo:hi]))
 
 
 def cmd_landscape(cfg: RunConfig, out: Path) -> int:
@@ -82,7 +111,7 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     if windows is not None and (not windows or not all(1 <= c <= c_max for c in windows)):
         raise ConfigError(f"record.windows must name windows in 1..{c_max}, this run's windows")
     final, traj = run_wd(spec, sched, record=True, record_windows=windows)
-    _write_csv(out / "trajectory.csv", ("c", "t", "z", "x"), traj.rows())
+    _write_trajectory(out / "trajectory.csv", traj)
 
     def potential_rows():
         for c in traj.windows():
@@ -224,11 +253,16 @@ def main(argv=None) -> int:
         if args.command == "speed":
             return cmd_speed(cfg, out, args.workers)
         return cmd_thresholds(cfg, out)
-    except (ConfigError, FileNotFoundError) as exc:
+    # A pool worker's exception arrives here with its own type and maps as in
+    # a one-process run; a type not named below is a fault of the program.
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, ZeroDivisionError) as exc:
+    except (NonConvergence, ArithmeticError) as exc:  # ChainCheckError, ZeroDivisionError
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except BrokenProcessPool as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -15,6 +15,7 @@ from .window import (
     SuccessReport,
     Trajectory,
     WindowSchedule,
+    _check_success_rule,
     _slope_segment,
     decode_success,
     run_wd,
@@ -274,8 +275,7 @@ class _FrozenPrefixStop:
 
     def __init__(self, spec: CoupledSpec, threshold: float, policy: str,
                  c_stop: Optional[int] = None):
-        if policy not in ("average", "max"):
-            raise ValueError(f"unknown success policy {policy!r}")
+        _check_success_rule(threshold, policy)
         self.N, self.threshold, self.policy, self.c_stop = spec.N, threshold, policy, c_stop
         self.limit = spec.N * threshold * (1.0 + ABORT_SLACK)
         self.frozen_sum = 0.0
@@ -334,6 +334,7 @@ def measure_speed(
     """
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
+    _check_success_rule(success_threshold, success_policy)
 
     def schedule(T: int) -> WindowSchedule:
         return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)

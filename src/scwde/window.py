@@ -87,6 +87,11 @@ class WindowSchedule:
         return self.T
 
 
+class ChainCheckError(ArithmeticError):
+    """A validated run broke a property of the exact recursion: an erasure
+    rose during the sweeps, left [0, 1], or changed outside the window."""
+
+
 @dataclass(frozen=True)
 class DEState:
     """Erasure vector over check positions 1..N+w-1 at (window c, iteration t)."""
@@ -174,13 +179,6 @@ class Trajectory:
     def block(self, c: int) -> np.ndarray:
         return self._blocks[c]
 
-    def rows(self) -> Iterable[tuple[int, int, int, float]]:
-        """(c, t, z, x) rows in deterministic order."""
-        for c in self.windows():
-            for t, vec in enumerate(self._blocks[c].tolist()):
-                for z, val in enumerate(vec, start=1):
-                    yield c, t, z, val
-
 
 @dataclass(frozen=True)
 class SuccessReport:
@@ -190,6 +188,13 @@ class SuccessReport:
     avg: float
     max: float
     metric: float
+
+
+def _check_success_rule(threshold: float, policy: str) -> None:
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    if policy not in ("average", "max"):
+        raise ValueError(f"unknown success policy {policy!r}")
 
 
 def decode_success(
@@ -203,10 +208,7 @@ def decode_success(
     The default ``average`` policy compares the mean erasure against the
     threshold; ``max`` is the stricter worst-position variant.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if policy not in ("average", "max"):
-        raise ValueError(f"unknown success policy {policy!r}")
+    _check_success_rule(threshold, policy)
     region = final.x[: spec.N]
     avg = float(np.mean(region))
     mx = float(np.max(region))
@@ -251,9 +253,9 @@ def run_wd(
             new_vals = _window_kernel(buf, eps, c, sched.W, spec)
             if validate:
                 if np.any(new_vals > x[lo:hi] + MONOTONE_SLACK):
-                    raise AssertionError(f"erasure increased within window c={c}, t={t}")
+                    raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
                 if np.any(new_vals < -MONOTONE_SLACK) or np.any(new_vals > 1.0 + MONOTONE_SLACK):
-                    raise AssertionError("erasure left [0, 1]")
+                    raise ChainCheckError("erasure left [0, 1]")
             x[lo:hi] = new_vals
             if rows is not None:
                 rows[t] = x
@@ -262,7 +264,7 @@ def run_wd(
         if validate:
             outside = np.concatenate([x[:lo], x[hi:]])
             if not np.array_equal(outside, np.concatenate([prev[:lo], prev[hi:]])):
-                raise AssertionError("out-of-window positions changed during sweeps")
+                raise ChainCheckError("out-of-window positions changed during sweeps")
         if stop is not None and stop(c, x):
             break
     return DEState(x=x, c=c, t=T_c), traj

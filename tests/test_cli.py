@@ -1,15 +1,18 @@
 import csv
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scwde.cli import main
+import scwde.window
+from scwde.cli import _write_trajectory, main
 from scwde.config import (
     MAX_GRID_N,
     ConfigError,
@@ -17,6 +20,8 @@ from scwde.config import (
     load_config,
     load_preset,
 )
+from scwde.scalar import NonConvergence, UncoupledEnsemble
+from scwde.window import ChainCheckError, CoupledSpec, Trajectory, WindowSchedule, run_wd
 
 
 def write_cfg(tmp_path: Path, payload: dict, name="run.yaml") -> Path:
@@ -139,6 +144,63 @@ class TestWaveCommand:
             "N": 40, "w": 3, "epsilon": 0.42, "W": 11,
         })
         assert main(["wave", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+def trajectory_oracle(traj) -> bytes:
+    """trajectory.csv as csv.writer writes the (c, t, z, x) rows."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(("c", "t", "z", "x"))
+    for c in traj.windows():
+        for t, vec in enumerate(traj.block(c).tolist()):
+            for z, v in enumerate(vec, start=1):
+                writer.writerow((c, t, z, format(v, ".17g")))
+    return text.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # 25 positions: one whole 16-line chunk and a short one
+        {"N": 24, "w": 2, "W": 8, "T": 3, "schedule": "literal"},
+        # 10 positions, fewer than one chunk; the termination tail is swept
+        {"N": 8, "w": 3, "W": 4, "T": 2, "schedule": "extended"},
+        # 32 positions, exactly two chunks; a taller first block
+        {"N": 31, "w": 2, "W": 6, "T": 2, "T_first": 5, "schedule": "extended"},
+        # 42 positions; blocks of two heights and a subset of windows
+        {"N": 40, "w": 3, "W": 10, "T": 3, "T_first": 7, "schedule": "literal",
+         "record": {"windows": [1, 2, 17, 31]}},
+        {"N": 40, "w": 3, "W": 10, "T": 1, "T_first": 4, "schedule": "extended",
+         "record": {"windows": [33, 1]}},
+    ],
+    ids=["literal", "short-chain", "two-chunks", "windows-literal", "windows-extended"],
+)
+def test_trajectory_bytes_match_csv_writer(tmp_path, run):
+    cfg = write_cfg(tmp_path, {"ensemble": {"L": "x^3", "R": "x^6"},
+                               "epsilon": 0.42, **run})
+    out = tmp_path / "out"
+    assert main(["wave", "--config", str(cfg), "--out", str(out)]) == 0
+    spec = CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=run["N"], w=run["w"],
+                       epsilon=0.42)
+    sched = WindowSchedule(W=run["W"], T=run["T"], variant=run["schedule"],
+                           T_first=run.get("T_first"))
+    _, traj = run_wd(spec, sched, record=True,
+                     record_windows=run.get("record", {}).get("windows"))
+    assert (out / "trajectory.csv").read_bytes() == trajectory_oracle(traj)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.floats() | st.sampled_from([-0.0, 1.0, 5e-324]),
+                       min_size=2 * 21, max_size=2 * 21))
+def test_trajectory_writer_formats_any_float(tmp_path_factory, values):
+    # nan, inf, -0.0 and subnormals never come out of the recursion, but the
+    # writer formats them as csv.writer with format(v, ".17g") does
+    spec = CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=20, w=2, epsilon=0.42)
+    traj = Trajectory(WindowSchedule(W=4, T=1), spec)
+    traj._blocks[3] = np.array(values).reshape(2, 21)
+    path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
+    _write_trajectory(path, traj)
+    assert path.read_bytes() == trajectory_oracle(traj)
 
 
 class TestSpeedCommand:
@@ -373,6 +435,62 @@ def test_worker_pool_capped_at_grid_points(tmp_path, monkeypatch):
                  "--workers", "100000"]) == 0
     assert sizes == [2]
     assert len(read_csv(tmp_path / "out" / "speed.csv")) == 3
+
+
+def one_line_exit(capfd, code, expected, prefix):
+    err = capfd.readouterr().err
+    assert code == expected
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_chain_check_failure_exits_2(tmp_path, capfd, monkeypatch):
+    # a sweep that raises an erasure breaks the recursion's monotonicity
+    monkeypatch.setattr("scwde.window._window_kernel",
+                        lambda buf, eps, c, W, spec: np.full(W, 1.5))
+    cfg = write_cfg(tmp_path, BASE_RUN)
+    code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    one_line_exit(capfd, code, 2,
+                  "numerical failure: erasure increased within window c=1, t=1")
+
+
+@pytest.mark.parametrize(
+    ("failure", "expected", "prefix"),
+    [
+        (ChainCheckError("erasure left [0, 1]"), 2, "numerical failure: erasure left [0, 1]"),
+        (NonConvergence("no fixed point"), 2, "numerical failure: no fixed point"),
+        (FloatingPointError("overflow"), 2, "numerical failure: overflow"),
+        (ValueError("window size 9 exceeds coupling length 8"), 1,
+         "configuration error: window size 9"),
+        (ConfigError("bad key"), 1, "configuration error: bad key"),
+        ("exit", 2, "worker failure: "),
+    ],
+    ids=["chain-check", "non-convergence", "floating-point", "value", "config", "dead-worker"],
+)
+def test_worker_failure_exits_with_one_line(tmp_path, capfd, monkeypatch, failure,
+                                            expected, prefix):
+    # the pool forks its two workers after the patch, so they run the stand-in
+    def failing_point(*args, **kwargs):
+        if failure == "exit":
+            os._exit(3)
+        raise failure
+
+    monkeypatch.setattr("scwde.cli.measure_speed", failing_point)
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", "2"])
+    one_line_exit(capfd, code, expected, prefix)
+
+
+def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):
+    # a fixed T runs validated, inside the two forked workers
+    kernel = scwde.window._window_kernel
+    monkeypatch.setattr("scwde.window._window_kernel",
+                        lambda buf, eps, c, W, spec: -kernel(buf, eps, c, W, spec) - 1e-6)
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", "2"])
+    one_line_exit(capfd, code, 2, "numerical failure: erasure left [0, 1]")
 
 
 # Bounded values: every run they can configure stays small and fast.

@@ -316,3 +316,23 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
     final, traj, stop = whole[0]
     assert stop.failed_at is None and final.t == 75
     assert (rep.c_prime, rep.A1) == steady_and_a1(traj)
+
+
+@pytest.mark.parametrize(
+    ("threshold", "policy", "match"),
+    [(0.0, "average", "positive"), (-1e-6, "max", "positive"), (1e-6, "median", "policy")],
+)
+@pytest.mark.parametrize("T_lo", [1, 200], ids=["search", "fixed"])
+def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy, match, T_lo):
+    calls = []
+
+    def counting_run_wd(*args, **kwargs):
+        calls.append(args)
+        return run_wd(*args, **kwargs)
+
+    monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
+    spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.465)
+    with pytest.raises(ValueError, match=match):
+        measure_speed(spec, W=12, T_lo=T_lo, success_threshold=threshold,
+                      success_policy=policy, schedule_variant="extended")
+    assert calls == []

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+
+import scwde.window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from scwde.scalar import UncoupledEnsemble
 from scwde.speed import _FrozenPrefixStop
 from scwde.window import (
     MONOTONE_SLACK,
+    ChainCheckError,
     CoupledSpec,
     DEState,
     WindowSchedule,
@@ -151,6 +154,27 @@ class TestRunWd:
         sched = WindowSchedule(W=11, T=1)
         final, _ = run_wd(spec, sched)
         assert np.all(final.x[: spec.N] <= 1e-12)
+
+    @pytest.mark.parametrize(
+        ("broken", "message"),
+        [
+            (lambda buf, w, new: new * 0.0 + 1.0 + 1e-9,
+             "erasure increased within window c=1, t=1"),
+            (lambda buf, w, new: -new - 1e-6, r"erasure left \[0, 1\]"),
+            (lambda buf, w, new: buf.__setitem__(-w - 1, 0.5) or new,
+             "out-of-window positions changed"),
+        ],
+        ids=["rise", "range", "outside"],
+    )
+    def test_broken_sweep_is_a_chain_check_error(self, monkeypatch, broken, message):
+        kernel = scwde.window._window_kernel
+
+        def broken_kernel(buf, eps, c, W, spec):
+            return broken(buf, spec.w, kernel(buf, eps, c, W, spec))
+
+        monkeypatch.setattr("scwde.window._window_kernel", broken_kernel)
+        with pytest.raises(ChainCheckError, match=message):
+            run_wd(spec36(N=30), WindowSchedule(W=8, T=2))
 
     def test_window_larger_than_chain_rejected(self):
         spec = spec36(N=5)
