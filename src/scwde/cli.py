@@ -122,9 +122,7 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "potential_trace.csv", ("c", "t", "U"), potential_rows())
 
     steady = detect_steady_state(traj, tol=cfg.steady_tol)
-    success = decode_success(
-        final, spec, threshold=cfg.success.threshold, policy=cfg.success.policy
-    )
+    success = decode_success(final, spec, cfg.success)
     report = {
         "c_prime": steady.c_prime,
         "shift_residual": steady.residual,
@@ -153,8 +151,7 @@ def _speed_task(cfg: RunConfig, ens, eps: float, W: int) -> SpeedReport:
         T_max=cfg.T if fixed else cfg.T_max,
         T_first=cfg.T_first,
         alpha=cfg.alpha,
-        success_policy=cfg.success.policy,
-        success_threshold=cfg.success.threshold,
+        success=cfg.success,
         schedule_variant=cfg.schedule,
         steady_tol=cfg.steady_tol,
         land=land,
@@ -255,7 +252,7 @@ def main(argv=None) -> int:
         return cmd_thresholds(cfg, out)
     # A pool worker's exception arrives here with its own type and maps as in
     # a one-process run; a type not named below is a fault of the program.
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonConvergence, ArithmeticError) as exc:  # ChainCheckError, ZeroDivisionError

@@ -10,8 +10,10 @@ from typing import Any, Optional
 
 import yaml
 
+from .coupled import CoupledPotentialContext
 from .poly import PolySpec
-from .scalar import UncoupledEnsemble, map_threshold
+from .scalar import GRID_N_MIN, UncoupledEnsemble, map_threshold
+from .window import CoupledSpec, SuccessRule, WindowSchedule
 
 PRESETS = ("table1", "fig2", "fig3", "fig4")
 
@@ -32,18 +34,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SuccessConfig:
-    policy: str = "average"
-    threshold: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.policy not in ("average", "max"):
-            raise ConfigError(f"unknown success policy {self.policy!r}")
-        if self.threshold <= 0:
-            raise ConfigError("success threshold must be positive")
-
-
-@dataclass(frozen=True)
 class RecordConfig:
     policy: str = "per-window"
     windows: Optional[tuple[int, ...]] = None
@@ -58,7 +48,10 @@ class RunConfig:
     """One run request: ensembles, coupling, channel grid, window grid.
 
     ``epsilon_grid`` entries may be floats; a stop value of
-    ``map_threshold`` is resolved per ensemble when expanding.
+    ``map_threshold`` is resolved per ensemble when expanding. The coupling,
+    window and alpha values are checked by building the engine's types from
+    them: ``CoupledSpec``, a ``WindowSchedule`` per window size and a
+    ``CoupledPotentialContext``.
     """
 
     ensembles: tuple[UncoupledEnsemble, ...]
@@ -72,7 +65,7 @@ class RunConfig:
     T_first: Optional[int] = None
     alpha: float = 1.0
     schedule: str = "literal"
-    success: SuccessConfig = field(default_factory=SuccessConfig)
+    success: SuccessRule = SuccessRule()
     record: RecordConfig = field(default_factory=RecordConfig)
     steady_tol: float = 1e-9
     grid_n: int = 10_001
@@ -81,25 +74,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.ensembles:
             raise ConfigError("at least one ensemble is required")
-        if self.schedule not in ("literal", "extended"):
-            raise ConfigError(f"unknown schedule variant {self.schedule!r}")
-        if not 1.0 <= self.alpha <= 2.0:
-            raise ConfigError("alpha must lie in [1, 2]")
         if self.epsilon is None and self.epsilon_grid is None:
             raise ConfigError("epsilon (or an epsilon grid) is required")
-        if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must lie in [0, 1]")
-        if self.N < 1 or self.w < 1:
-            raise ConfigError("N and w must be >= 1")
-        if any(not 1 <= W <= self.N for W in self.W):
-            raise ConfigError(f"window sizes {self.W} must lie in 1..N={self.N}")
-        for key in ("T", "T_first"):
-            if getattr(self, key) is not None and getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
+        eps = 0.0 if self.epsilon is None else self.epsilon
+        spec = CoupledSpec(self.ensembles[0], self.N, self.w, eps)
+        for W in self.W or (1,):
+            sched = WindowSchedule(W, 1 if self.T is None else self.T, self.schedule,
+                                   self.T_first)
+            CoupledPotentialContext(spec, sched, c=1, alpha=self.alpha)
         if self.T is None and self.T_max < 1:
             raise ConfigError("T_max must be >= 1")
-        if self.grid_n < 1000:
-            raise ConfigError("grid_n must be >= 1000 for reliable bracketing")
+        if self.grid_n < GRID_N_MIN:
+            raise ConfigError(f"grid_n must be >= {GRID_N_MIN} for reliable bracketing")
         if self.grid_n > MAX_GRID_N:
             raise ConfigError(f"grid_n must be <= {MAX_GRID_N}")
         if self.steady_tol < 0:
@@ -250,7 +236,7 @@ def config_from_mapping(raw: dict) -> RunConfig:
         success_raw = _section(raw, "success")
         if "threshold" in success_raw:
             success_raw["threshold"] = _real("success.threshold", success_raw["threshold"])
-        success = SuccessConfig(**success_raw)
+        success = SuccessRule(**success_raw)
         rec_raw = _section(raw, "record")
         if rec_raw.get("windows") is not None:
             if not isinstance(rec_raw["windows"], list):

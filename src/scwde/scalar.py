@@ -16,6 +16,10 @@ DE_MAX_ITER = 100_000
 # points of interest sit many orders of magnitude higher (~1e-1).
 ZERO_LIMIT = 1e-9
 ROOT_TOL = 1e-10
+# Width of the final bracket of the BP and MAP threshold bisections.
+THRESHOLD_TOL = 1e-6
+# Fewest landscape grid points that bracket every critical point reliably.
+GRID_N_MIN = 1000
 
 
 class NonConvergence(RuntimeError):
@@ -121,33 +125,31 @@ def de_run(
     return DERunResult(limit=x, iterations=max_iter, converged=False)
 
 
-def bp_threshold(
-    ens: UncoupledEnsemble,
-    tol: float = 1e-6,
-    zero_limit: float = ZERO_LIMIT,
-    de_tol: float = DE_TOL,
-    max_iter: int = DE_MAX_ITER,
-) -> float:
-    """Largest erasure probability for which DE from x = 1 drives x to ~0.
-
-    Bisection over [0, 1] on the success predicate ``limit < zero_limit``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    def succeeds(eps: float) -> bool:
-        return de_run(eps, ens, tol=de_tol, max_iter=max_iter).limit < zero_limit
-
+def _bisect_unit(holds) -> float:
+    """Midpoint of the final bracket, THRESHOLD_TOL wide, of a bisection on
+    [0, 1] for the point where ``holds`` turns from true to false."""
     lo, hi = 0.0, 1.0
-    if not succeeds(lo):
-        raise NonConvergence("density evolution fails even at epsilon = 0")
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
-        if succeeds(mid):
+        if holds(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bp_threshold(ens: UncoupledEnsemble) -> float:
+    """Largest erasure probability for which DE from x = 1 drives x to ~0.
+
+    Bisection over [0, 1] on the success predicate ``limit < ZERO_LIMIT``.
+    """
+
+    def succeeds(eps: float) -> bool:
+        return de_run(eps, ens).limit < ZERO_LIMIT
+
+    if not succeeds(0.0):
+        raise NonConvergence("density evolution fails even at epsilon = 0")
+    return _bisect_unit(succeeds)
 
 
 def potential(x, epsilon: float, ens: UncoupledEnsemble):
@@ -279,8 +281,8 @@ def landscape(
     at x = 1) are excluded. ``D`` is taken as the grid maximum of |U''|
     over (0, x_d) refined by a local golden-section search.
     """
-    if grid_n < 1000:
-        raise ValueError("grid_n must be >= 1000 for reliable bracketing")
+    if grid_n < GRID_N_MIN:
+        raise ValueError(f"grid_n must be >= {GRID_N_MIN} for reliable bracketing")
     xs = np.linspace(0.0, 1.0, grid_n)
     U = potential(xs, epsilon, ens)
     U1 = potential_d1(xs, epsilon, ens)
@@ -333,38 +335,22 @@ def landscape(
     )
 
 
-def map_threshold(
-    ens: UncoupledEnsemble,
-    tol: float = 1e-6,
-    de_tol: float = DE_TOL,
-    max_iter: int = DE_MAX_ITER,
-) -> float:
+def map_threshold(ens: UncoupledEnsemble) -> float:
     """Erasure probability where U at the stable DE fixed point crosses zero.
 
     Below the threshold the potential at the fixed point reached from
     x = 1 is non-negative (it is exactly 0 below the BP threshold, where
     the limit is 0); above it is negative. Bisection on that sign.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
-    def fixed_point_potential(eps: float) -> float:
-        limit = de_run(eps, ens, tol=de_tol, max_iter=max_iter).limit
-        if limit < ZERO_LIMIT:
-            # Trivial fixed point: U is exactly 0 there, and evaluating the
-            # closed form at a ~1e-20 limit only returns cancellation noise.
-            return 0.0
-        return float(potential(limit, eps, ens))
+    def non_negative(eps: float) -> bool:
+        limit = de_run(eps, ens).limit
+        # Trivial fixed point: U is exactly 0 there, and evaluating the
+        # closed form at a ~1e-20 limit only returns cancellation noise.
+        return limit < ZERO_LIMIT or float(potential(limit, eps, ens)) >= 0.0
 
-    lo, hi = 0.0, 1.0
-    if fixed_point_potential(hi) >= 0.0:
+    if non_negative(1.0):
         raise NonConvergence(
             "potential at the stable fixed point never turns negative on [0, 1]"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fixed_point_potential(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_unit(non_negative)

@@ -12,10 +12,9 @@ from .scalar import PotentialLandscape, de_step, potential, potential_d1
 from .window import (
     CoupledSpec,
     DEState,
-    SuccessReport,
+    SuccessRule,
     Trajectory,
     WindowSchedule,
-    _check_success_rule,
     _slope_segment,
     decode_success,
     run_wd,
@@ -273,18 +272,16 @@ class _FrozenPrefixStop:
     where a run fails is monotone in T.
     """
 
-    def __init__(self, spec: CoupledSpec, threshold: float, policy: str,
-                 c_stop: Optional[int] = None):
-        _check_success_rule(threshold, policy)
-        self.N, self.threshold, self.policy, self.c_stop = spec.N, threshold, policy, c_stop
-        self.limit = spec.N * threshold * (1.0 + ABORT_SLACK)
+    def __init__(self, spec: CoupledSpec, rule: SuccessRule, c_stop: Optional[int] = None):
+        self.N, self.rule, self.c_stop = spec.N, rule, c_stop
+        self.limit = spec.N * rule.threshold * (1.0 + ABORT_SLACK)
         self.frozen_sum = 0.0
         self.failed_at: Optional[int] = None
 
     def __call__(self, c: int, x: np.ndarray) -> bool:
         if c <= self.N:
             self.frozen_sum += x[c - 1]
-            if (x[c - 1] >= self.threshold if self.policy == "max"
+            if (x[c - 1] >= self.rule.threshold if self.rule.policy == "max"
                     else self.frozen_sum >= self.limit):
                 self.failed_at = c
         return self.failed_at is not None or c == self.c_stop
@@ -295,8 +292,7 @@ def measure_speed(
     W: int,
     T_max: int = T_MAX_DEFAULT,
     alpha: float = 1.0,
-    success_policy: str = "average",
-    success_threshold: float = 1e-6,
+    success: SuccessRule = SuccessRule(),
     schedule_variant: str = "literal",
     steady_tol: float = STEADY_TOL,
     land: Optional[PotentialLandscape] = None,
@@ -334,22 +330,20 @@ def measure_speed(
     """
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
-    _check_success_rule(success_threshold, success_policy)
 
     def schedule(T: int) -> WindowSchedule:
         return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
-
-    def judge(final: DEState) -> SuccessReport:
-        return decode_success(final, spec, threshold=success_threshold, policy=success_policy)
 
     c_last = schedule(T_lo).c_max(spec)
 
     def survives(T: int, c_stop: int) -> bool:
         if T == T_max:
             return True
-        stop = _FrozenPrefixStop(spec, success_threshold, success_policy, c_stop)
+        stop = _FrozenPrefixStop(spec, success, c_stop)
         final, _ = run_wd(spec, schedule(T), validate=validate, stop=stop)
-        return stop.failed_at is None and (c_stop < c_last or judge(final).success)
+        return stop.failed_at is None and (
+            c_stop < c_last or decode_success(final, spec, success).success
+        )
 
     lo, c_stop = T_lo, 1
     while True:
@@ -362,12 +356,11 @@ def measure_speed(
                 T = mid
             else:
                 failed = mid
-        stop = None if T == T_max else _FrozenPrefixStop(spec, success_threshold,
-                                                          success_policy)
+        stop = None if T == T_max else _FrozenPrefixStop(spec, success)
         final, traj = run_wd(spec, schedule(T), record=compute_bounds, validate=validate,
                              stop=stop)
         if stop is None or stop.failed_at is None:
-            report = judge(final)
+            report = decode_success(final, spec, success)
             if report.success or T == T_max:
                 break
         lo, c_stop, traj = T + 1, final.c, None
@@ -402,7 +395,7 @@ def measure_speed(
         th2_finite=th2.finite_w if th2 else None,
         th2_infinite=th2.infinite_w if th2 else None,
         alpha=alpha,
-        success_policy=success_policy,
+        success_policy=success.policy,
         T_max=T_max,
         best_avg=best_avg,
         steady_residual=steady_residual,

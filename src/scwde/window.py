@@ -74,7 +74,7 @@ class WindowSchedule:
 
     def validate(self, spec: CoupledSpec) -> None:
         if self.W > spec.N:
-            raise ValueError(f"window size {self.W} exceeds coupling length {spec.N}")
+            raise ValueError(f"window size W={self.W} exceeds coupling length N={spec.N}")
 
     def c_max(self, spec: CoupledSpec) -> int:
         if self.variant == "literal":
@@ -190,30 +190,31 @@ class SuccessReport:
     metric: float
 
 
-def _check_success_rule(threshold: float, policy: str) -> None:
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if policy not in ("average", "max"):
-        raise ValueError(f"unknown success policy {policy!r}")
+@dataclass(frozen=True)
+class SuccessRule:
+    """When a run counts as decoded: the ``average`` policy compares the mean
+    erasure over variable positions 1..N against the threshold; ``max`` is
+    the stricter worst-position variant."""
+
+    threshold: float = 1e-6
+    policy: Literal["average", "max"] = "average"
+
+    def __post_init__(self) -> None:
+        if self.policy not in ("average", "max"):
+            raise ValueError(f"unknown success policy {self.policy!r}")
+        if not self.threshold > 0:  # NaN included
+            raise ValueError("success threshold must be positive")
 
 
 def decode_success(
-    final: DEState,
-    spec: CoupledSpec,
-    threshold: float = 1e-6,
-    policy: str = "average",
+    final: DEState, spec: CoupledSpec, rule: SuccessRule = SuccessRule()
 ) -> SuccessReport:
-    """Judge decoding from the erasures over variable positions 1..N.
-
-    The default ``average`` policy compares the mean erasure against the
-    threshold; ``max`` is the stricter worst-position variant.
-    """
-    _check_success_rule(threshold, policy)
+    """Judge decoding from the erasures over variable positions 1..N."""
     region = final.x[: spec.N]
     avg = float(np.mean(region))
     mx = float(np.max(region))
-    metric = avg if policy == "average" else mx
-    return SuccessReport(success=bool(metric < threshold), avg=avg, max=mx, metric=metric)
+    metric = avg if rule.policy == "average" else mx
+    return SuccessReport(success=bool(metric < rule.threshold), avg=avg, max=mx, metric=metric)
 
 
 def run_wd(

@@ -355,6 +355,11 @@ MALFORMED = [
     {"success": {"threshold": "1e-6x"}},
     {"success": {"threshold": -1e-6}},
     {"record": {"windows": 5}},
+    {"T": 0},
+    {"T_first": -1},
+    {"schedule": "looped"},
+    {"alpha": 2.5},
+    {"epsilon": 1.5},
 ]
 # record.windows selects windows of the wave command's one run
 MALFORMED_WAVE = [
@@ -377,6 +382,40 @@ def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override
     assert code == 1
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# Rules the config checks by building CoupledSpec, WindowSchedule and
+# CoupledPotentialContext: the engine's message still names the key.
+@pytest.mark.parametrize(
+    ("override", "message"),
+    [
+        ({"epsilon": 1.5}, "epsilon must lie in [0, 1]"),
+        ({"N": 0}, "coupling length N must be >= 1"),
+        ({"w": 0}, "coupling width w must be >= 1"),
+        ({"W": 0}, "window size W must be >= 1"),
+        ({"W": 25}, "window size W=25 exceeds coupling length N=24"),
+        ({"T": 0}, "iterations per window T must be >= 1"),
+        ({"T_first": -1}, "T_first must be >= 1 when given"),
+        ({"schedule": "looped"}, "unknown schedule variant 'looped'"),
+        ({"alpha": 2.5}, "alpha must lie in [1, 2]"),
+        ({"success": {"policy": "median"}}, "unknown success policy 'median'"),
+        ({"success": {"threshold": 0}}, "success threshold must be positive"),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, dict) else None,
+)
+def test_engine_rules_checked_at_load(override, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping({**BASE_RUN, **override})
+    assert str(exc.value) == message
+
+
+def test_engine_rules_checked_for_an_epsilon_grid():
+    # a grid has no single epsilon: the coupling and window rules still apply
+    grid = {"start": 0.3, "stop": 0.31, "step": 0.005}
+    with pytest.raises(ConfigError, match="T must be >= 1"):
+        config_from_mapping({**BASE_RUN, "epsilon": grid, "T": 0})
+    assert config_from_mapping({**BASE_RUN, "epsilon": grid, "T": "auto"}).T is None
 
 
 def test_window_grid_beyond_chain_rejected_before_expansion():
@@ -442,6 +481,19 @@ def one_line_exit(capfd, code, expected, prefix):
     assert code == expected
     assert err.startswith(prefix), err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_config_directory_exits_with_one_line(tmp_path, capfd):
+    code = main(["wave", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    one_line_exit(capfd, code, 1, "configuration error: ")
+
+
+def test_out_path_on_a_file_exits_with_one_line(tmp_path, capfd):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["thresholds", "--preset", "fig4", "--out", str(taken)])
+    one_line_exit(capfd, code, 1, "configuration error: ")
+    assert taken.read_text() == ""
 
 
 def test_chain_check_failure_exits_2(tmp_path, capfd, monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scwde.scalar import (
+    THRESHOLD_TOL,
     UncoupledEnsemble,
     bp_threshold,
     de_run,
@@ -101,10 +102,9 @@ class TestThresholds:
             assert map_threshold(ens) > bp_threshold(ens)
 
     def test_potential_vanishes_at_returned_map_threshold(self):
-        tol = 1e-6
-        eps = map_threshold(ENS36, tol=tol)
+        eps = map_threshold(ENS36)
         x_d = de_run(eps, ENS36).limit
-        assert abs(potential(x_d, eps, ENS36)) < 10 * tol
+        assert abs(potential(x_d, eps, ENS36)) < 10 * THRESHOLD_TOL
 
     def test_fixed_point_potential_sign_orientation(self):
         for eps in (0.45, 0.47, 0.485):

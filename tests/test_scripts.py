@@ -1,8 +1,13 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import yaml
+
+from scwde.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +44,26 @@ def test_reproduce_all_without_staircase(tmp_path):
                            "decode_success", "avg", "max"}
     assert sorted(p.name for p in out.iterdir()) == [
         "landscape", "speed_table", "thresholds", "wave"]
+
+
+def load_perfbench(name):
+    """A module of the benchmark in perfbench/, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_speed_table_passes_the_benchmark_check(tmp_path, capsys):
+    # the benchmark's own correctness gate on its seed-0 speed-table run:
+    # every row re-verified through run_wd and byte-equal to the reference
+    workload = load_perfbench("workloads").WORKLOADS["speed-table"]
+    check = load_perfbench("check").check
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(workload.config(0), sort_keys=False))
+    out = tmp_path / "out"
+    assert main(["speed", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    verdict = check(workload, 0, out)
+    assert (verdict.wrong, verdict.byte_changed) == (0, 0)

@@ -12,7 +12,14 @@ from scwde.speed import (
     slope_margin_check,
     measure_speed,
 )
-from scwde.window import CoupledSpec, DEState, WindowSchedule, decode_success, run_wd
+from scwde.window import (
+    CoupledSpec,
+    DEState,
+    SuccessRule,
+    WindowSchedule,
+    decode_success,
+    run_wd,
+)
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 
@@ -281,13 +288,14 @@ def test_search_matches_linear_scan(
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     T_max = T_lo + span
     rep = measure_speed(
-        spec, W, T_lo=T_lo, T_max=T_max, success_policy=policy, schedule_variant=variant,
+        spec, W, T_lo=T_lo, T_max=T_max, success=SuccessRule(policy=policy),
+        schedule_variant=variant,
         T_first=T_first, compute_bounds=compute_bounds, validate=False,
     )
     for T in range(T_lo, T_max + 1):
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
         final, traj = run_wd(spec, sched, record=True, validate=False)
-        verdict = decode_success(final, spec, policy=policy)
+        verdict = decode_success(final, spec, SuccessRule(policy=policy))
         if verdict.success:
             break
     assert rep.T_min == (T if verdict.success else None)
@@ -320,7 +328,8 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
 
 @pytest.mark.parametrize(
     ("threshold", "policy", "match"),
-    [(0.0, "average", "positive"), (-1e-6, "max", "positive"), (1e-6, "median", "policy")],
+    [(0.0, "average", "positive"), (-1e-6, "max", "positive"), (1e-6, "median", "policy"),
+     (float("nan"), "average", "positive")],
 )
 @pytest.mark.parametrize("T_lo", [1, 200], ids=["search", "fixed"])
 def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy, match, T_lo):
@@ -333,6 +342,6 @@ def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy
     monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.465)
     with pytest.raises(ValueError, match=match):
-        measure_speed(spec, W=12, T_lo=T_lo, success_threshold=threshold,
-                      success_policy=policy, schedule_variant="extended")
+        measure_speed(spec, W=12, T_lo=T_lo, success=SuccessRule(threshold, policy),
+                      schedule_variant="extended")
     assert calls == []

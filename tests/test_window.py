@@ -15,6 +15,7 @@ from scwde.window import (
     ChainCheckError,
     CoupledSpec,
     DEState,
+    SuccessRule,
     WindowSchedule,
     decode_success,
     run_wd,
@@ -280,14 +281,14 @@ class TestDecodeSuccess:
         x = np.zeros(spec.chain_len)
         x[3] = 5e-6  # avg 5e-7 < 1e-6 < max
         state = DEState(x=x, c=1, t=0)
-        assert decode_success(state, spec, policy="average").success
-        assert not decode_success(state, spec, policy="max").success
+        assert decode_success(state, spec, SuccessRule(policy="average")).success
+        assert not decode_success(state, spec, SuccessRule(policy="max")).success
 
     def test_bad_policy_rejected(self):
         spec = spec36()
         with pytest.raises(ValueError):
             decode_success(DEState(x=np.ones(spec.chain_len), c=1, t=0), spec,
-                           policy="median")
+                           SuccessRule(policy="median"))
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,9 +311,9 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
         assert np.all(np.diff(block, axis=0) <= 1e-12)
 
 
-def abort_window(spec, sched, threshold, policy):
+def abort_window(spec, sched, rule):
     """The window where the search's stop rule failed the run; inf when it never did."""
-    stop = _FrozenPrefixStop(spec, threshold, policy)
+    stop = _FrozenPrefixStop(spec, rule)
     final, _ = run_wd(spec, sched, validate=False, stop=stop)
     assert final.c == (sched.c_max(spec) if stop.failed_at is None else stop.failed_at)
     return math.inf if stop.failed_at is None else stop.failed_at
@@ -348,8 +349,8 @@ def test_final_erasures_monotone_in_T(
     assert np.all(more.x <= fewer.x + MONOTONE_SLACK)
     for c in fewer_traj.windows():
         assert np.all(more_traj.block(c)[-1] <= fewer_traj.block(c)[-1] + MONOTONE_SLACK)
-    assert (abort_window(spec, more_sched, threshold, policy)
-            >= abort_window(spec, fewer_sched, threshold, policy))
+    rule = SuccessRule(threshold, policy)
+    assert abort_window(spec, more_sched, rule) >= abort_window(spec, fewer_sched, rule)
 
 
 @settings(max_examples=80, deadline=None)
@@ -376,10 +377,11 @@ def test_abort_stops_only_failing_runs(
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
     full, full_traj = run_wd(spec, sched, record=True, validate=False)
     if threshold == "tie":
-        metric = decode_success(full, spec, policy=policy).metric
+        metric = decode_success(full, spec, SuccessRule(policy=policy)).metric
         threshold = max(float(np.nextafter(metric, 1.0)), 1e-300)
-    verdict = decode_success(full, spec, threshold=threshold, policy=policy)
-    stop = _FrozenPrefixStop(spec, threshold, policy)
+    rule = SuccessRule(threshold, policy)
+    verdict = decode_success(full, spec, rule)
+    stop = _FrozenPrefixStop(spec, rule)
     stopped, traj = run_wd(spec, sched, record=True, validate=False, stop=stop)
     if stop.failed_at is not None:
         assert stopped.c == stop.failed_at
@@ -391,7 +393,7 @@ def test_abort_stops_only_failing_runs(
     assert all(np.array_equal(traj.block(c), full_traj.block(c)) for c in traj.windows())
     # a run stopped after window c_stop survives it unless the rule failed it by then
     c_stop = data.draw(st.integers(min_value=1, max_value=sched.c_max(spec)))
-    prefix_stop = _FrozenPrefixStop(spec, threshold, policy, c_stop)
+    prefix_stop = _FrozenPrefixStop(spec, rule, c_stop)
     prefix, _ = run_wd(spec, sched, validate=False, stop=prefix_stop)
     assert prefix_stop.failed_at == (stop.failed_at if stopped.c <= c_stop else None)
     assert prefix.c == min(c_stop, stopped.c)
@@ -409,13 +411,13 @@ def test_abort_slack_keeps_a_tie_decoding():
             full, _ = run_wd(spec, sched, validate=False)
             avg = decode_success(full, spec).avg
             tie = float(np.nextafter(avg, 1.0))
-            assert decode_success(full, spec, threshold=tie).success
-            assert abort_window(spec, sched, tie, "average") == math.inf
+            assert decode_success(full, spec, SuccessRule(tie)).success
+            assert abort_window(spec, sched, SuccessRule(tie, "average")) == math.inf
             # a threshold clearly below the average does stop the run
-            assert abort_window(spec, sched, avg * (1 - 1e-6), "average") < math.inf
+            assert abort_window(spec, sched, SuccessRule(avg * (1 - 1e-6), "average")) < math.inf
 
 
 class TestAbortArguments:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            _FrozenPrefixStop(spec36(N=10, w=2), 1e-6, "median")
+            _FrozenPrefixStop(spec36(N=10, w=2), SuccessRule(1e-6, "median"))
