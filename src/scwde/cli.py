@@ -34,15 +34,12 @@ def _fmt(value) -> str:
     """CSV cell: 17 significant digits for floats, empty for absent."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -63,7 +60,6 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
          lo, lo + _TRAJECTORY_CHUNK)
         for lo in range(0, len(zs), _TRAJECTORY_CHUNK)
     ]
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("c,t,z,x\r\n")
         for c in traj.windows():
@@ -76,6 +72,7 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
 def cmd_landscape(cfg: RunConfig, out: Path) -> int:
     if cfg.epsilon is None:
         raise ConfigError("the landscape command needs a single epsilon")
+    out.mkdir(parents=True, exist_ok=True)
     ens = cfg.ensembles[0]
     land = landscape(cfg.epsilon, ens, grid_n=cfg.grid_n)
     _write_csv(
@@ -110,6 +107,7 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     c_max, windows = sched.c_max(spec), cfg.record.windows
     if windows is not None and (not windows or not all(1 <= c <= c_max for c in windows)):
         raise ConfigError(f"record.windows must name windows in 1..{c_max}, this run's windows")
+    out.mkdir(parents=True, exist_ok=True)
     final, traj = run_wd(spec, sched, record=True, record_windows=windows)
     _write_trajectory(out / "trajectory.csv", traj)
 
@@ -136,11 +134,13 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _speed_task(cfg: RunConfig, ens, eps: float, W: int) -> SpeedReport:
-    """One grid point: the T search over 1..T_max, or over [T, T] for a fixed T.
+def _speed_task(cfg: RunConfig, point) -> SpeedReport:
+    """One grid point (ensemble, epsilon, W): the T search over 1..T_max, or
+    over [T, T] for a fixed T.
 
     Fixed-T runs keep the per-sweep checks; the search runs without them.
     """
+    ens, eps, W = point
     spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps)
     land = landscape(eps, ens, grid_n=cfg.grid_n) if cfg.bounds else None
     fixed = cfg.T is not None
@@ -163,19 +163,20 @@ def _speed_task(cfg: RunConfig, ens, eps: float, W: int) -> SpeedReport:
 def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
-    multi = len(cfg.ensembles) > 1
-    by_label: dict[str, list[SpeedReport]] = {}
-    for ens in cfg.ensembles:
-        points = list(product(cfg.epsilons(ens), sorted(cfg.W)))
-        task = partial(_speed_task, cfg, ens)
-        columns = ([eps for eps, _ in points], [W for _, W in points])
-        if workers and workers > 1 and len(points) > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-                reports = list(pool.map(task, *columns))
-        else:
-            reports = list(map(task, *columns))
-        by_label.setdefault(ens.label(), []).extend(reports)
+    points = [(ens, eps, W) for ens in cfg.ensembles
+              for eps, W in product(cfg.epsilons(ens), sorted(cfg.W))]
+    out.mkdir(parents=True, exist_ok=True)
+    task = partial(_speed_task, cfg)
+    if workers and workers > 1 and len(points) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+            reports = list(pool.map(task, points))
+    else:
+        reports = list(map(task, points))
+    by_label: dict[str, list[SpeedReport]] = {ens.label(): [] for ens in cfg.ensembles}
+    for (ens, _, _), report in zip(points, reports):
+        by_label[ens.label()].append(report)
 
+    multi = len(cfg.ensembles) > 1
     for label, reports in by_label.items():
         reports.sort(key=lambda r: (r.epsilon, r.W))
         name = f"speed_{label}.csv" if multi else "speed.csv"
@@ -192,15 +193,15 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
     return EXIT_OK
 
 
-def cmd_thresholds(cfg: RunConfig, out: Optional[Path]) -> int:
+def cmd_thresholds(cfg: RunConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for ens in cfg.ensembles:
         eps_bp = bp_threshold(ens)
         eps_map = map_threshold(ens)
         rows.append((ens.label(), eps_bp, eps_map))
         print(f"{ens.label()}: eps_bp={eps_bp:.6f} eps_map={eps_map:.6f}")
-    if out is not None:
-        _write_csv(out / "thresholds.csv", ("ensemble", "eps_bp", "eps_map"), rows)
+    _write_csv(out / "thresholds.csv", ("ensemble", "eps_bp", "eps_map"), rows)
     return EXIT_OK
 
 

@@ -125,16 +125,19 @@ def de_run(
     return DERunResult(limit=x, iterations=max_iter, converged=False)
 
 
-def _bisect_unit(holds) -> float:
-    """Midpoint of the final bracket, THRESHOLD_TOL wide, of a bisection on
-    [0, 1] for the point where ``holds`` turns from true to false."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > THRESHOLD_TOL:
+def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Bisect [lo, hi] for a sign change of ``f``, whose value at ``lo`` the
+    caller passes as ``f_lo``. Returns a midpoint where ``f`` is exactly 0 at
+    once, else the midpoint of the final bracket, at most ``tol`` wide."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0.0:
             hi = mid
+        else:
+            lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
 
 
@@ -144,12 +147,12 @@ def bp_threshold(ens: UncoupledEnsemble) -> float:
     Bisection over [0, 1] on the success predicate ``limit < ZERO_LIMIT``.
     """
 
-    def succeeds(eps: float) -> bool:
-        return de_run(eps, ens).limit < ZERO_LIMIT
+    def sign(eps: float) -> float:  # +1 where DE succeeds
+        return 1.0 if de_run(eps, ens).limit < ZERO_LIMIT else -1.0
 
-    if not succeeds(0.0):
+    if sign(0.0) < 0.0:
         raise NonConvergence("density evolution fails even at epsilon = 0")
-    return _bisect_unit(succeeds)
+    return _bisect(sign, 0.0, 1.0, 1.0, THRESHOLD_TOL)
 
 
 def potential(x, epsilon: float, ens: UncoupledEnsemble):
@@ -211,26 +214,6 @@ class PotentialLandscape:
         return tuple(n for n in names if getattr(self, n) is None)
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"root not bracketed on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -259,15 +242,16 @@ _BRACKET_NOISE_FLOOR = 1e-13
 
 
 def _grid_roots(f, xs: np.ndarray, values: np.ndarray) -> list[float]:
-    roots: list[float] = []
-    for i in range(1, len(xs) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if a * b < 0.0 and max(abs(a), abs(b)) > _BRACKET_NOISE_FLOOR:
-            roots.append(_bisect_root(f, float(xs[i]), float(xs[i + 1])))
-    return roots
+    """Zeros of ``f`` on the open grid cells from xs[1]: a grid point where
+    ``values`` is exactly 0, or a cell whose ends change sign above the noise
+    floor, refined by bisection."""
+    a, b = values[1:-1], values[2:]
+    crossing = (a * b < 0.0) & (np.maximum(np.abs(a), np.abs(b)) > _BRACKET_NOISE_FLOOR)
+    return [
+        float(xs[i]) if values[i] == 0.0
+        else _bisect(f, float(xs[i]), float(xs[i + 1]), float(values[i]), ROOT_TOL)
+        for i in 1 + np.flatnonzero((a == 0.0) | crossing)
+    ]
 
 
 def landscape(
@@ -343,14 +327,15 @@ def map_threshold(ens: UncoupledEnsemble) -> float:
     the limit is 0); above it is negative. Bisection on that sign.
     """
 
-    def non_negative(eps: float) -> bool:
+    def sign(eps: float) -> float:  # +1 where U at the fixed point is >= 0
         limit = de_run(eps, ens).limit
         # Trivial fixed point: U is exactly 0 there, and evaluating the
         # closed form at a ~1e-20 limit only returns cancellation noise.
-        return limit < ZERO_LIMIT or float(potential(limit, eps, ens)) >= 0.0
+        non_negative = limit < ZERO_LIMIT or float(potential(limit, eps, ens)) >= 0.0
+        return 1.0 if non_negative else -1.0
 
-    if non_negative(1.0):
+    if sign(1.0) > 0.0:
         raise NonConvergence(
             "potential at the stable fixed point never turns negative on [0, 1]"
         )
-    return _bisect_unit(non_negative)
+    return _bisect(sign, 0.0, 1.0, 1.0, THRESHOLD_TOL)

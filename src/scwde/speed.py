@@ -134,6 +134,13 @@ class LandscapeBounds:
     alpha: float
 
 
+def _check_landscape_epsilon(spec: CoupledSpec, land: PotentialLandscape) -> None:
+    if abs(land.epsilon - spec.epsilon) > 1e-15:
+        raise ValueError(
+            f"landscape epsilon {land.epsilon} does not match spec epsilon {spec.epsilon}"
+        )
+
+
 def bound_th2(
     spec: CoupledSpec,
     W: int,
@@ -144,10 +151,7 @@ def bound_th2(
 
     Requires the landscape to provide x_a, x_b, x_c0, x_d and D.
     """
-    if abs(land.epsilon - spec.epsilon) > 1e-15:
-        raise ValueError(
-            f"landscape epsilon {land.epsilon} does not match spec epsilon {spec.epsilon}"
-        )
+    _check_landscape_epsilon(spec, land)
     needed = {"x_a": land.x_a, "x_b": land.x_b, "x_c0": land.x_c0, "x_d": land.x_d}
     missing = [k for k, v in needed.items() if v is None]
     if missing or land.D is None:
@@ -326,10 +330,13 @@ def measure_speed(
     ``best_avg`` is the success policy's metric of the run at T_min when a
     T decodes, and of the full run at T_max when none does. The T_min run's
     trajectory locates the steady state and gives the trajectory bound; the
-    landscape bounds are attached when a landscape is supplied.
+    landscape bounds are attached when a landscape is supplied; one taken at
+    another epsilon raises ValueError before any run.
     """
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
+    if land is not None and compute_bounds:
+        _check_landscape_epsilon(spec, land)
 
     def schedule(T: int) -> WindowSchedule:
         return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)

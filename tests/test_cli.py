@@ -449,10 +449,10 @@ def test_grid_n_capped():
         config_from_mapping({**BASE_RUN, "grid_n": 1_000_000_000})
 
 
-def test_worker_pool_capped_at_grid_points(tmp_path, monkeypatch):
-    # a process pool starts all of its workers at the first task, so the
-    # pool must not ask for more than there are points; checked with a
-    # stand-in pool that runs the tasks inline
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """Replace the process pool by one that records its size and runs the
+    tasks inline."""
     sizes = []
 
     class InlinePool:
@@ -469,18 +469,48 @@ def test_worker_pool_capped_at_grid_points(tmp_path, monkeypatch):
             return map(fn, *columns)
 
     monkeypatch.setattr("scwde.cli.ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_worker_pool_capped_at_grid_points(tmp_path, pool_sizes):
+    # a process pool starts all of its workers at the first task, so the
+    # pool must not ask for more than there are points
     cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
     assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "100000"]) == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert len(read_csv(tmp_path / "out" / "speed.csv")) == 3
 
 
-def one_line_exit(capfd, code, expected, prefix):
-    err = capfd.readouterr().err
+TWO_ENSEMBLES = {
+    **{k: v for k, v in BASE_RUN.items() if k != "ensemble"},
+    "ensembles": [{"L": "x^4", "R": "x^8"}, {"L": "x^3", "R": "x^6"}],
+}
+
+
+def test_all_ensembles_share_one_pool(tmp_path, capfd, pool_sizes):
+    # one point per ensemble: both run through one pool of two workers, and
+    # the files and stdout are those of a one-process run
+    cfg = write_cfg(tmp_path, TWO_ENSEMBLES)
+    outputs = []
+    for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "pool")):
+        assert main(["speed", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((files, capfd.readouterr().out))
+    assert pool_sizes == [2]
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0][0]) == ["speed_x3_x6.csv", "speed_x4_x8.csv"]
+    assert outputs[0][1].splitlines()[0].startswith("x4_x8 epsilon=0.3 W=8")
+
+
+def one_line_exit(capfd, code, expected, prefix) -> str:
+    """Check the exit code and the one stderr line; return stdout."""
+    out, err = capfd.readouterr()
     assert code == expected
     assert err.startswith(prefix), err
     assert err.count("\n") == 1 and "Traceback" not in err
+    return out
 
 
 def test_config_directory_exits_with_one_line(tmp_path, capfd):
@@ -492,8 +522,43 @@ def test_out_path_on_a_file_exits_with_one_line(tmp_path, capfd):
     taken = tmp_path / "taken"
     taken.write_text("")
     code = main(["thresholds", "--preset", "fig4", "--out", str(taken)])
-    one_line_exit(capfd, code, 1, "configuration error: ")
+    assert one_line_exit(capfd, code, 1, "configuration error: ") == ""
     assert taken.read_text() == ""
+
+
+@pytest.fixture
+def speed_calls(monkeypatch) -> list:
+    """Record every grid point that reaches ``measure_speed``, and fail it."""
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("no grid point should run")
+
+    monkeypatch.setattr("scwde.cli.measure_speed", count)
+    return calls
+
+
+def test_out_path_on_a_file_checked_before_any_point(tmp_path, capfd, speed_calls):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
+    code = main(["speed", "--config", str(cfg), "--out", str(taken), "--workers", "1"])
+    assert one_line_exit(capfd, code, 1, "configuration error: ") == ""
+    assert speed_calls == [] and taken.read_text() == ""
+
+
+def test_every_epsilon_grid_expanded_before_any_point(tmp_path, capfd, speed_calls):
+    # the grid ascends for (4,8) but not for (3,6), whose MAP threshold
+    # 0.4882 lies below the grid's start
+    cfg = write_cfg(tmp_path, {
+        **TWO_ENSEMBLES,
+        "epsilon": {"start": 0.49, "stop": "map_threshold", "step": 0.005},
+    })
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", "1"])
+    one_line_exit(capfd, code, 1, "configuration error: epsilon grid must ascend")
+    assert speed_calls == [] and not (tmp_path / "out").exists()
 
 
 def test_chain_check_failure_exits_2(tmp_path, capfd, monkeypatch):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scwde.poly import NODE, DegreePolynomial, monomial
 from scwde.scalar import (
     THRESHOLD_TOL,
     UncoupledEnsemble,
@@ -18,6 +19,7 @@ from scwde.scalar import (
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 ENS48 = UncoupledEnsemble.regular(4, 8)
+ENS_IRR = UncoupledEnsemble(DegreePolynomial((0.0, 0.0, 0.4, 0.6), NODE), monomial(6))
 
 # Exact rational evaluations (independent of the code under test):
 # de_step(1/2, 19/40) = 19/40 * (1 - (1/2)^5)^2 = 18259/40960
@@ -96,6 +98,21 @@ class TestThresholds:
 
     def test_map_threshold_regular_4_8(self):
         assert map_threshold(ENS48) == pytest.approx(0.49774, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        ("ens", "eps_bp", "eps_map"),
+        [
+            (ENS36, 0.4294400215148926, 0.48815107345581055),
+            (ENS48, 0.38344621658325195, 0.4977412223815918),
+            (ENS_IRR, 0.3845391273498535, 0.40364980697631836),
+        ],
+        ids=["x3_x6", "x4_x8", "irr23_x6"],
+    )
+    def test_thresholds_pinned_bitwise(self, ens, eps_bp, eps_map):
+        # the floats the bisections have always returned: a change to the
+        # bisection that moves any bit shows here
+        assert bp_threshold(ens) == eps_bp
+        assert map_threshold(ens) == eps_map
 
     def test_map_exceeds_bp(self):
         for ens in (ENS36, ENS48):
@@ -200,6 +217,40 @@ class TestLandscape:
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):
             landscape(0.475, ENS36, grid_n=100)
+
+
+def bracket_cells(values) -> list[int]:
+    """The bracketing rule written out cell by cell: a cell [x_i, x_i+1],
+    i = 1..n-2, holds a root when values[i] is exactly 0, or when its ends
+    change sign and the larger magnitude exceeds the 1e-13 noise floor."""
+    cells = []
+    for i in range(1, len(values) - 1):
+        a, b = float(values[i]), float(values[i + 1])
+        if a == 0.0 or (a * b < 0.0 and max(abs(a), abs(b)) > 1e-13):
+            cells.append(i)
+    return cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l_degree=st.integers(min_value=2, max_value=6),
+    r_extra=st.integers(min_value=1, max_value=6),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(l_degree=3, r_extra=3, eps=0.0)  # U'' is exactly 0 at one grid point
+@example(l_degree=5, r_extra=5, eps=0.995)  # U' is exactly 0 at one grid point
+@example(l_degree=4, r_extra=4, eps=0.98)  # a sign change of U' below the floor
+def test_roots_lie_in_the_cells_the_rule_brackets(l_degree, r_extra, eps):
+    ens = UncoupledEnsemble.regular(l_degree, l_degree + r_extra)
+    land = landscape(eps, ens)
+    for roots, values in ((land.d1_roots, land.U1), (land.d2_roots, land.U2)):
+        cells = bracket_cells(values)
+        assert len(roots) == len(cells)
+        for root, i in zip(roots, cells):
+            if values[i] == 0.0:
+                assert root == land.x[i]
+            else:
+                assert land.x[i] < root < land.x[i + 1]
 
 
 @settings(max_examples=30, deadline=None)

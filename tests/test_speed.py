@@ -345,3 +345,27 @@ def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy
         measure_speed(spec, W=12, T_lo=T_lo, success=SuccessRule(threshold, policy),
                       schedule_variant="extended")
     assert calls == []
+
+
+def test_landscape_at_another_epsilon_rejected_before_any_run(monkeypatch):
+    calls = []
+
+    def counting_run_wd(*args, **kwargs):
+        calls.append(args)
+        return run_wd(*args, **kwargs)
+
+    monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
+    spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
+    with pytest.raises(ValueError, match="does not match"):
+        measure_speed(spec, W=10, T_max=60, schedule_variant="extended",
+                      land=landscape(0.47, ENS36))
+    assert calls == []
+
+
+def test_landscape_without_critical_points_leaves_th2_empty():
+    # below the BP threshold U' has no nontrivial zero: x_b and x_d are absent
+    spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.3)
+    rep = measure_speed(spec, W=10, T_max=60, schedule_variant="extended",
+                        land=landscape(0.3, ENS36))
+    assert rep.T_min is not None
+    assert (rep.th2_finite, rep.th2_infinite, rep.th2_B1, rep.th2_B2) == (None,) * 4
