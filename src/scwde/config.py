@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import yaml
 
 from .coupled import CoupledPotentialContext
-from .poly import PolySpec
-from .scalar import GRID_N_MIN, UncoupledEnsemble, map_threshold
+from .scalar import GRID_N_DEFAULT, GRID_N_MIN, UncoupledEnsemble, map_threshold
+from .speed import STEADY_TOL, T_MAX_DEFAULT
 from .window import CoupledSpec, SuccessRule, WindowSchedule
 
 PRESETS = ("table1", "fig2", "fig3", "fig4")
@@ -51,24 +51,25 @@ class RunConfig:
     ``map_threshold`` is resolved per ensemble when expanding. The coupling,
     window and alpha values are checked by building the engine's types from
     them: ``CoupledSpec``, a ``WindowSchedule`` per window size and a
-    ``CoupledPotentialContext``.
+    ``CoupledPotentialContext``. These field defaults are the only ones: a
+    key a YAML config leaves out is not passed.
     """
 
-    ensembles: tuple[UncoupledEnsemble, ...]
+    ensembles: tuple[UncoupledEnsemble, ...] = ()
     N: int = 100
     w: int = 1
     epsilon: Optional[float] = None
     epsilon_grid: Optional[dict] = None
     W: tuple[int, ...] = ()
     T: Optional[int] = None  # None means "auto" (search for the minimum)
-    T_max: int = 200
+    T_max: int = T_MAX_DEFAULT
     T_first: Optional[int] = None
     alpha: float = 1.0
-    schedule: str = "literal"
+    schedule: str = "extended"
     success: SuccessRule = SuccessRule()
     record: RecordConfig = field(default_factory=RecordConfig)
-    steady_tol: float = 1e-9
-    grid_n: int = 10_001
+    steady_tol: float = STEADY_TOL
+    grid_n: int = GRID_N_DEFAULT
     bounds: bool = True
 
     def __post_init__(self) -> None:
@@ -82,7 +83,7 @@ class RunConfig:
             sched = WindowSchedule(W, 1 if self.T is None else self.T, self.schedule,
                                    self.T_first)
             CoupledPotentialContext(spec, sched, c=1, alpha=self.alpha)
-        if self.T is None and self.T_max < 1:
+        if self.T_max < 1:
             raise ConfigError("T_max must be >= 1")
         if self.grid_n < GRID_N_MIN:
             raise ConfigError(f"grid_n must be >= {GRID_N_MIN} for reliable bracketing")
@@ -124,38 +125,31 @@ class RunConfig:
         return tuple(round(v, 12) for v in vals)
 
 
-def _parse_ensembles(raw: dict) -> tuple[UncoupledEnsemble, ...]:
-    if "ensemble" in raw and "ensembles" in raw:
-        raise ConfigError("give either 'ensemble' or 'ensembles', not both")
-    items: list[Any]
-    if "ensemble" in raw:
-        items = [raw["ensemble"]]
-    elif "ensembles" in raw:
-        items = list(raw["ensembles"])
-    else:
-        raise ConfigError("missing 'ensemble' section")
-    out = []
-    for item in items:
-        try:
-            L: PolySpec = item["L"]
-            R: PolySpec = item["R"]
-        except (TypeError, KeyError):
-            raise ConfigError(f"ensemble entry needs L and R, got {item!r}")
-        try:
-            out.append(UncoupledEnsemble.from_specs(L, R))
-        except ValueError as exc:
-            raise ConfigError(f"bad ensemble {item!r}: {exc}")
-    return tuple(out)
+_GRID_KEYS = ("start", "stop", "step")
 
 
-def _integer(key: str, value: Any) -> int:
+def _mapping(value: Any, name: str, keys: Iterable, required: Iterable = ()) -> dict:
+    """``value`` checked to be a mapping whose keys are among ``keys`` and
+    include every one of ``required``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    unknown = sorted(set(value) - set(keys), key=str)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"{name} lacks {missing}")
+    return value
+
+
+def _integer(key: str, value: Any, *_) -> int:
     """An integer config value; YAML booleans and fractional floats are rejected."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def _real(key: str, value: Any) -> float:
+def _real(key: str, value: Any, *_) -> float:
     """A finite config value converted with float(); YAML booleans are rejected."""
     try:
         result = math.nan if isinstance(value, bool) else float(value)
@@ -166,105 +160,117 @@ def _real(key: str, value: Any) -> float:
     return result
 
 
-def _parse_window_sizes(raw: dict, N: int) -> tuple[int, ...]:
-    """Window sizes from a value, a list or a grid; a grid must lie in 1..N
-    before it is expanded."""
-    if "W" not in raw:
-        return ()
-    W = raw["W"]
-    if isinstance(W, (int, float)):
-        return (_integer("W", W),)
-    if isinstance(W, (list, tuple)):
-        return tuple(_integer("W", v) for v in W)
-    if isinstance(W, dict):
-        missing = {"start", "stop"} - set(W)
-        if missing:
-            raise ConfigError(f"window grid lacks {sorted(missing)}")
-        start, stop = _integer("W start", W["start"]), _integer("W stop", W["stop"])
-        step = _integer("W step", W.get("step", 1))
-        if step <= 0 or stop < start:
-            raise ConfigError("window grid must ascend")
-        if start < 1 or stop > N:
-            raise ConfigError(f"window grid {start}..{stop} must lie in 1..N={N}")
-        return tuple(range(start, stop + 1, step))
-    raise ConfigError(f"cannot parse window sizes from {W!r}")
-
-
 def _is_number(value: Any) -> bool:
     """An int or float that is not a YAML boolean."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_epsilon(raw: dict) -> tuple[Optional[float], Optional[dict]]:
-    if "epsilon" not in raw:
-        return None, None
-    eps = raw["epsilon"]
-    if _is_number(eps):
-        return float(eps), None
-    if isinstance(eps, dict):
-        missing = {"start", "stop", "step"} - set(eps)
-        if missing:
-            raise ConfigError(f"epsilon grid lacks {sorted(missing)}")
-        for key in ("start", "stop", "step"):
-            if not _is_number(eps[key]) and (key, eps[key]) != ("stop", MAP_STOP):
-                raise ConfigError(f"epsilon grid {key} must be a number, got {eps[key]!r}")
-        return None, dict(eps)
-    raise ConfigError(f"cannot parse epsilon from {eps!r}")
+def _as_is(key: str, value: Any, *_) -> Any:
+    return value
 
 
-def _section(raw: dict, key: str) -> dict:
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{key}' must be a mapping, got {section!r}")
-    return dict(section)
-
-
-def config_from_mapping(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a mapping")
-    known = {
-        "ensemble", "ensembles", "N", "w", "epsilon", "W", "T", "T_max",
-        "T_first", "alpha", "schedule", "success", "record", "steady_tol",
-        "grid_n", "bounds",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    epsilon, epsilon_grid = _parse_epsilon(raw)
+def _ensemble(item: Any) -> UncoupledEnsemble:
+    spec = _mapping(item, "ensemble", ("L", "R"), required=("L", "R"))
     try:
-        N = _integer("N", raw.get("N", 100))
-        success_raw = _section(raw, "success")
-        if "threshold" in success_raw:
-            success_raw["threshold"] = _real("success.threshold", success_raw["threshold"])
-        success = SuccessRule(**success_raw)
-        rec_raw = _section(raw, "record")
-        if rec_raw.get("windows") is not None:
-            if not isinstance(rec_raw["windows"], list):
-                raise ConfigError(f"record.windows must be a list, got {rec_raw['windows']!r}")
-            rec_raw["windows"] = tuple(
-                _integer("record.windows", c) for c in rec_raw["windows"]
-            )
-        return RunConfig(
-            ensembles=_parse_ensembles(raw),
-            N=N,
-            w=_integer("w", raw.get("w", 1)),
-            epsilon=epsilon,
-            epsilon_grid=epsilon_grid,
-            W=_parse_window_sizes(raw, N),
-            T=None if raw.get("T") in (None, "auto") else _integer("T", raw["T"]),
-            T_max=_integer("T_max", raw.get("T_max", 200)),
-            T_first=None if raw.get("T_first") is None else _integer("T_first", raw["T_first"]),
-            alpha=_real("alpha", raw.get("alpha", 1.0)),
-            schedule=raw.get("schedule", "literal"),
-            success=success,
-            record=RecordConfig(**rec_raw),
-            steady_tol=_real("steady_tol", raw.get("steady_tol", 1e-9)),
-            grid_n=_integer("grid_n", raw.get("grid_n", 10_001)),
-            bounds=raw.get("bounds", True),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        return UncoupledEnsemble.from_specs(spec["L"], spec["R"])
+    except ValueError as exc:
+        raise ConfigError(f"bad ensemble {item!r}: {exc}")
+
+
+def _ensembles(key: str, value: Any, *_) -> tuple[UncoupledEnsemble, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return tuple(_ensemble(item) for item in value)
+
+
+def _epsilon(key: str, value: Any, *_) -> tuple[Optional[float], Optional[dict]]:
+    """(epsilon, None) for a value, (None, grid) for a grid."""
+    if _is_number(value):
+        return float(value), None
+    if not isinstance(value, dict):
+        raise ConfigError(f"cannot parse epsilon from {value!r}")
+    grid = _mapping(value, "epsilon grid", _GRID_KEYS, required=_GRID_KEYS)
+    for bound, v in grid.items():
+        if not _is_number(v) and (bound, v) != ("stop", MAP_STOP):
+            raise ConfigError(f"epsilon grid {bound} must be a number, got {v!r}")
+    return None, dict(grid)
+
+
+def _window_sizes(key: str, value: Any, parsed: dict) -> tuple[int, ...]:
+    """Window sizes from a value, a list or a grid; a grid must lie in 1..N
+    before it is expanded."""
+    if isinstance(value, (int, float)):
+        return (_integer("W", value),)
+    if isinstance(value, (list, tuple)):
+        return tuple(_integer("W", v) for v in value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"cannot parse window sizes from {value!r}")
+    grid = _mapping(value, "window grid", _GRID_KEYS, required=("start", "stop"))
+    start, stop = _integer("W start", grid["start"]), _integer("W stop", grid["stop"])
+    step = _integer("W step", grid.get("step", 1))
+    if step <= 0 or stop < start:
+        raise ConfigError("window grid must ascend")
+    N = parsed.get("N", RunConfig.N)
+    if start < 1 or stop > N:
+        raise ConfigError(f"window grid {start}..{stop} must lie in 1..N={N}")
+    return tuple(range(start, stop + 1, step))
+
+
+def _success(key: str, value: Any, *_) -> SuccessRule:
+    rule = dict(_mapping(value, key, [f.name for f in fields(SuccessRule)]))
+    if "threshold" in rule:
+        rule["threshold"] = _real("success.threshold", rule["threshold"])
+    return SuccessRule(**rule)
+
+
+def _record(key: str, value: Any, *_) -> RecordConfig:
+    record = dict(_mapping(value, key, [f.name for f in fields(RecordConfig)]))
+    windows = record.get("windows")
+    if windows is not None:
+        if not isinstance(windows, list):
+            raise ConfigError(f"record.windows must be a list, got {windows!r}")
+        record["windows"] = tuple(_integer("record.windows", c) for c in windows)
+    return RecordConfig(**record)
+
+
+# Every YAML key: the RunConfig field(s) it sets and its converter, called as
+# convert(key, value, parsed) where ``parsed`` holds the fields set by the
+# keys above it (W reads N there). A key the YAML does not give sets nothing,
+# so RunConfig's field defaults are the only defaults.
+_KEYS: dict[str, tuple[str | tuple[str, ...], Callable[[str, Any, dict], Any]]] = {
+    "ensemble": ("ensembles", lambda key, value, _: (_ensemble(value),)),
+    "ensembles": ("ensembles", _ensembles),
+    "N": ("N", _integer),
+    "w": ("w", _integer),
+    "epsilon": (("epsilon", "epsilon_grid"), _epsilon),
+    "W": ("W", _window_sizes),
+    "T": ("T", lambda key, value, _: None if value in (None, "auto") else _integer(key, value)),
+    "T_max": ("T_max", _integer),
+    "T_first": ("T_first", lambda key, value, _: None if value is None else _integer(key, value)),
+    "alpha": ("alpha", _real),
+    "schedule": ("schedule", _as_is),
+    "success": ("success", _success),
+    "record": ("record", _record),
+    "steady_tol": ("steady_tol", _real),
+    "grid_n": ("grid_n", _integer),
+    "bounds": ("bounds", _as_is),
+}
+
+
+def config_from_mapping(raw: Any) -> RunConfig:
+    parsed: dict[str, Any] = {}
+    try:
+        _mapping(raw, "configuration", _KEYS)
+        for key, (names, convert) in _KEYS.items():
+            if key not in raw:
+                continue
+            if names in parsed:
+                given = " or ".join(repr(k) for k in raw if _KEYS[k][0] == names)
+                raise ConfigError(f"give either {given}, not both")
+            value = convert(key, raw[key], parsed)
+            parsed.update(zip(names, value) if isinstance(names, tuple) else [(names, value)])
+        return RunConfig(**parsed)
+    except (TypeError, ValueError) as exc:  # a ConfigError keeps its message
         raise ConfigError(str(exc))
 
 

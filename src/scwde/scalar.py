@@ -20,6 +20,8 @@ ROOT_TOL = 1e-10
 THRESHOLD_TOL = 1e-6
 # Fewest landscape grid points that bracket every critical point reliably.
 GRID_N_MIN = 1000
+# Landscape grid points unless a run asks for another count.
+GRID_N_DEFAULT = 10_001
 
 
 class NonConvergence(RuntimeError):
@@ -257,7 +259,7 @@ def _grid_roots(f, xs: np.ndarray, values: np.ndarray) -> list[float]:
 def landscape(
     epsilon: float,
     ens: UncoupledEnsemble,
-    grid_n: int = 10_001,
+    grid_n: int = GRID_N_DEFAULT,
 ) -> PotentialLandscape:
     """Scan [0, 1], bracket the zeros of U' and U'', and refine by bisection.
 

@@ -41,56 +41,38 @@ class SteadyState:
     tol: float
 
 
-def _interior_pairs(traj: Trajectory) -> list[int]:
-    """Window indices c with both windows c, c+1 recorded and fully inside
-    the uniform-channel region (no termination effects)."""
-    spec, sched = traj.spec, traj.sched
-    interior_last = spec.N - sched.W + 1
-    cs = traj.windows()
-    have = set(cs)
-    return [c for c in cs if c + 1 in have and c + 1 <= interior_last]
-
-
 def detect_steady_state(traj: Trajectory, tol: float = STEADY_TOL) -> SteadyState:
     """Locate the first c' whose profile shifts one position per window slide.
 
-    For each consecutive interior pair (c, c+1) and every recorded
+    For each pair (c, c+1) of recorded windows inside the uniform-channel
+    region (c+1 <= N-W+1, no termination effects) and every recorded
     iteration t, the shift mismatch max_z |x_z^(c,t) - x_{z+1}^(c+1,t)|
     and the spatial ordering x_{z+1} >= x_z - tol are evaluated over the
     wave-carrying positions: from w left of the window rightward, with a
     margin of w positions at both chain boundaries. (Positions the window
     left long before c keep the start-up transient frozen forever and say
-    nothing about the traveling profile.) c' is the smallest index such
-    that every later interior pair also complies.
+    nothing about the traveling profile.) The pairs are scanned from the
+    last one down until one does not comply (a NaN mismatch included); c'
+    is the c of the last complying pair scanned.
     """
-    spec, sched = traj.spec, traj.sched
-    w, N = spec.w, spec.N
-    pairs = _interior_pairs(traj)
-    mismatches: dict[int, float] = {}
-    ordered: dict[int, bool] = {}
-    for c in pairs:
+    w, N = traj.spec.w, traj.spec.N
+    recorded = set(traj.windows())
+    interior_last = N - traj.sched.W + 1
+    z_hi = N - 1  # compare z against z+1, both clear of the right boundary
+    c_prime = residual = None
+    for c in sorted(recorded, reverse=True):
         z_lo = max(w + 1, c - w)
-        z_hi = N - 1  # compare z against z+1, both clear of the right boundary
-        if z_lo > z_hi:
+        if c + 1 not in recorded or c + 1 > interior_last or z_lo > z_hi:
             continue
-        cur = traj.block(c)
-        nxt = traj.block(c + 1)
+        cur, nxt = traj.block(c), traj.block(c + 1)
         rows = min(cur.shape[0], nxt.shape[0])
         seg = cur[:rows, z_lo - 1 : z_hi]
-        seg_next = nxt[:rows, z_lo : z_hi + 1]
-        mismatches[c] = float(np.max(np.abs(seg - seg_next)))
-        ordered[c] = bool(np.all(cur[:rows, z_lo : z_hi + 1] >= seg - tol))
-    c_prime = None
-    best: Optional[float] = None
-    for c in sorted(mismatches, reverse=True):
-        if mismatches[c] <= tol and ordered[c]:
-            c_prime = c
-            best = mismatches[c] if best is None else max(best, mismatches[c])
-        else:
+        mismatch = float(np.max(np.abs(seg - nxt[:rows, z_lo : z_hi + 1])))
+        if not mismatch <= tol or not np.all(cur[:rows, z_lo : z_hi + 1] >= seg - tol):
             break
-    if c_prime is None:
-        return SteadyState(c_prime=None, residual=None, tol=tol)
-    return SteadyState(c_prime=c_prime, residual=best, tol=tol)
+        c_prime = c
+        residual = mismatch if residual is None else max(residual, mismatch)
+    return SteadyState(c_prime=c_prime, residual=residual, tol=tol)
 
 
 def bound_a1(
@@ -297,7 +279,7 @@ def measure_speed(
     T_max: int = T_MAX_DEFAULT,
     alpha: float = 1.0,
     success: SuccessRule = SuccessRule(),
-    schedule_variant: str = "literal",
+    schedule_variant: str = "extended",
     steady_tol: float = STEADY_TOL,
     land: Optional[PotentialLandscape] = None,
     compute_bounds: bool = True,

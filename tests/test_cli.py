@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 import scwde.window
 from scwde.cli import _write_trajectory, main
 from scwde.config import (
+    _KEYS,
     MAX_GRID_N,
     ConfigError,
+    RunConfig,
     config_from_mapping,
     load_config,
     load_preset,
@@ -135,6 +137,7 @@ class TestWaveCommand:
         cfg = write_cfg(tmp_path, {
             "ensemble": {"L": "x^3", "R": "x^1"},
             "N": 24, "w": 2, "epsilon": 0.30, "W": 8, "T": 3,
+            "schedule": "literal",
         })
         assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
@@ -360,6 +363,12 @@ MALFORMED = [
     {"schedule": "looped"},
     {"alpha": 2.5},
     {"epsilon": 1.5},
+    {"T_max": -4},
+    {"W": {"start": 4, "stop": 8, "by": 2}},
+    {"epsilon": {"start": 0.3, "stop": 0.31, "step": 0.005, "stride": 2}},
+    {"ensemble": {"L": "x^3", "R": "x^6", "Q": 1}},
+    {"success": {"policy": "average", "thresh": 1e-6}},
+    {"record": {"window": [1]}},
 ]
 # record.windows selects windows of the wave command's one run
 MALFORMED_WAVE = [
@@ -408,6 +417,84 @@ def test_engine_rules_checked_at_load(override, message):
     with pytest.raises(ConfigError) as exc:
         config_from_mapping({**BASE_RUN, **override})
     assert str(exc.value) == message
+
+
+# One check for every nested YAML mapping (the root's unknown keys are
+# TestConfig's): a mapping, no unknown key, no required key missing.
+@pytest.mark.parametrize(
+    ("override", "message"),
+    [
+        ({"W": {"start": 4, "stop": 8, "by": 2}}, "unknown window grid keys: ['by']"),
+        ({"epsilon": {"start": 0.3, "stop": 0.31, "step": 0.005, "stride": 2}},
+         "unknown epsilon grid keys: ['stride']"),
+        ({"ensemble": {"L": "x^3", "R": "x^6", "Q": 1}}, "unknown ensemble keys: ['Q']"),
+        ({"success": {"policy": "average", "thresh": 1e-6}}, "unknown success keys: ['thresh']"),
+        ({"record": {"window": [1]}}, "unknown record keys: ['window']"),
+        ({"W": {"start": 4}}, "window grid lacks ['stop']"),
+        ({"epsilon": {"stop": 0.31}}, "epsilon grid lacks ['start', 'step']"),
+        ({"ensemble": {"L": "x^3"}}, "ensemble lacks ['R']"),
+        ({"ensemble": "x^3"}, "ensemble must be a mapping, got 'x^3'"),
+        ({"success": 5}, "success must be a mapping, got 5"),
+        ({"record": [1]}, "record must be a mapping, got [1]"),
+        ({"T_max": -4}, "T_max must be >= 1"),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, dict) else None,
+)
+def test_config_mapping_errors_named_in_one_line(override, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping({**BASE_RUN, **override})
+    assert str(exc.value) == message
+
+
+def test_ensembles_entry_checked_like_ensemble():
+    payload = {**{k: v for k, v in BASE_RUN.items() if k != "ensemble"},
+               "ensembles": [{"L": "x^3", "R": "x^6"}, {"L": "x^4", "R": "x^8", "Q": 1}]}
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(payload)
+    assert str(exc.value) == "unknown ensemble keys: ['Q']"
+    with pytest.raises(ConfigError, match="not both"):
+        config_from_mapping({**payload, "ensemble": {"L": "x^3", "R": "x^6"}})
+    with pytest.raises(ConfigError, match="at least one ensemble is required"):
+        config_from_mapping({"epsilon": 0.4})
+
+
+def test_parser_adds_no_defaults():
+    # a key the YAML leaves out takes RunConfig's own default
+    ens = UncoupledEnsemble.regular(3, 6)
+    cfg = config_from_mapping({"ensemble": {"L": "x^3", "R": "x^6"}, "epsilon": 0.4})
+    assert cfg == RunConfig(ensembles=(ens,), epsilon=0.4)
+    assert cfg.schedule == "extended"
+
+
+def test_window_grid_bounded_by_default_N():
+    # without N in the YAML, a window grid is checked against RunConfig.N
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping({"ensemble": {"L": "x^3", "R": "x^6"}, "epsilon": 0.4,
+                             "W": {"start": 90, "stop": 101}})
+    assert str(exc.value) == f"window grid 90..101 must lie in 1..N={RunConfig.N}"
+
+
+def test_readme_lists_every_config_key():
+    # the README's YAML block loads, and names each top-level key the parser
+    # knows; ensembles is the documented alternative to ensemble
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Run configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = yaml.safe_load(block)
+    config_from_mapping(documented)
+    assert set(documented) == set(_KEYS) - {"ensembles"}
+    assert "or ensembles: [" in block
+
+
+def test_speed_without_schedule_decodes(tmp_path, capfd):
+    # the default schedule runs the windows over the termination tail, so
+    # the final average can reach the success threshold
+    cfg = write_cfg(tmp_path, {"ensemble": {"L": "x^3", "R": "x^6"},
+                               "N": 100, "w": 4, "epsilon": 0.45, "W": 12})
+    out = tmp_path / "out"
+    assert main(["speed", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    assert read_csv(out / "speed.csv")[1][2] == "22"
+    assert capfd.readouterr().out == "x3_x6 epsilon=0.45 W=12: T_min=22\n"
 
 
 def test_engine_rules_checked_for_an_epsilon_grid():

@@ -16,6 +16,7 @@ from scwde.window import (
     CoupledSpec,
     DEState,
     SuccessRule,
+    Trajectory,
     WindowSchedule,
     decode_success,
     run_wd,
@@ -52,6 +53,19 @@ class TestDetectSteadyState:
         _, _, traj = fig3_traj
         ss = detect_steady_state(traj)
         assert 0.0 <= ss.residual <= ss.tol
+
+    def test_nan_mismatch_ends_the_steady_suffix(self, fig3_traj):
+        # the scan runs from the last interior pair down and stops at the
+        # first pair that does not comply: a NaN in the last interior window,
+        # which only that pair's shift mismatch reads, leaves no steady suffix
+        spec, sched, traj = fig3_traj
+        last = spec.N - sched.W + 1
+        broken = Trajectory(sched, spec)
+        broken._blocks = {c: traj.block(c) for c in traj.windows()}
+        broken._blocks[last] = traj.block(last).copy()
+        broken._blocks[last][0, spec.N - 5] = np.nan
+        ss = detect_steady_state(broken)
+        assert (ss.c_prime, ss.residual) == (None, None)
 
     def test_zero_channel_profile_translates_trivially(self):
         # with eps = 0 every window clears instantly and the 0/1 step
@@ -198,6 +212,12 @@ class TestMeasureSpeed:
         if rep.T_min > 1:
             final, _ = run_wd(spec, sched)
             assert not decode_success(final, spec).success
+
+    def test_default_schedule_decodes(self):
+        # the default schedule sweeps the termination tail, so the final
+        # average reaches the threshold; literal finds no T up to 200 here
+        spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.45)
+        assert measure_speed(spec, W=12, compute_bounds=False, validate=False).T_min == 22
 
     def test_budget_exhaustion_reports_best_average(self):
         # with no decoding T, best_avg is the average of the full run at T_max
