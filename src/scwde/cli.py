@@ -104,7 +104,7 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     sched = WindowSchedule(
         W=cfg.W[0], T=cfg.T, variant=cfg.schedule, T_first=cfg.T_first
     )
-    c_max, windows = sched.c_max(spec), cfg.record.windows
+    c_max, windows = sched.c_max(spec), cfg.record_windows
     if windows is not None and (not windows or not all(1 <= c <= c_max for c in windows)):
         raise ConfigError(f"record.windows must name windows in 1..{c_max}, this run's windows")
     out.mkdir(parents=True, exist_ok=True)
@@ -164,7 +164,7 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
     points = [(ens, eps, W) for ens in cfg.ensembles
-              for eps, W in product(cfg.epsilons(ens), sorted(cfg.W))]
+              for eps, W in product(cfg.epsilons(ens), cfg.W)]
     out.mkdir(parents=True, exist_ok=True)
     task = partial(_speed_task, cfg)
     if workers and workers > 1 and len(points) > 1:
@@ -186,8 +186,9 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
             (r.csv_values() for r in reports),
         )
         for r in reports:
+            metric = "avg" if r.success_policy == "average" else "max"
             status = f"T_min={r.T_min}" if r.T_min is not None else (
-                f"no success up to T_max={r.T_max} (best avg {r.best_avg:.3e})"
+                f"no success up to T_max={r.T_max} (best {metric} {r.best_avg:.3e})"
             )
             print(f"{label} epsilon={r.epsilon} W={r.W}: {status}")
     return EXIT_OK

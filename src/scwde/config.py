@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
@@ -34,16 +34,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RecordConfig:
-    policy: str = "per-window"
-    windows: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.policy != "per-window":
-            raise ConfigError(f"record policy must be 'per-window', got {self.policy!r}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """One run request: ensembles, coupling, channel grid, window grid.
 
@@ -67,7 +57,7 @@ class RunConfig:
     alpha: float = 1.0
     schedule: str = "extended"
     success: SuccessRule = SuccessRule()
-    record: RecordConfig = field(default_factory=RecordConfig)
+    record_windows: Optional[tuple[int, ...]] = None  # None records every window
     steady_tol: float = STEADY_TOL
     grid_n: int = GRID_N_DEFAULT
     bounds: bool = True
@@ -197,12 +187,12 @@ def _epsilon(key: str, value: Any, *_) -> tuple[Optional[float], Optional[dict]]
 
 
 def _window_sizes(key: str, value: Any, parsed: dict) -> tuple[int, ...]:
-    """Window sizes from a value, a list or a grid; a grid must lie in 1..N
-    before it is expanded."""
+    """The distinct window sizes, ascending, from a value, a list or a grid;
+    a grid must lie in 1..N before it is expanded."""
     if isinstance(value, (int, float)):
         return (_integer("W", value),)
     if isinstance(value, (list, tuple)):
-        return tuple(_integer("W", v) for v in value)
+        return tuple(sorted({_integer("W", v) for v in value}))
     if not isinstance(value, dict):
         raise ConfigError(f"cannot parse window sizes from {value!r}")
     grid = _mapping(value, "window grid", _GRID_KEYS, required=("start", "stop"))
@@ -223,14 +213,18 @@ def _success(key: str, value: Any, *_) -> SuccessRule:
     return SuccessRule(**rule)
 
 
-def _record(key: str, value: Any, *_) -> RecordConfig:
-    record = dict(_mapping(value, key, [f.name for f in fields(RecordConfig)]))
+def _record(key: str, value: Any, *_) -> Optional[tuple[int, ...]]:
+    """record.windows; record.policy may name only the one policy there is."""
+    record = _mapping(value, key, ("policy", "windows"))
+    policy = record.get("policy", "per-window")
+    if policy != "per-window":
+        raise ConfigError(f"record policy must be 'per-window', got {policy!r}")
     windows = record.get("windows")
-    if windows is not None:
-        if not isinstance(windows, list):
-            raise ConfigError(f"record.windows must be a list, got {windows!r}")
-        record["windows"] = tuple(_integer("record.windows", c) for c in windows)
-    return RecordConfig(**record)
+    if windows is None:
+        return None
+    if not isinstance(windows, list):
+        raise ConfigError(f"record.windows must be a list, got {windows!r}")
+    return tuple(_integer("record.windows", c) for c in windows)
 
 
 # Every YAML key: the RunConfig field(s) it sets and its converter, called as
@@ -250,7 +244,7 @@ _KEYS: dict[str, tuple[str | tuple[str, ...], Callable[[str, Any, dict], Any]]] 
     "alpha": ("alpha", _real),
     "schedule": ("schedule", _as_is),
     "success": ("success", _success),
-    "record": ("record", _record),
+    "record": ("record_windows", _record),
     "steady_tol": ("steady_tol", _real),
     "grid_n": ("grid_n", _integer),
     "bounds": ("bounds", _as_is),

@@ -8,13 +8,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-NODE = "node"
-EDGE = "edge"
-
-# Distribution normalization is validated, never silently repaired: a
-# coefficient vector that does not sum to 1 is a configuration error.
-NORMALIZATION_TOL = 1e-12
-
 _MONOMIAL_RE = re.compile(r"^\s*x\s*(?:\^\s*(\d+))?\s*$")
 
 
@@ -22,44 +15,19 @@ _MONOMIAL_RE = re.compile(r"^\s*x\s*(?:\^\s*(\d+))?\s*$")
 class DegreePolynomial:
     """Polynomial with real coefficients indexed by degree.
 
-    ``coeffs[i]`` multiplies ``x**i``. ``perspective`` tags distribution
-    semantics: a node-perspective distribution needs coefficients in [0, 1]
-    summing to 1, an edge-perspective one must evaluate to 1 at x = 1.
-    Raw calculus results (formal derivatives) carry ``perspective=None``
-    and skip validation.
+    ``coeffs[i]`` multiplies ``x**i``. Whether a pair of polynomials forms
+    a valid degree distribution is checked by ``UncoupledEnsemble``.
 
     Instances are immutable and safe to share across threads.
     """
 
     coeffs: tuple[float, ...]
-    perspective: str | None = None
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.perspective is None:
-            return
-        if self.perspective not in (NODE, EDGE):
-            raise ValueError(f"unknown perspective {self.perspective!r}")
-        for degree, c in enumerate(coeffs):
-            if not -NORMALIZATION_TOL <= c <= 1.0 + NORMALIZATION_TOL:
-                raise ValueError(
-                    f"coefficient {c!r} of x^{degree} lies outside [0, 1]"
-                )
-        # For non-negative coefficients the sum equals the value at x = 1,
-        # so one check covers both perspectives.
-        total = sum(coeffs)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            what = "coefficient sum" if self.perspective == NODE else "value at x = 1"
-            raise ValueError(
-                f"{self.perspective}-perspective {what} is {total!r}, expected 1"
-            )
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, x):
         """Evaluate by Horner's scheme (works on scalars and numpy arrays).
@@ -84,29 +52,26 @@ class DegreePolynomial:
         )
 
     def to_edge_perspective(self) -> "DegreePolynomial":
-        """Return p'(x)/p'(1), the edge-perspective counterpart."""
-        if self.perspective != NODE:
-            raise ValueError("edge perspective is derived from a node distribution")
+        """Return p'(x)/p'(1), the edge-perspective counterpart of a
+        node-perspective distribution p."""
         d = self.derivative()
         norm = d(1.0)
         if norm <= 0.0:
             raise ValueError("degenerate distribution: derivative at 1 is zero")
-        return DegreePolynomial(tuple(c / norm for c in d.coeffs), perspective=EDGE)
+        return DegreePolynomial(tuple(c / norm for c in d.coeffs))
 
 
-PolySpec = Union[str, Sequence[Sequence[float]], "DegreePolynomial"]
+PolySpec = Union[str, Sequence[Sequence[float]]]
 
 
-def monomial(k: int, perspective: str = NODE) -> DegreePolynomial:
+def monomial(k: int) -> DegreePolynomial:
     """The distribution x^k (all nodes of degree k)."""
     if k < 1:
         raise ValueError(f"monomial degree must be >= 1, got {k}")
-    return DegreePolynomial((0.0,) * k + (1.0,), perspective=perspective)
+    return DegreePolynomial((0.0,) * k + (1.0,))
 
 
-def from_pairs(
-    pairs: Iterable[Sequence[float]], perspective: str = NODE
-) -> DegreePolynomial:
+def from_pairs(pairs: Iterable[Sequence[float]]) -> DegreePolynomial:
     """Build a distribution from (degree, coefficient) pairs."""
     dense: dict[int, float] = {}
     for pair in pairs:
@@ -125,18 +90,16 @@ def from_pairs(
     coeffs = [0.0] * (max(dense) + 1)
     for degree, coeff in dense.items():
         coeffs[degree] = coeff
-    return DegreePolynomial(tuple(coeffs), perspective=perspective)
+    return DegreePolynomial(tuple(coeffs))
 
 
-def parse_polynomial(spec: PolySpec, perspective: str = NODE) -> DegreePolynomial:
+def parse_polynomial(spec: PolySpec) -> DegreePolynomial:
     """Parse a config-file polynomial: "x^k" shorthand or (degree, coeff) pairs."""
-    if isinstance(spec, DegreePolynomial):
-        return spec
     if isinstance(spec, str):
         m = _MONOMIAL_RE.match(spec)
         if not m:
             raise ValueError(
                 f"cannot parse polynomial {spec!r}: expected 'x^k' shorthand"
             )
-        return monomial(int(m.group(1) or 1), perspective=perspective)
-    return from_pairs(spec, perspective=perspective)
+        return monomial(int(m.group(1) or 1))
+    return from_pairs(spec)

@@ -8,8 +8,11 @@ from typing import Optional
 
 import numpy as np
 
-from .poly import NODE, DegreePolynomial, PolySpec, monomial, parse_polynomial
+from .poly import DegreePolynomial, PolySpec, monomial, parse_polynomial
 
+# Distribution normalization is validated, never silently repaired: a
+# coefficient vector that does not sum to 1 is a configuration error.
+NORMALIZATION_TOL = 1e-12
 DE_TOL = 1e-12
 DE_MAX_ITER = 100_000
 # A DE limit below this is treated as the zero fixed point; nontrivial fixed
@@ -33,8 +36,9 @@ class UncoupledEnsemble:
     """LDPC(n, L, R) ensemble with derived edge-perspective distributions.
 
     ``L`` and ``R`` are node-perspective variable- and check-degree
-    distributions; ``lam`` and ``rho`` are their edge-perspective
-    counterparts, derived and verified at construction. Immutable.
+    distributions, checked at construction: coefficients in [0, 1] summing
+    to 1. ``lam`` and ``rho`` are their edge-perspective counterparts
+    L'/L'(1) and R'/R'(1). Immutable.
     """
 
     L: DegreePolynomial
@@ -49,8 +53,14 @@ class UncoupledEnsemble:
 
     def __post_init__(self) -> None:
         for name, p in (("L", self.L), ("R", self.R)):
-            if p.perspective != NODE:
-                raise ValueError(f"{name} must be a node-perspective distribution")
+            for degree, c in enumerate(p.coeffs):
+                if not -NORMALIZATION_TOL <= c <= 1.0 + NORMALIZATION_TOL:
+                    raise ValueError(
+                        f"{name}: coefficient {c!r} of x^{degree} lies outside [0, 1]"
+                    )
+            total = sum(p.coeffs)
+            if abs(total - 1.0) > NORMALIZATION_TOL:
+                raise ValueError(f"{name}: coefficient sum is {total!r}, expected 1")
         lam = self.L.to_edge_perspective()
         rho = self.R.to_edge_perspective()
         object.__setattr__(self, "lam", lam)

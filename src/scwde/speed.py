@@ -195,6 +195,9 @@ class SpeedReport:
 
     ``T_min`` is the smallest iterations-per-window count that decodes;
     the wave speed is its reciprocal. Bounds are filled when computable.
+    ``best_avg`` is the success policy's metric, the average or the max
+    erasure over positions 1..N, of the run at T_min, or of the full run at
+    T_max when no T decodes.
     """
 
     epsilon: float

@@ -369,6 +369,7 @@ MALFORMED = [
     {"ensemble": {"L": "x^3", "R": "x^6", "Q": 1}},
     {"success": {"policy": "average", "thresh": 1e-6}},
     {"record": {"window": [1]}},
+    {"ensemble": {"L": [[2, 0.5], [3, 0.4]], "R": "x^6"}},
 ]
 # record.windows selects windows of the wave command's one run
 MALFORMED_WAVE = [
@@ -495,6 +496,28 @@ def test_speed_without_schedule_decodes(tmp_path, capfd):
     assert main(["speed", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
     assert read_csv(out / "speed.csv")[1][2] == "22"
     assert capfd.readouterr().out == "x3_x6 epsilon=0.45 W=12: T_min=22\n"
+
+
+@pytest.mark.parametrize(("W", "rows"), [([8, 8], ["8"]), ([14, 12, 14], ["12", "14"])])
+def test_repeated_window_size_runs_once(tmp_path, capfd, W, rows):
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": W})
+    out = tmp_path / "out"
+    assert main(["speed", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    assert [row[1] for row in read_csv(out / "speed.csv")[1:]] == rows
+    stdout = capfd.readouterr().out.splitlines()
+    assert [line.split()[2] for line in stdout] == [f"W={W}:" for W in rows]
+
+
+@pytest.mark.parametrize(("policy", "best"), [("max", "best max 4.303e-01"),
+                                              ("average", "best avg 3.870e-01")])
+def test_exhausted_row_names_the_policy_metric(tmp_path, capfd, policy, best):
+    cfg = write_cfg(tmp_path, {"ensemble": {"L": "x^3", "R": "x^6"},
+                               "N": 40, "w": 4, "epsilon": 0.487, "W": 12, "T_max": 3,
+                               "success": {"policy": policy}, "bounds": False})
+    out = tmp_path / "out"
+    assert main(["speed", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    assert capfd.readouterr().out == (
+        f"x3_x6 epsilon=0.487 W=12: no success up to T_max=3 ({best})\n")
 
 
 def test_engine_rules_checked_for_an_epsilon_grid():

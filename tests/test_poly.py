@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scwde.poly import (
-    EDGE,
-    NODE,
-    DegreePolynomial,
-    from_pairs,
-    monomial,
-    parse_polynomial,
-)
+from scwde.poly import DegreePolynomial, from_pairs, monomial, parse_polynomial
 
 
 def test_eval_normalization_at_one():
@@ -49,7 +42,6 @@ def test_derivative_of_constant_is_zero():
 def test_edge_perspective_regular():
     lam = monomial(3).to_edge_perspective()
     assert lam.coeffs == (0.0, 0.0, 1.0)
-    assert lam.perspective == EDGE
     rho = monomial(6).to_edge_perspective()
     assert rho.coeffs == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
@@ -60,24 +52,8 @@ def test_edge_perspective_mixed():
     assert lam(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_node_validation_rejects_bad_sum():
-    with pytest.raises(ValueError, match="coefficient sum"):
-        DegreePolynomial((0.0, 0.4, 0.5), perspective=NODE)
-
-
-def test_validation_rejects_out_of_range_coefficient():
-    with pytest.raises(ValueError, match="outside"):
-        DegreePolynomial((1.5, -0.5), perspective=NODE)
-
-
-def test_edge_perspective_requires_node():
-    lam = monomial(3).to_edge_perspective()
-    with pytest.raises(ValueError):
-        lam.to_edge_perspective()
-
-
 def test_edge_perspective_rejects_no_edges():
-    p = DegreePolynomial((1.0,), perspective=NODE)
+    p = DegreePolynomial((1.0,))
     with pytest.raises(ValueError, match="derivative at 1"):
         p.to_edge_perspective()
 
@@ -107,9 +83,7 @@ def node_polys(max_degree=8):
             max_size=max_degree,
         )
         .filter(lambda cs: sum(cs[1:]) > 0.1)
-        .map(lambda cs: DegreePolynomial(
-            tuple(c / sum(cs) for c in cs), perspective=NODE
-        ))
+        .map(lambda cs: DegreePolynomial(tuple(c / sum(cs) for c in cs)))
     )
 
 

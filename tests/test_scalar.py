@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scwde.poly import NODE, DegreePolynomial, monomial
+from scwde.poly import DegreePolynomial, monomial
 from scwde.scalar import (
     THRESHOLD_TOL,
     UncoupledEnsemble,
@@ -19,13 +19,46 @@ from scwde.scalar import (
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 ENS48 = UncoupledEnsemble.regular(4, 8)
-ENS_IRR = UncoupledEnsemble(DegreePolynomial((0.0, 0.0, 0.4, 0.6), NODE), monomial(6))
+ENS_IRR = UncoupledEnsemble(DegreePolynomial((0.0, 0.0, 0.4, 0.6)), monomial(6))
 
 # Exact rational evaluations (independent of the code under test):
 # de_step(1/2, 19/40) = 19/40 * (1 - (1/2)^5)^2 = 18259/40960
 DE_STEP_HALF = 18259 / 40960
 # U(1/2; 19/40) = 17651/3932160 for L = x^3, R = x^6
 U_HALF = 17651 / 3932160
+
+
+class TestEnsemble:
+    def test_node_validation_rejects_bad_sum(self):
+        with pytest.raises(ValueError) as exc:
+            UncoupledEnsemble(DegreePolynomial((0.0, 0.4, 0.5)), monomial(6))
+        assert str(exc.value) == "L: coefficient sum is 0.9, expected 1"
+
+    def test_validation_rejects_out_of_range_coefficient(self):
+        with pytest.raises(ValueError) as exc:
+            UncoupledEnsemble(monomial(3), DegreePolynomial((1.5, -0.5)))
+        assert str(exc.value) == "R: coefficient 1.5 of x^0 lies outside [0, 1]"
+
+    # lam, rho, lam', rho', rho'' pinned bitwise: every DE and potential
+    # value is computed from these coefficients
+    @pytest.mark.parametrize(
+        ("ens", "expected"),
+        [
+            (ENS36, ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 2.0),
+                     (0.0, 0.0, 0.0, 0.0, 5.0), (0.0, 0.0, 0.0, 20.0))),
+            (ENS48, ((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+                     (0.0, 0.0, 3.0), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0),
+                     (0.0, 0.0, 0.0, 0.0, 0.0, 42.0))),
+            (ENS_IRR, ((0.0, 0.30769230769230776, 0.6923076923076923),
+                       (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+                       (0.30769230769230776, 1.3846153846153846),
+                       (0.0, 0.0, 0.0, 0.0, 5.0), (0.0, 0.0, 0.0, 20.0))),
+        ],
+        ids=["3-6", "4-8", "irregular"],
+    )
+    def test_edge_perspective_coefficients(self, ens, expected):
+        names = ("lam", "rho", "lam_d1", "rho_d1", "rho_d2")
+        assert tuple(getattr(ens, name).coeffs for name in names) == expected
 
 
 class TestDeStep:

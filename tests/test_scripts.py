@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from scwde.cli import main
@@ -56,14 +57,17 @@ def load_perfbench(name):
     return module
 
 
-def test_speed_table_passes_the_benchmark_check(tmp_path, capsys):
-    # the benchmark's own correctness gate on its seed-0 speed-table run:
-    # every row re-verified through run_wd and byte-equal to the reference
-    workload = load_perfbench("workloads").WORKLOADS["speed-table"]
+@pytest.mark.parametrize("name", ["speed-table", "speed-near", "wave-export"])
+def test_workload_passes_the_benchmark_check(tmp_path, name):
+    # the benchmark's own correctness gate on a seed-0 run: every speed row
+    # re-verified through run_wd, the wave outputs checked for their
+    # invariants, and every row byte-equal to the reference
+    workload = load_perfbench("workloads").WORKLOADS[name]
     check = load_perfbench("check").check
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump(workload.config(0), sort_keys=False))
     out = tmp_path / "out"
-    assert main(["speed", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    workers = ["--workers", "1"] if workload.command == "speed" else []
+    assert main([workload.command, "--config", str(cfg), "--out", str(out), *workers]) == 0
     verdict = check(workload, 0, out)
     assert (verdict.wrong, verdict.byte_changed) == (0, 0)
