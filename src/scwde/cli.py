@@ -10,11 +10,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Optional
 
-from .config import ConfigError, RunConfig, load_config, load_preset
+from .config import PRESETS, ConfigError, RunConfig, load_config, load_preset
 from .coupled import CoupledPotentialContext, coupled_potential
 from .scalar import NonConvergence, bp_threshold, landscape, map_threshold
 from .speed import SpeedReport, detect_steady_state, measure_speed
@@ -72,6 +72,8 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
 def cmd_landscape(cfg: RunConfig, out: Path) -> int:
     if cfg.epsilon is None:
         raise ConfigError("the landscape command needs a single epsilon")
+    if len(cfg.ensembles) != 1:
+        raise ConfigError("the landscape command needs a single ensemble")
     out.mkdir(parents=True, exist_ok=True)
     ens = cfg.ensembles[0]
     land = landscape(cfg.epsilon, ens, grid_n=cfg.grid_n)
@@ -97,6 +99,8 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("the wave command needs an explicit T")
     if cfg.epsilon is None:
         raise ConfigError("the wave command needs a single epsilon")
+    if len(cfg.ensembles) != 1:
+        raise ConfigError("the wave command needs a single ensemble")
     if len(cfg.W) != 1:
         raise ConfigError("the wave command needs a single window size")
     ens = cfg.ensembles[0]
@@ -172,25 +176,21 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
             reports = list(pool.map(task, points))
     else:
         reports = list(map(task, points))
-    by_label: dict[str, list[SpeedReport]] = {ens.label(): [] for ens in cfg.ensembles}
-    for (ens, _, _), report in zip(points, reports):
-        by_label[ens.label()].append(report)
-
-    multi = len(cfg.ensembles) > 1
-    for label, reports in by_label.items():
-        reports.sort(key=lambda r: (r.epsilon, r.W))
-        name = f"speed_{label}.csv" if multi else "speed.csv"
+    multi, ordered = len(cfg.ensembles) > 1, iter(reports)
+    for ens in cfg.ensembles:
+        ens_reports = list(islice(ordered, len(cfg.epsilons(ens)) * len(cfg.W)))
+        name = f"speed_{ens.label()}.csv" if multi else "speed.csv"
         _write_csv(
             out / name,
             SpeedReport.CSV_COLUMNS,
-            (r.csv_values() for r in reports),
+            (r.csv_values() for r in ens_reports),
         )
-        for r in reports:
+        for r in ens_reports:
             metric = "avg" if r.success_policy == "average" else "max"
             status = f"T_min={r.T_min}" if r.T_min is not None else (
                 f"no success up to T_max={r.T_max} (best {metric} {r.best_avg:.3e})"
             )
-            print(f"{label} epsilon={r.epsilon} W={r.W}: {status}")
+            print(f"{ens.label()} epsilon={r.epsilon} W={r.W}: {status}")
     return EXIT_OK
 
 
@@ -206,8 +206,15 @@ def cmd_thresholds(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError, so it exits 1 with one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scwde",
         description=(
             "Density evolution, potential landscapes, and wave-speed bounds "
@@ -224,11 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", type=Path, help="YAML run configuration")
-        src.add_argument(
-            "--preset",
-            choices=("table1", "fig2", "fig3", "fig4"),
-            help="named built-in configuration",
-        )
+        src.add_argument("--preset", choices=PRESETS, help="named built-in configuration")
         p.add_argument("--out", type=Path, default=Path("scwde_out"))
         if name == "speed":
             p.add_argument(
@@ -241,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_preset(args.preset) if args.preset else load_config(args.config)
         out = args.out
         if args.command == "landscape":

@@ -37,11 +37,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """One run request: ensembles, coupling, channel grid, window grid.
 
-    ``epsilon_grid`` entries may be floats; a stop value of
-    ``map_threshold`` is resolved per ensemble when expanding. The coupling,
+    ``epsilon_grid`` holds each ensemble's ε values, in the order of
+    ``ensembles``, as the config expands them at load. The coupling, ε,
     window and alpha values are checked by building the engine's types from
-    them: ``CoupledSpec``, a ``WindowSchedule`` per window size and a
-    ``CoupledPotentialContext``. These field defaults are the only ones: a
+    them: a ``CoupledSpec`` per ε, a ``WindowSchedule`` per window size and
+    a ``CoupledPotentialContext``. These field defaults are the only ones: a
     key a YAML config leaves out is not passed.
     """
 
@@ -49,7 +49,7 @@ class RunConfig:
     N: int = 100
     w: int = 1
     epsilon: Optional[float] = None
-    epsilon_grid: Optional[dict] = None
+    epsilon_grid: Optional[tuple[tuple[float, ...], ...]] = None
     W: tuple[int, ...] = ()
     T: Optional[int] = None  # None means "auto" (search for the minimum)
     T_max: int = T_MAX_DEFAULT
@@ -67,12 +67,15 @@ class RunConfig:
             raise ConfigError("at least one ensemble is required")
         if self.epsilon is None and self.epsilon_grid is None:
             raise ConfigError("epsilon (or an epsilon grid) is required")
-        eps = 0.0 if self.epsilon is None else self.epsilon
-        spec = CoupledSpec(self.ensembles[0], self.N, self.w, eps)
+        labels = [ens.label() for ens in self.ensembles]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"ensembles must have distinct labels, got {labels}")
+        specs = [CoupledSpec(ens, self.N, self.w, eps)
+                 for ens in self.ensembles for eps in self.epsilons(ens)]
         for W in self.W or (1,):
             sched = WindowSchedule(W, 1 if self.T is None else self.T, self.schedule,
                                    self.T_first)
-            CoupledPotentialContext(spec, sched, c=1, alpha=self.alpha)
+            CoupledPotentialContext(specs[0], sched, c=1, alpha=self.alpha)
         if self.T_max < 1:
             raise ConfigError("T_max must be >= 1")
         if self.grid_n < GRID_N_MIN:
@@ -85,34 +88,10 @@ class RunConfig:
             raise ConfigError(f"bounds must be true or false, got {self.bounds!r}")
 
     def epsilons(self, ens: UncoupledEnsemble) -> tuple[float, ...]:
-        """Expand the channel grid for one ensemble (ascending, within [0, 1])."""
+        """The ε values of one of ``ensembles``."""
         if self.epsilon_grid is None:
-            return (float(self.epsilon),)
-        g = self.epsilon_grid
-        start, step = float(g["start"]), float(g["step"])
-        stop = g["stop"]
-        if stop == MAP_STOP:
-            stop_val = map_threshold(ens)
-            inclusive = False
-        else:
-            stop_val = float(stop)
-            inclusive = True
-        if not step > 0:
-            raise ConfigError("epsilon grid step must be positive")
-        if not 0.0 <= start <= 1.0 or not 0.0 <= stop_val <= 1.0:
-            raise ConfigError("epsilon grid must stay within [0, 1]")
-        if stop_val < start:
-            raise ConfigError("epsilon grid must ascend")
-        steps = (stop_val - start) / step + 1e-12
-        if steps >= MAX_EPSILON_POINTS:
-            raise ConfigError(
-                f"epsilon grid has {steps + 1:.4g} points, more than {MAX_EPSILON_POINTS}"
-            )
-        n = int(math.floor(steps)) + 1
-        vals = [start + i * step for i in range(n)]
-        if not inclusive:
-            vals = [v for v in vals if v < stop_val - 1e-15]
-        return tuple(round(v, 12) for v in vals)
+            return (self.epsilon,)
+        return self.epsilon_grid[self.ensembles.index(ens)]
 
 
 _GRID_KEYS = ("start", "stop", "step")
@@ -173,17 +152,35 @@ def _ensembles(key: str, value: Any, *_) -> tuple[UncoupledEnsemble, ...]:
     return tuple(_ensemble(item) for item in value)
 
 
-def _epsilon(key: str, value: Any, *_) -> tuple[Optional[float], Optional[dict]]:
-    """(epsilon, None) for a value, (None, grid) for a grid."""
+def _epsilon(key: str, value: Any, parsed: dict) -> tuple[Optional[float], Optional[tuple]]:
+    """(epsilon, None) for a value; (None, each parsed ensemble's ε values)
+    for a grid. A grid ascends from ``start`` by ``step`` and ends at ``stop``
+    or, for ``stop: map_threshold``, just below the ensemble's MAP threshold."""
     if _is_number(value):
         return float(value), None
     if not isinstance(value, dict):
         raise ConfigError(f"cannot parse epsilon from {value!r}")
     grid = _mapping(value, "epsilon grid", _GRID_KEYS, required=_GRID_KEYS)
     for bound, v in grid.items():
-        if not _is_number(v) and (bound, v) != ("stop", MAP_STOP):
-            raise ConfigError(f"epsilon grid {bound} must be a number, got {v!r}")
-    return None, dict(grid)
+        if not (_is_number(v) and math.isfinite(v)) and (bound, v) != ("stop", MAP_STOP):
+            raise ConfigError(f"epsilon grid {bound} must be a finite number, got {v!r}")
+    start, stop, step = float(grid["start"]), grid["stop"], float(grid["step"])
+    if not step > 0:
+        raise ConfigError("epsilon grid step must be positive")
+    values = []
+    for ens in parsed.get("ensembles", ()):
+        end = map_threshold(ens) if stop == MAP_STOP else float(stop)
+        steps = (end - start) / step + 1e-12
+        if steps >= MAX_EPSILON_POINTS:
+            raise ConfigError(
+                f"epsilon grid has {steps + 1:.4g} points, more than {MAX_EPSILON_POINTS}"
+            )
+        points = [v for v in (start + i * step for i in range(math.floor(steps) + 1))
+                  if stop != MAP_STOP or v < end - 1e-15]
+        if not points:
+            raise ConfigError("epsilon grid must ascend")
+        values.append(tuple(round(v, 12) for v in points))
+    return None, tuple(values)
 
 
 def _window_sizes(key: str, value: Any, parsed: dict) -> tuple[int, ...]:
@@ -229,8 +226,8 @@ def _record(key: str, value: Any, *_) -> Optional[tuple[int, ...]]:
 
 # Every YAML key: the RunConfig field(s) it sets and its converter, called as
 # convert(key, value, parsed) where ``parsed`` holds the fields set by the
-# keys above it (W reads N there). A key the YAML does not give sets nothing,
-# so RunConfig's field defaults are the only defaults.
+# keys above it (epsilon reads the ensembles there, W reads N). A key the YAML
+# does not give sets nothing, so RunConfig's field defaults are the only defaults.
 _KEYS: dict[str, tuple[str | tuple[str, ...], Callable[[str, Any, dict], Any]]] = {
     "ensemble": ("ensembles", lambda key, value, _: (_ensemble(value),)),
     "ensembles": ("ensembles", _ensembles),

@@ -53,11 +53,9 @@ class DegreePolynomial:
 
     def to_edge_perspective(self) -> "DegreePolynomial":
         """Return p'(x)/p'(1), the edge-perspective counterpart of a
-        node-perspective distribution p."""
+        node-perspective distribution p, which needs p'(1) > 0."""
         d = self.derivative()
         norm = d(1.0)
-        if norm <= 0.0:
-            raise ValueError("degenerate distribution: derivative at 1 is zero")
         return DegreePolynomial(tuple(c / norm for c in d.coeffs))
 
 

@@ -37,8 +37,8 @@ class UncoupledEnsemble:
 
     ``L`` and ``R`` are node-perspective variable- and check-degree
     distributions, checked at construction: coefficients in [0, 1] summing
-    to 1. ``lam`` and ``rho`` are their edge-perspective counterparts
-    L'/L'(1) and R'/R'(1). Immutable.
+    to 1, with some mass above degree 0. ``lam`` and ``rho`` are their
+    edge-perspective counterparts L'/L'(1) and R'/R'(1). Immutable.
     """
 
     L: DegreePolynomial
@@ -61,6 +61,10 @@ class UncoupledEnsemble:
             total = sum(p.coeffs)
             if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise ValueError(f"{name}: coefficient sum is {total!r}, expected 1")
+            prime_1 = p.derivative()(1.0)
+            if not prime_1 > 0.0:
+                raise ValueError(f"{name}: degenerate distribution: derivative at 1 is zero")
+            object.__setattr__(self, f"{name}_prime_1", prime_1)
         lam = self.L.to_edge_perspective()
         rho = self.R.to_edge_perspective()
         object.__setattr__(self, "lam", lam)
@@ -68,8 +72,6 @@ class UncoupledEnsemble:
         object.__setattr__(self, "lam_d1", lam.derivative())
         object.__setattr__(self, "rho_d1", rho.derivative())
         object.__setattr__(self, "rho_d2", rho.derivative().derivative())
-        object.__setattr__(self, "L_prime_1", self.L.derivative()(1.0))
-        object.__setattr__(self, "R_prime_1", self.R.derivative()(1.0))
 
     @classmethod
     def regular(cls, l_degree: int, r_degree: int) -> "UncoupledEnsemble":

@@ -370,6 +370,7 @@ MALFORMED = [
     {"success": {"policy": "average", "thresh": 1e-6}},
     {"record": {"window": [1]}},
     {"ensemble": {"L": [[2, 0.5], [3, 0.4]], "R": "x^6"}},
+    {"ensemble": {"L": [[0, 1.0]], "R": "x^6"}},
 ]
 # record.windows selects windows of the wave command's one run
 MALFORMED_WAVE = [
@@ -380,7 +381,7 @@ MALFORMED_WAVE = [
 
 @pytest.mark.parametrize(
     ("override", "command"),
-    [*((o, c) for o in MALFORMED for c in ("wave", "speed")),
+    [*((o, c) for o in MALFORMED for c in ("landscape", "wave", "speed", "thresholds")),
      *((o, "wave") for o in MALFORMED_WAVE)],
     ids=lambda v: repr(v) if isinstance(v, dict) else v,
 )
@@ -621,6 +622,56 @@ def one_line_exit(capfd, code, expected, prefix) -> str:
     assert err.startswith(prefix), err
     assert err.count("\n") == 1 and "Traceback" not in err
     return out
+
+
+SAME_LABEL = {**TWO_ENSEMBLES, "ensembles": [{"L": [[2, 0.5], [3, 0.5]], "R": "x^6"},
+                                             {"L": [[2, 0.3], [3, 0.7]], "R": "x^6"}]}
+SAME_LABEL_ERROR = "ensembles must have distinct labels, got ['irr23_x6', 'irr23_x6']"
+
+
+@pytest.mark.parametrize(
+    ("payload", "command", "message"),
+    [
+        # both are irr23_x6, and each label names a speed CSV
+        (SAME_LABEL, "speed", SAME_LABEL_ERROR),
+        (SAME_LABEL, "thresholds", SAME_LABEL_ERROR),
+        (TWO_ENSEMBLES, "wave", "the wave command needs a single ensemble"),
+        (TWO_ENSEMBLES, "landscape", "the landscape command needs a single ensemble"),
+    ],
+    ids=["same-label-speed", "same-label-thresholds", "wave", "landscape"],
+)
+def test_ensembles_rejected_before_out(tmp_path, capfd, payload, command, message):
+    cfg = write_cfg(tmp_path, payload)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    one_line_exit(capfd, code, 1, f"configuration error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["speed", "--preset", "nope"], "argument --preset: invalid choice: 'nope' "
+                                        "(choose from 'table1', 'fig2', 'fig3', 'fig4')"),
+        (["speed"], "one of the arguments --config --preset is required"),
+        (["speed", "--preset", "table1", "--workers", "x"],
+         "argument --workers: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["speed", "--preset", "table1", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["unknown-preset", "no-config", "bad-workers", "no-command", "unknown-flag"],
+)
+def test_usage_error_exits_with_one_line(tmp_path, capfd, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # the default --out is relative
+    code = main(argv)
+    assert one_line_exit(capfd, code, 1, f"configuration error: {message}\n") == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0_and_lists_the_presets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["speed", "--help"])
+    assert exc.value.code == 0
+    assert "{table1,fig2,fig3,fig4}" in capsys.readouterr().out
 
 
 def test_config_directory_exits_with_one_line(tmp_path, capfd):

@@ -39,6 +39,14 @@ class TestEnsemble:
             UncoupledEnsemble(monomial(3), DegreePolynomial((1.5, -0.5)))
         assert str(exc.value) == "R: coefficient 1.5 of x^0 lies outside [0, 1]"
 
+    @pytest.mark.parametrize(("L", "R", "name"), [((1.0,), (0.0, 1.0), "L"),
+                                                  ((0.0, 1.0), (1.0,), "R")], ids=["L", "R"])
+    def test_validation_rejects_distribution_without_edges(self, L, R, name):
+        # all mass at degree 0: L'(1) or R'(1) is 0, so there is no edge perspective
+        with pytest.raises(ValueError) as exc:
+            UncoupledEnsemble(DegreePolynomial(L), DegreePolynomial(R))
+        assert str(exc.value) == f"{name}: degenerate distribution: derivative at 1 is zero"
+
     # lam, rho, lam', rho', rho'' pinned bitwise: every DE and potential
     # value is computed from these coefficients
     @pytest.mark.parametrize(
