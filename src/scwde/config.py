@@ -180,6 +180,8 @@ def _epsilon(key: str, value: Any, parsed: dict) -> tuple[Optional[float], Optio
         if not points:
             raise ConfigError("epsilon grid must ascend")
         values.append(tuple(round(v, 12) for v in points))
+        if len(set(values[-1])) < len(points):
+            raise ConfigError("epsilon grid step repeats values at 12 decimals")
     return None, tuple(values)
 
 

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .window import CoupledSpec, WindowSchedule, window_update_values
-from .window import _channel_profile, _moving_mean, _padded, _window_inputs
+from .window import CoupledSpec, WindowSchedule, window_check_stage, window_update_values
+
+ALPHA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,10 @@ def coupled_potential(x: np.ndarray, ctx: CoupledPotentialContext) -> float:
     in-window partial derivatives are exactly
     rho'(1-x_z) * (x_z - f(z, x)).
     """
-    spec, w = ctx.spec, ctx.spec.w
-    ens = spec.ens
-    vals, eps = _window_inputs(
-        _padded(np.asarray(x, dtype=float), w), _channel_profile(spec), ctx.c, ctx.sched.W, w
-    )
-    one_minus = 1.0 - vals
-    rho_vals = ens.rho(one_minus)
-    s = _moving_mean(rho_vals, w)  # S_z for z = c-(w-1)..c+W-1
-    xs = vals[: len(eps)]
-    free = (1.0 - ens.R(one_minus[: len(xs)])) / ens.R_prime_1 - xs * rho_vals[: len(xs)]
+    ens = ctx.spec.ens
+    reads, rho_vals, eps, s = window_check_stage(x, ctx.c, ctx.sched.W, ctx.spec)
+    xs, rho_xs = reads[: len(eps)], rho_vals[: len(eps)]  # z = c-(w-1)..c+W-1
+    free = (1.0 - ens.R(1.0 - xs)) / ens.R_prime_1 - xs * rho_xs
     channel = (eps / ens.L_prime_1) * ens.L(1.0 - s)
     return float(np.sum(free - channel))
 
@@ -87,9 +82,8 @@ def alpha_inequality_check(
     y: np.ndarray,
     x: np.ndarray,
     ctx: CoupledPotentialContext,
-    comparison_tol: float = 1e-12,
 ) -> AlphaCheck:
-    """Check alpha * (U(y) - U(x)) <= DeltaU1(y, x) under configuration c."""
+    """Check alpha * (U(y) - U(x)) <= DeltaU1(y, x) + ALPHA_TOL under configuration c."""
     lhs = ctx.alpha * (coupled_potential(y, ctx) - coupled_potential(x, ctx))
     rhs = delta_u1(y, x, ctx)
-    return AlphaCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + comparison_tol))
+    return AlphaCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + ALPHA_TOL))

@@ -231,13 +231,13 @@ class PotentialLandscape:
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = ROOT_TOL) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal f on [lo, hi], to ROOT_TOL."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > ROOT_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)

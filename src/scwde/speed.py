@@ -15,12 +15,13 @@ from .window import (
     SuccessRule,
     Trajectory,
     WindowSchedule,
-    _slope_segment,
     decode_success,
     run_wd,
+    slope_segment,
 )
 
 STEADY_TOL = 1e-9
+SLOPE_TOL = 1e-9
 T_MAX_DEFAULT = 200
 
 # Relative margin by which the frozen erasures must exceed the average-policy
@@ -93,7 +94,7 @@ def bound_a1(
     x_now = traj.block(c_prime)[0]
     x_next = traj.block(c_prime + 1)[0]
     num = alpha * (coupled_potential(x_now, ctx) - coupled_potential(x_next, ctx))
-    seg = _slope_segment(x_now, c_prime, sched.W, spec.w)
+    seg = slope_segment(x_now, c_prime, sched.W, spec)
     den = float(np.sum(spec.ens.rho_d1(1.0 - seg[1:]) * np.diff(seg) ** 2))
     if abs(den) < 1e-300:
         raise ZeroDivisionError("flat steady profile: speed-bound denominator is zero")
@@ -170,21 +171,20 @@ def slope_margin_check(
     state: DEState,
     spec: CoupledSpec,
     sched: WindowSchedule,
-    tol: float = 1e-9,
 ) -> SlopeMarginReport:
     """Check the profile-slope lower bound at the state's window.
 
     For each in-window z the margin is
     (x_z - x_{z-1}) - |x_z - eps lam(1 - rho(1 - x_z))| / w;
-    the bound holds when every margin is >= -tol.
+    the bound holds when every margin is >= -SLOPE_TOL.
     """
-    seg = _slope_segment(state.x, state.c, sched.W, spec.w)
+    seg = slope_segment(state.x, state.c, sched.W, spec)
     xs = seg[1:]
     margins = np.diff(seg) - np.abs(xs - de_step(xs, spec.epsilon, spec.ens)) / spec.w
     min_margin = float(np.min(margins))
     return SlopeMarginReport(
         min_margin=min_margin,
-        holds=min_margin >= -tol,
+        holds=min_margin >= -SLOPE_TOL,
         margins=tuple(margins.tolist()),
     )
 

@@ -105,7 +105,7 @@ def _padded(x: np.ndarray, w: int) -> np.ndarray:
     """Values at positions 1-w..len(x)+w: position p sits at index p+w-1.
 
     The w zero ghost positions on each side cover every read of the window
-    kernel (w-1 beyond the chain) and the x_{c-1} read of the slope terms.
+    kernel (w-1 beyond the chain) and the x_{c-1} read of ``slope_segment``.
     """
     buf = np.zeros(len(x) + 2 * w)
     buf[w : w + len(x)] = x
@@ -117,17 +117,9 @@ def _channel_profile(spec: CoupledSpec) -> np.ndarray:
     return _padded(np.full(spec.N, spec.epsilon), spec.w)
 
 
-def _window_inputs(
-    buf: np.ndarray, eps: np.ndarray, c: int, W: int, w: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the reads at positions c-w+1..c+W+w-2 and of the channel at
-    the check averages u = c-w+1..c+W-1 that window c needs."""
-    return buf[c : c + W + 2 * w - 2], eps[c : c + W + w - 1]
-
-
-def _slope_segment(x: np.ndarray, c: int, W: int, w: int) -> np.ndarray:
+def slope_segment(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> np.ndarray:
     """Positions c-1..c+W-1 of a chain vector: window c and its left neighbour."""
-    return _padded(x, w)[c + w - 2 : c + W + w - 1]
+    return _padded(x, spec.w)[c + spec.w - 2 : c + W + spec.w - 1]
 
 
 def _moving_mean(v: np.ndarray, width: int) -> np.ndarray:
@@ -148,17 +140,29 @@ def window_update_values(
     return _window_kernel(_padded(x, spec.w), _channel_profile(spec), c, W, spec)
 
 
+def window_check_stage(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
+    """``_check_stage`` of window c on a chain vector (zero outside 1..N+w-1)."""
+    return _check_stage(_padded(x, spec.w), _channel_profile(spec), c, W, spec)
+
+
+def _check_stage(buf: np.ndarray, eps: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
+    """What window c reads, on the padded layout and channel profile: the
+    erasures x at positions c-w+1..c+W+w-2, rho(1-x) there, the channel at
+    the check positions u = c-w+1..c+W-1, and the check averages S_u, the
+    mean of rho(1-x) over u..u+w-1. Shared by the DE update and the coupled
+    potential."""
+    w = spec.w
+    reads = buf[c : c + W + 2 * w - 2]
+    rho_vals = spec.ens.rho(1.0 - reads)
+    return reads, rho_vals, eps[c : c + W + w - 1], _moving_mean(rho_vals, w)
+
+
 def _window_kernel(
     buf: np.ndarray, eps: np.ndarray, c: int, W: int, spec: CoupledSpec
 ) -> np.ndarray:
     """``window_update_values`` on the padded layout and channel profile."""
-    w = spec.w
-    # Check averages S_u for u = c-w+1..c+W-1 read positions u..u+w-1.
-    reads, eps_u = _window_inputs(buf, eps, c, W, w)
-    rho_vals = spec.ens.rho(1.0 - reads)
-    s = _moving_mean(rho_vals, w)
-    lam_vals = spec.ens.lam(1.0 - s)
-    return _moving_mean(eps_u * lam_vals, w)
+    _, _, eps_u, s = _check_stage(buf, eps, c, W, spec)
+    return _moving_mean(eps_u * spec.ens.lam(1.0 - s), spec.w)
 
 
 class Trajectory:

@@ -345,6 +345,7 @@ MALFORMED = [
     {"epsilon": {"start": 0.0, "stop": 1.0, "step": 1.0e-6}},
     {"epsilon": {"start": 0.0, "stop": 1.0, "step": 1.0e-300}},
     {"epsilon": {"start": 0.3, "stop": 0.31, "step": float("nan")}},
+    {"epsilon": {"start": 0.3, "stop": 0.3000000001, "step": 1.0e-13}},
     {"W": {"start": 1, "stop": 2000000}},
     {"epsilon": True},
     {"epsilon": {"start": 0.3, "stop": True, "step": 0.01}},

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scwde.coupled import (
     CoupledPotentialContext,
@@ -47,6 +49,55 @@ class TestCoupledPotential:
     def test_alpha_range_checked(self):
         with pytest.raises(ValueError, match="alpha"):
             make_ctx(alpha=2.5)
+
+
+def potential_by_definition(x, ctx):
+    """The coupled potential under configuration c, one position at a time.
+
+    Sums over z = c-(w-1)..c+W-1 the free term (1 - R(1-x_z))/R'(1) -
+    x_z rho(1-x_z) minus the channel term (eps_z/L'(1)) L(1 - S_z), where
+    S_z = (1/w) sum_{j<w} rho(1 - x_{z+j}), x reads as zero outside
+    1..N+w-1 and eps_z = eps only on 1..N.
+    """
+    spec, ens, w = ctx.spec, ctx.spec.ens, ctx.spec.w
+
+    def read(p):
+        return float(x[p - 1]) if 1 <= p <= spec.chain_len else 0.0
+
+    total = 0.0
+    for z in range(ctx.c - w + 1, ctx.c + ctx.sched.W):
+        x_z = read(z)
+        free = (1.0 - ens.R(1.0 - x_z)) / ens.R_prime_1 - x_z * ens.rho(1.0 - x_z)
+        s = sum(ens.rho(1.0 - read(z + j)) for j in range(w)) / w
+        eps_z = spec.epsilon if 1 <= z <= spec.N else 0.0
+        total += free - eps_z / ens.L_prime_1 * ens.L(1.0 - s)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=20),
+    w=st.integers(min_value=1, max_value=4),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+    ens=st.sampled_from([
+        ENS36,
+        UncoupledEnsemble.regular(4, 8),
+        UncoupledEnsemble.from_specs([[2, 0.4], [3, 0.6]], [[5, 0.5], [6, 0.5]]),
+    ]),
+    data=st.data(),
+)
+def test_coupled_potential_matches_definition(N, w, eps, ens, data):
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
+    sched = WindowSchedule(W=W, T=1, variant="extended")
+    x = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                    min_size=spec.chain_len, max_size=spec.chain_len)))
+    # every configuration of the extended schedule: c = 1 reads left of the
+    # chain, the last ones run into the termination tail
+    for c in range(1, sched.c_max(spec) + 1):
+        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
+        assert coupled_potential(x, ctx) == pytest.approx(
+            potential_by_definition(x, ctx), rel=0, abs=1e-12)
 
 
 class TestCoupledGradient:

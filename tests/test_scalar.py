@@ -159,6 +159,16 @@ class TestThresholds:
         for ens in (ENS36, ENS48):
             assert map_threshold(ens) > bp_threshold(ens)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "with lambda'(0) > 0 DE reaches 0 only linearly near the threshold, and de_run's "
+        "step rule stops above ZERO_LIMIT: (2,4) gives 0.3330007 and 0.3332677"))
+    def test_degree_two_thresholds_at_stability_limit(self):
+        # (2,4): x / lam(1 - rho(1 - x)) = 1 / (3 - 3x + x^2) rises from 1/3,
+        # so both thresholds are the stability limit 1 / (lam'(0) rho'(1)) = 1/3
+        ens = UncoupledEnsemble.regular(2, 4)
+        assert bp_threshold(ens) == pytest.approx(1 / 3, abs=THRESHOLD_TOL)
+        assert map_threshold(ens) == pytest.approx(1 / 3, abs=THRESHOLD_TOL)
+
     def test_potential_vanishes_at_returned_map_threshold(self):
         eps = map_threshold(ENS36)
         x_d = de_run(eps, ENS36).limit
