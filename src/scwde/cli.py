@@ -14,6 +14,8 @@ from itertools import islice, product
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_preset
 from .coupled import CoupledPotentialContext, coupled_potential
 from .scalar import NonConvergence, bp_threshold, landscape, map_threshold
@@ -23,12 +25,6 @@ from .window import CoupledSpec, Trajectory, WindowSchedule, decode_success, run
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
-
-# Lines per formatting template of trajectory.csv. A chunk this short formats
-# to a small string; one template per 400-position row would build a string
-# of about 10 KB per row and grow the C heap.
-_TRAJECTORY_CHUNK = 16
-
 
 def _fmt(value) -> str:
     """CSV cell: 17 significant digits for floats, empty for absent."""
@@ -49,24 +45,24 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 
 def _write_trajectory(path: Path, traj: Trajectory) -> None:
     """trajectory.csv, byte for byte what ``_write_csv`` writes for the
-    (c, t, z, x) rows: ``'%.17g' % v`` equals ``format(v, ".17g")`` for every
-    float, and rows end in csv's ``\\r\\n``. Each row is formatted a chunk of
-    z at a time, from templates built once whose ``\\0`` stands for the
-    row's ``c,t,`` prefix.
+    (c, t, z, x) rows. A row is its ``c,t,`` prefix before each position's
+    ``z,x\\r\\n`` cell, and a cell is formatted again only where the float64
+    bit pattern differs from the last row written: a sweep changes W cells,
+    and bits, unlike ``==``, tell 0.0 from -0.0 and match a NaN to itself.
     """
-    zs = range(1, traj.spec.chain_len + 1)
-    chunks = [
-        ("".join(f"\0{z},%.17g\r\n" for z in zs[lo : lo + _TRAJECTORY_CHUNK]),
-         lo, lo + _TRAJECTORY_CHUNK)
-        for lo in range(0, len(zs), _TRAJECTORY_CHUNK)
-    ]
+    cells = [""] * traj.spec.chain_len
+    last = None
     with open(path, "w", newline="") as fh:
         fh.write("c,t,z,x\r\n")
         for c in traj.windows():
-            for t, vec in enumerate(traj.block(c).tolist()):
+            block = traj.block(c)
+            for t, (row, bits) in enumerate(zip(block, block.view(np.int64))):
+                changed = np.arange(len(row)) if last is None else np.flatnonzero(bits != last)
+                for z, v in zip(changed.tolist(), row[changed].tolist()):
+                    cells[z] = f"{z + 1},{v:.17g}\r\n"
+                last = bits
                 prefix = f"{c},{t},"
-                for template, lo, hi in chunks:
-                    fh.write(template.replace("\0", prefix) % tuple(vec[lo:hi]))
+                fh.write(prefix + prefix.join(cells))
 
 
 def cmd_landscape(cfg: RunConfig, out: Path) -> int:
@@ -118,8 +114,8 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     def potential_rows():
         for c in traj.windows():
             ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c, alpha=cfg.alpha)
-            for t, x in enumerate(traj.block(c)):
-                yield c, t, coupled_potential(x, ctx)
+            for t, u in enumerate(coupled_potential(traj.block(c), ctx).tolist()):
+                yield c, t, u
 
     _write_csv(out / "potential_trace.csv", ("c", "t", "U"), potential_rows())
 

@@ -30,8 +30,9 @@ class CoupledPotentialContext:
             raise ValueError("alpha must lie in [1, 2]")
 
 
-def coupled_potential(x: np.ndarray, ctx: CoupledPotentialContext) -> float:
-    """Potential of the coupled state under window configuration c.
+def coupled_potential(x: np.ndarray, ctx: CoupledPotentialContext) -> float | np.ndarray:
+    """Potential of the coupled state under window configuration c: a float
+    for one state, one value per row for a block of states (last axis).
 
     Sums, over check positions z = c-(w-1)..c+W-1, the per-position free
     term and a channel term whose erasure factor is the position-dependent
@@ -41,10 +42,11 @@ def coupled_potential(x: np.ndarray, ctx: CoupledPotentialContext) -> float:
     """
     ens = ctx.spec.ens
     reads, rho_vals, eps, s = window_check_stage(x, ctx.c, ctx.sched.W, ctx.spec)
-    xs, rho_xs = reads[: len(eps)], rho_vals[: len(eps)]  # z = c-(w-1)..c+W-1
+    xs, rho_xs = reads[..., : len(eps)], rho_vals[..., : len(eps)]  # z = c-(w-1)..c+W-1
     free = (1.0 - ens.R(1.0 - xs)) / ens.R_prime_1 - xs * rho_xs
     channel = (eps / ens.L_prime_1) * ens.L(1.0 - s)
-    return float(np.sum(free - channel))
+    total = np.sum(free - channel, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def coupled_gradient(x: np.ndarray, ctx: CoupledPotentialContext) -> np.ndarray:

@@ -309,8 +309,10 @@ def measure_speed(
     The full run repeats its probe's windows, so it can only fail past the
     prefix: the prefix grows every round. Most points take one round; a
     round on the whole schedule repeats its winner once, to record it.
-    T_lo = T_max tests one fixed budget with one full run, and every run
-    gives the first window ``T_first`` iterations when that is set.
+    A search reaches T_max only after T_max - 1 failed, so it runs T_max
+    unrecorded and reruns it with recording only if it decodes. T_lo =
+    T_max tests one fixed budget with one full run, and every run gives the
+    first window ``T_first`` iterations when that is set.
 
     ``best_avg`` is the success policy's metric of the run at T_min when a
     T decodes, and of the full run at T_max when none does. The T_min run's
@@ -326,7 +328,7 @@ def measure_speed(
     def schedule(T: int) -> WindowSchedule:
         return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
 
-    c_last = schedule(T_lo).c_max(spec)
+    c_last, fixed = schedule(T_lo).c_max(spec), T_lo == T_max
 
     def survives(T: int, c_stop: int) -> bool:
         if T == T_max:
@@ -349,8 +351,8 @@ def measure_speed(
             else:
                 failed = mid
         stop = None if T == T_max else _FrozenPrefixStop(spec, success)
-        final, traj = run_wd(spec, schedule(T), record=compute_bounds, validate=validate,
-                             stop=stop)
+        final, traj = run_wd(spec, schedule(T), record=compute_bounds and (T < T_max or fixed),
+                             validate=validate, stop=stop)
         if stop is None or stop.failed_at is None:
             report = decode_success(final, spec, success)
             if report.success or T == T_max:
@@ -358,6 +360,8 @@ def measure_speed(
         lo, c_stop, traj = T + 1, final.c, None
     t_min = T if report.success else None
     best_avg = report.metric
+    if compute_bounds and t_min is not None and traj is None:
+        _, traj = run_wd(spec, schedule(T), record=True, validate=validate)
 
     c_prime = a1 = steady_residual = hyp_residual = None
     if t_min is not None and compute_bounds:

@@ -102,13 +102,15 @@ class DEState:
 
 
 def _padded(x: np.ndarray, w: int) -> np.ndarray:
-    """Values at positions 1-w..len(x)+w: position p sits at index p+w-1.
+    """Values at positions 1-w..n+w along the last axis (n = its length):
+    position p sits at index p+w-1.
 
     The w zero ghost positions on each side cover every read of the window
     kernel (w-1 beyond the chain) and the x_{c-1} read of ``slope_segment``.
     """
-    buf = np.zeros(len(x) + 2 * w)
-    buf[w : w + len(x)] = x
+    shape = np.shape(x)
+    buf = np.zeros(shape[:-1] + (shape[-1] + 2 * w,))
+    buf[..., w : w + shape[-1]] = x
     return buf
 
 
@@ -123,9 +125,9 @@ def slope_segment(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> np.ndarra
 
 
 def _moving_mean(v: np.ndarray, width: int) -> np.ndarray:
-    cs = np.cumsum(v)
-    out = cs[width - 1 :].copy()
-    out[1:] -= cs[:-width]
+    cs = np.cumsum(v, axis=-1)
+    out = cs[..., width - 1 :].copy()
+    out[..., 1:] -= cs[..., :-width]
     return out / width
 
 
@@ -141,18 +143,19 @@ def window_update_values(
 
 
 def window_check_stage(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
-    """``_check_stage`` of window c on a chain vector (zero outside 1..N+w-1)."""
+    """``_check_stage`` of window c on a chain vector, or on a block of them
+    along the last axis (zero outside 1..N+w-1)."""
     return _check_stage(_padded(x, spec.w), _channel_profile(spec), c, W, spec)
 
 
 def _check_stage(buf: np.ndarray, eps: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
-    """What window c reads, on the padded layout and channel profile: the
-    erasures x at positions c-w+1..c+W+w-2, rho(1-x) there, the channel at
-    the check positions u = c-w+1..c+W-1, and the check averages S_u, the
-    mean of rho(1-x) over u..u+w-1. Shared by the DE update and the coupled
-    potential."""
+    """What window c reads, on the padded layout (last axis) and channel
+    profile: the erasures x at positions c-w+1..c+W+w-2, rho(1-x) there,
+    the channel at the check positions u = c-w+1..c+W-1, and the check
+    averages S_u, the mean of rho(1-x) over u..u+w-1. Shared by the DE
+    update and the coupled potential."""
     w = spec.w
-    reads = buf[c : c + W + 2 * w - 2]
+    reads = buf[..., c : c + W + 2 * w - 2]
     rho_vals = spec.ens.rho(1.0 - reads)
     return reads, rho_vals, eps[c : c + W + w - 1], _moving_mean(rho_vals, w)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scwde.window
@@ -164,11 +164,10 @@ def trajectory_oracle(traj) -> bytes:
 @pytest.mark.parametrize(
     "run",
     [
-        # 25 positions: one whole 16-line chunk and a short one
         {"N": 24, "w": 2, "W": 8, "T": 3, "schedule": "literal"},
-        # 10 positions, fewer than one chunk; the termination tail is swept
+        # the termination tail is swept
         {"N": 8, "w": 3, "W": 4, "T": 2, "schedule": "extended"},
-        # 32 positions, exactly two chunks; a taller first block
+        # a taller first block
         {"N": 31, "w": 2, "W": 6, "T": 2, "T_first": 5, "schedule": "extended"},
         # 42 positions; blocks of two heights and a subset of windows
         {"N": 40, "w": 3, "W": 10, "T": 3, "T_first": 7, "schedule": "literal",
@@ -176,7 +175,7 @@ def trajectory_oracle(traj) -> bytes:
         {"N": 40, "w": 3, "W": 10, "T": 1, "T_first": 4, "schedule": "extended",
          "record": {"windows": [33, 1]}},
     ],
-    ids=["literal", "short-chain", "two-chunks", "windows-literal", "windows-extended"],
+    ids=["literal", "short-chain", "tall-first-block", "windows-literal", "windows-extended"],
 )
 def test_trajectory_bytes_match_csv_writer(tmp_path, run):
     cfg = write_cfg(tmp_path, {"ensemble": {"L": "x^3", "R": "x^6"},
@@ -192,15 +191,34 @@ def test_trajectory_bytes_match_csv_writer(tmp_path, run):
     assert (out / "trajectory.csv").read_bytes() == trajectory_oracle(traj)
 
 
+# recorded windows with gaps between them, and their block heights
+WRITER_BLOCKS = {2: 2, 5: 3, 9: 1}
+WRITER_ROWS = sum(WRITER_BLOCKS.values())
+
+
+def sign_and_nan_rows():
+    """Rows of 21 ones, but for a zero whose sign flips within a window and
+    across a gap, and a NaN at one position in every row."""
+    rows = np.ones((WRITER_ROWS, 21))
+    rows[:, 0] = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]
+    rows[:, 1] = float("nan")
+    return rows.ravel().tolist()
+
+
 @settings(max_examples=50, deadline=None)
-@given(values=st.lists(st.floats() | st.sampled_from([-0.0, 1.0, 5e-324]),
-                       min_size=2 * 21, max_size=2 * 21))
+@given(values=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1.0, 5e-324, float("nan")]),
+                       min_size=WRITER_ROWS * 21, max_size=WRITER_ROWS * 21))
+@example(values=sign_and_nan_rows())
 def test_trajectory_writer_formats_any_float(tmp_path_factory, values):
     # nan, inf, -0.0 and subnormals never come out of the recursion, but the
-    # writer formats them as csv.writer with format(v, ".17g") does
+    # writer formats them as csv.writer with format(v, ".17g") does. Each row
+    # is diffed against the last one written, across gaps between windows:
+    # 0.0 == -0.0 yet they print as 0 and -0, so the diff must compare bits
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=20, w=2, epsilon=0.42)
     traj = Trajectory(WindowSchedule(W=4, T=1), spec)
-    traj._blocks[3] = np.array(values).reshape(2, 21)
+    rows, lo = np.array(values).reshape(WRITER_ROWS, 21), 0
+    for c, height in WRITER_BLOCKS.items():
+        traj._blocks[c], lo = rows[lo : lo + height], lo + height
     path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
     _write_trajectory(path, traj)
     assert path.read_bytes() == trajectory_oracle(traj)

@@ -100,6 +100,37 @@ def test_coupled_potential_matches_definition(N, w, eps, ens, data):
             potential_by_definition(x, ctx), rel=0, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=20),
+    w=st.integers(min_value=1, max_value=4),
+    ens=st.sampled_from([
+        ENS36,
+        UncoupledEnsemble.from_specs([[2, 0.4], [3, 0.6]], [[5, 0.5], [6, 0.5]]),
+    ]),
+    rows=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_block_potential_equals_rows_bitwise(N, w, ens, rows, data):
+    # a (rows, N+w-1) block gives, bit for bit, the per-row potentials, each
+    # a Python float, in the first and last windows and one drawn between
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=0.42)
+    sched = WindowSchedule(W=W, T=1, variant="extended")
+    block = np.array(data.draw(st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1.0),
+                 min_size=spec.chain_len, max_size=spec.chain_len),
+        min_size=rows, max_size=rows)))
+    c_max = sched.c_max(spec)
+    for c in {1, data.draw(st.integers(min_value=1, max_value=c_max)), c_max}:
+        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
+        per_row = [coupled_potential(x, ctx) for x in block]
+        assert all(type(u) is float for u in per_row)
+        got = coupled_potential(block, ctx)
+        assert got.shape == (rows,)
+        assert got.view(np.int64).tolist() == np.array(per_row).view(np.int64).tolist()
+
+
 class TestCoupledGradient:
     def test_all_ones_interior_matches_closed_form(self):
         ctx = make_ctx()

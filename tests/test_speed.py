@@ -219,14 +219,48 @@ class TestMeasureSpeed:
         spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.45)
         assert measure_speed(spec, W=12, compute_bounds=False, validate=False).T_min == 22
 
-    def test_budget_exhaustion_reports_best_average(self):
-        # with no decoding T, best_avg is the average of the full run at T_max
+    def test_budget_exhaustion_reports_best_average(self, monkeypatch):
+        # with no decoding T, best_avg is the average of the full run at T_max,
+        # and no run is recorded: there is no T_min trajectory to keep
+        records = []
+
+        def counting_run_wd(spec, sched, record=False, **kwargs):
+            records.append(record)
+            return run_wd(spec, sched, record=record, **kwargs)
+
+        monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
         spec = CoupledSpec(ens=ENS36, N=40, w=4, epsilon=0.487)
         rep = measure_speed(spec, W=12, T_max=3, schedule_variant="extended")
         assert rep.T_min is None and rep.v is None
+        assert records and not any(records)
         assert rep.best_avg is not None and rep.best_avg > 1e-6
         final, _ = run_wd(spec, WindowSchedule(W=12, T=3, variant="extended"))
         assert rep.best_avg == decode_success(final, spec).avg
+
+    @pytest.mark.parametrize(
+        ("T_lo", "last_runs"),
+        [(1, [(24, False), (24, True)]), (24, [(24, True)])],
+        ids=["search", "fixed"],
+    )
+    def test_decoding_T_max_recorded_once(self, monkeypatch, T_lo, last_runs):
+        # T_min = T_max = 24: a search runs T_max unrecorded and, as it
+        # decodes, once more with recording; a fixed T records its one run.
+        # c' and A1 are those of a search whose T_max lies above T_min
+        spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
+        wide = measure_speed(spec, W=10, T_max=60, schedule_variant="extended")
+        assert wide.T_min == 24 and wide.c_prime is not None and wide.A1 is not None
+        records = []
+
+        def counting_run_wd(spec, sched, record=False, **kwargs):
+            records.append((sched.T, record))
+            return run_wd(spec, sched, record=record, **kwargs)
+
+        monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
+        rep = measure_speed(spec, W=10, T_lo=T_lo, T_max=24, schedule_variant="extended")
+        assert (rep.T_min, rep.c_prime, rep.A1, rep.best_avg) == (
+            wide.T_min, wide.c_prime, wide.A1, wide.best_avg)
+        assert records[-len(last_runs):] == last_runs
+        assert [r for _, r in records].count(True) == 1
 
     def test_report_carries_bounds_when_landscape_given(self):
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
