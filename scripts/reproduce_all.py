@@ -4,7 +4,7 @@
 Roughly: thresholds for both regular ensembles, the potential landscape,
 one recorded wave trajectory, the speed-vs-window table, and the two
 speed-vs-erasure staircases. The staircase sweep is the slow part
-(minutes, not seconds).
+(a few seconds: about 2.4 s with 2 workers on a 2-vCPU host).
 
 Usage: python scripts/reproduce_all.py [--out out] [--workers N]
 """
@@ -12,9 +12,9 @@ Usage: python scripts/reproduce_all.py [--out out] [--workers N]
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from scwde.cli import default_workers
 from scwde.cli import main as scwde_main
 
 
@@ -28,7 +28,7 @@ def run(argv: list[str]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out")
-    parser.add_argument("--workers", type=int, default=os.cpu_count())
+    parser.add_argument("--workers", type=int, default=default_workers())
     parser.add_argument(
         "--skip-staircase",
         action="store_true",

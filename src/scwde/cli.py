@@ -12,7 +12,6 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from itertools import islice, product
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -160,18 +159,23 @@ def _speed_task(cfg: RunConfig, point) -> SpeedReport:
     )
 
 
-def cmd_speed(cfg: RunConfig, out: Path, workers: Optional[int]) -> int:
+def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
     points = [(ens, eps, W) for ens in cfg.ensembles
               for eps, W in product(cfg.epsilons(ens), cfg.W)]
     out.mkdir(parents=True, exist_ok=True)
+    # Costliest first: the wave slows as epsilon nears the MAP threshold,
+    # and a larger W runs fewer windows. Rows keep the grid order.
+    order = sorted(range(len(points)), key=lambda i: (-points[i][1], points[i][2]))
+    dispatched = [points[i] for i in order]
     task = partial(_speed_task, cfg)
-    if workers and workers > 1 and len(points) > 1:
+    if workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            reports = list(pool.map(task, points))
+            done = list(pool.map(task, dispatched))
     else:
-        reports = list(map(task, points))
+        done = list(map(task, dispatched))
+    reports = [report for _, report in sorted(zip(order, done))]
     multi, ordered = len(cfg.ensembles) > 1, iter(reports)
     for ens in cfg.ensembles:
         ens_reports = list(islice(ordered, len(cfg.epsilons(ens)) * len(cfg.W)))
@@ -233,15 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--workers",
                 type=int,
-                default=os.cpu_count(),
-                help="parallel grid points (default: CPU count)",
+                default=default_workers(),
+                help="parallel grid points (default: the CPUs this process may use)",
             )
     return parser
 
 
+def default_workers() -> int:
+    """The CPUs this process may run on, where the platform says so; else
+    the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "speed" and args.workers < 1:
+            parser.error(f"argument --workers: must be at least 1, got {args.workers}")
         cfg = load_preset(args.preset) if args.preset else load_config(args.config)
         out = args.out
         if args.command == "landscape":

@@ -32,15 +32,22 @@ class DegreePolynomial:
     def __call__(self, x):
         """Evaluate by Horner's scheme (works on scalars and numpy arrays).
 
+        The first product is a new object, so the later steps update it in
+        place and never write to x; each still rounds acc * x, then + c.
         A step whose coefficient is zero only multiplies: for x >= 0 and
         non-negative coefficients, acc * x + 0.0 == acc * x bitwise.
         """
-        if len(self.coeffs) == 1 and isinstance(x, np.ndarray):
+        coeffs = self.coeffs
+        if len(coeffs) == 1:
             # a constant has no x term to carry the argument's shape
-            return np.full(x.shape, self.coeffs[0])
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c if c else acc * x
+            return np.full(x.shape, coeffs[0]) if isinstance(x, np.ndarray) else coeffs[0]
+        acc = coeffs[-1] * x
+        for c in reversed(coeffs[1:-1]):
+            if c:
+                acc += c
+            acc *= x
+        if coeffs[0]:
+            acc += coeffs[0]
         return acc
 
     def derivative(self) -> "DegreePolynomial":

@@ -125,10 +125,11 @@ def slope_segment(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> np.ndarra
 
 
 def _moving_mean(v: np.ndarray, width: int) -> np.ndarray:
-    cs = np.cumsum(v, axis=-1)
+    cs = v.cumsum(axis=-1)
     out = cs[..., width - 1 :].copy()
     out[..., 1:] -= cs[..., :-width]
-    return out / width
+    out /= width
+    return out
 
 
 def window_update_values(
@@ -139,33 +140,40 @@ def window_update_values(
     Every neighbor read comes from the supplied vector (flooding update);
     positions outside 1..N+w-1 read as zero.
     """
-    return _window_kernel(_padded(x, spec.w), _channel_profile(spec), c, W, spec)
+    reads, eps_u = _window_views(_padded(x, spec.w), _channel_profile(spec), c, W, spec.w)
+    return _window_kernel(reads, eps_u, spec)
 
 
 def window_check_stage(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
-    """``_check_stage`` of window c on a chain vector, or on a block of them
-    along the last axis (zero outside 1..N+w-1)."""
-    return _check_stage(_padded(x, spec.w), _channel_profile(spec), c, W, spec)
+    """Window c's reads and channel (``_window_views``) of a chain vector, or
+    of a block of them along the last axis (zero outside 1..N+w-1), with
+    ``_check_stage`` between them: (reads, rho(1-x), channel, S_u)."""
+    reads, eps_u = _window_views(_padded(x, spec.w), _channel_profile(spec), c, W, spec.w)
+    rho_vals, s = _check_stage(reads, spec)
+    return reads, rho_vals, eps_u, s
 
 
-def _check_stage(buf: np.ndarray, eps: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
-    """What window c reads, on the padded layout (last axis) and channel
-    profile: the erasures x at positions c-w+1..c+W+w-2, rho(1-x) there,
-    the channel at the check positions u = c-w+1..c+W-1, and the check
-    averages S_u, the mean of rho(1-x) over u..u+w-1. Shared by the DE
-    update and the coupled potential."""
-    w = spec.w
-    reads = buf[..., c : c + W + 2 * w - 2]
+def _window_views(buf: np.ndarray, eps: np.ndarray, c: int, W: int, w: int) -> tuple:
+    """Views of window c on the padded layout (last axis) and channel
+    profile: the erasures at positions c-w+1..c+W+w-2, and the channel at
+    the check positions u = c-w+1..c+W-1."""
+    return buf[..., c : c + W + 2 * w - 2], eps[c : c + W + w - 1]
+
+
+def _check_stage(reads: np.ndarray, spec: CoupledSpec) -> tuple:
+    """rho(1-x) of the erasures window c reads, and the check averages S_u,
+    the mean of rho(1-x) over u..u+w-1. Shared by the DE update and the
+    coupled potential."""
     rho_vals = spec.ens.rho(1.0 - reads)
-    return reads, rho_vals, eps[c : c + W + w - 1], _moving_mean(rho_vals, w)
+    return rho_vals, _moving_mean(rho_vals, spec.w)
 
 
-def _window_kernel(
-    buf: np.ndarray, eps: np.ndarray, c: int, W: int, spec: CoupledSpec
-) -> np.ndarray:
-    """``window_update_values`` on the padded layout and channel profile."""
-    _, _, eps_u, s = _check_stage(buf, eps, c, W, spec)
-    return _moving_mean(eps_u * spec.ens.lam(1.0 - s), spec.w)
+def _window_kernel(reads: np.ndarray, eps_u: np.ndarray, spec: CoupledSpec) -> np.ndarray:
+    """``window_update_values`` on window c's views (``_window_views``)."""
+    _, s = _check_stage(reads, spec)
+    f = spec.ens.lam(1.0 - s)  # a new array; f * eps_u rounds as eps_u * f
+    f *= eps_u
+    return _moving_mean(f, spec.w)
 
 
 class Trajectory:
@@ -246,11 +254,14 @@ def run_wd(
     sched.validate(spec)
     wanted = None if record_windows is None else set(record_windows)
     traj = Trajectory(sched, spec) if record else None
-    buf = _padded(np.ones(spec.chain_len), spec.w)
-    x = buf[spec.w : spec.w + spec.chain_len]
+    W, w = sched.W, spec.w
+    buf = _padded(np.ones(spec.chain_len), w)
+    x = buf[w : w + spec.chain_len]
     eps = _channel_profile(spec)
     for c in range(1, sched.c_max(spec) + 1):
-        lo, hi = c - 1, c - 1 + sched.W
+        lo, hi = c - 1, c - 1 + W
+        target = x[lo:hi]
+        reads, eps_u = _window_views(buf, eps, c, W, w)
         T_c = sched.iterations_for(c)
         rows = None
         if traj is not None and (wanted is None or c in wanted):
@@ -258,21 +269,21 @@ def run_wd(
             rows[0] = x
         prev = x.copy() if validate else None
         for t in range(1, T_c + 1):
-            new_vals = _window_kernel(buf, eps, c, sched.W, spec)
+            new_vals = _window_kernel(reads, eps_u, spec)
             if validate:
-                if np.any(new_vals > x[lo:hi] + MONOTONE_SLACK):
+                if (new_vals > target + MONOTONE_SLACK).any():
                     raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
-                if np.any(new_vals < -MONOTONE_SLACK) or np.any(new_vals > 1.0 + MONOTONE_SLACK):
+                if (new_vals < -MONOTONE_SLACK).any() or (new_vals > 1.0 + MONOTONE_SLACK).any():
                     raise ChainCheckError("erasure left [0, 1]")
-            x[lo:hi] = new_vals
+            target[:] = new_vals
             if rows is not None:
                 rows[t] = x
         if rows is not None:
             rows.flags.writeable = False
-        if validate:
-            outside = np.concatenate([x[:lo], x[hi:]])
-            if not np.array_equal(outside, np.concatenate([prev[:lo], prev[hi:]])):
-                raise ChainCheckError("out-of-window positions changed during sweeps")
+        if validate and not (
+            np.array_equal(x[:lo], prev[:lo]) and np.array_equal(x[hi:], prev[hi:])
+        ):
+            raise ChainCheckError("out-of-window positions changed during sweeps")
         if stop is not None and stop(c, x):
             break
     return DEState(x=x, c=c, t=T_c), traj

@@ -4,6 +4,7 @@ import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scwde.window
-from scwde.cli import _write_trajectory, main
+from scwde.cli import _write_trajectory, build_parser, main
 from scwde.config import (
     _KEYS,
     MAX_GRID_N,
@@ -580,14 +581,15 @@ def test_grid_n_capped():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch) -> list:
-    """Replace the process pool by one that records its size and runs the
-    tasks inline."""
-    sizes = []
+def inline_pool(monkeypatch) -> SimpleNamespace:
+    """Replace the process pool by one that runs the tasks inline and
+    records its size and the (epsilon, W) of each point, in the order
+    ``map`` receives them."""
+    seen = SimpleNamespace(sizes=[], points=[])
 
     class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            seen.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -595,20 +597,21 @@ def pool_sizes(monkeypatch) -> list:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *columns):
-            return map(fn, *columns)
+        def map(self, fn, points):
+            seen.points.extend((eps, W) for _, eps, W in points)
+            return map(fn, points)
 
     monkeypatch.setattr("scwde.cli.ProcessPoolExecutor", InlinePool)
-    return sizes
+    return seen
 
 
-def test_worker_pool_capped_at_grid_points(tmp_path, pool_sizes):
+def test_worker_pool_capped_at_grid_points(tmp_path, inline_pool):
     # a process pool starts all of its workers at the first task, so the
     # pool must not ask for more than there are points
     cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
     assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "100000"]) == 0
-    assert pool_sizes == [2]
+    assert inline_pool.sizes == [2]
     assert len(read_csv(tmp_path / "out" / "speed.csv")) == 3
 
 
@@ -618,7 +621,7 @@ TWO_ENSEMBLES = {
 }
 
 
-def test_all_ensembles_share_one_pool(tmp_path, capfd, pool_sizes):
+def test_all_ensembles_share_one_pool(tmp_path, capfd, inline_pool):
     # one point per ensemble: both run through one pool of two workers, and
     # the files and stdout are those of a one-process run
     cfg = write_cfg(tmp_path, TWO_ENSEMBLES)
@@ -628,10 +631,45 @@ def test_all_ensembles_share_one_pool(tmp_path, capfd, pool_sizes):
                      "--workers", workers]) == 0
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         outputs.append((files, capfd.readouterr().out))
-    assert pool_sizes == [2]
+    assert inline_pool.sizes == [2]
     assert outputs[0] == outputs[1]
     assert sorted(outputs[0][0]) == ["speed_x3_x6.csv", "speed_x4_x8.csv"]
     assert outputs[0][1].splitlines()[0].startswith("x4_x8 epsilon=0.3 W=8")
+
+
+GRID_2X2 = {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02}, "W": [8, 10]}
+
+
+def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
+    # the wave slows as epsilon rises and a larger W runs fewer windows, so
+    # the pool gets the largest epsilon first, then ascending W; the rows
+    # and stdout keep the grid order of a one-process run
+    cfg = write_cfg(tmp_path, GRID_2X2)
+    outputs = []
+    for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "pool")):
+        assert main(["speed", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append(((out / "speed.csv").read_bytes(), capfd.readouterr().out))
+    assert inline_pool.sizes == [4]
+    assert inline_pool.points == [(0.30, 8), (0.30, 10), (0.28, 8), (0.28, 10)]
+    assert outputs[0] == outputs[1]
+    assert [line.split(":")[0] for line in outputs[0][1].splitlines()] == [
+        "x3_x6 epsilon=0.28 W=8", "x3_x6 epsilon=0.28 W=10",
+        "x3_x6 epsilon=0.3 W=8", "x3_x6 epsilon=0.3 W=10",
+    ]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_first_failure_in_dispatch_order_surfaces(tmp_path, capfd, monkeypatch, workers):
+    # every point fails; the pool forks after the patch, so its workers fail too
+    def failing_point(spec, W, **kwargs):
+        raise ValueError(f"point epsilon={spec.epsilon} W={W}")
+
+    monkeypatch.setattr("scwde.cli.measure_speed", failing_point)
+    cfg = write_cfg(tmp_path, GRID_2X2)
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", workers])
+    one_line_exit(capfd, code, 1, "configuration error: point epsilon=0.3 W=8\n")
 
 
 def one_line_exit(capfd, code, expected, prefix) -> str:
@@ -674,16 +712,32 @@ def test_ensembles_rejected_before_out(tmp_path, capfd, payload, command, messag
         (["speed"], "one of the arguments --config --preset is required"),
         (["speed", "--preset", "table1", "--workers", "x"],
          "argument --workers: invalid int value: 'x'"),
+        (["speed", "--preset", "table1", "--workers", "0"],
+         "argument --workers: must be at least 1, got 0"),
+        (["speed", "--preset", "table1", "--workers", "-2"],
+         "argument --workers: must be at least 1, got -2"),
         ([], "the following arguments are required: command"),
         (["speed", "--preset", "table1", "--bogus"], "unrecognized arguments: --bogus"),
     ],
-    ids=["unknown-preset", "no-config", "bad-workers", "no-command", "unknown-flag"],
+    ids=["unknown-preset", "no-config", "bad-workers", "zero-workers", "negative-workers",
+         "no-command", "unknown-flag"],
 )
 def test_usage_error_exits_with_one_line(tmp_path, capfd, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # the default --out is relative
     code = main(argv)
     assert one_line_exit(capfd, code, 1, f"configuration error: {message}\n") == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
+    def default():
+        return build_parser().parse_args(["speed", "--preset", "table1"]).workers
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert default() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default() == 6
 
 
 def test_help_exits_0_and_lists_the_presets(capsys):
@@ -743,8 +797,9 @@ def test_every_epsilon_grid_expanded_before_any_point(tmp_path, capfd, speed_cal
 
 def test_chain_check_failure_exits_2(tmp_path, capfd, monkeypatch):
     # a sweep that raises an erasure breaks the recursion's monotonicity
+    kernel = scwde.window._window_kernel
     monkeypatch.setattr("scwde.window._window_kernel",
-                        lambda buf, eps, c, W, spec: np.full(W, 1.5))
+                        lambda *args: np.full_like(kernel(*args), 1.5))
     cfg = write_cfg(tmp_path, BASE_RUN)
     code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 2,
@@ -783,7 +838,7 @@ def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):
     # a fixed T runs validated, inside the two forked workers
     kernel = scwde.window._window_kernel
     monkeypatch.setattr("scwde.window._window_kernel",
-                        lambda buf, eps, c, W, spec: -kernel(buf, eps, c, W, spec) - 1e-6)
+                        lambda *args: -kernel(*args) - 1e-6)
     cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "2"])

@@ -8,6 +8,7 @@ import scwde.window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scwde.poly import from_pairs
 from scwde.scalar import UncoupledEnsemble
 from scwde.speed import _FrozenPrefixStop
 from scwde.window import (
@@ -113,6 +114,85 @@ def test_window_update_matches_definition(N, w, eps, degrees, data):
                                    update_by_definition(x, c, W, spec), rtol=0, atol=1e-13)
 
 
+def horner_out_of_place(p, x):
+    """DegreePolynomial.__call__ with a new array at every step."""
+    if len(p.coeffs) == 1 and isinstance(x, np.ndarray):
+        return np.full(x.shape, p.coeffs[0])
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * x + c if c else acc * x
+    return acc
+
+
+def moving_mean_out_of_place(v, width):
+    cs = np.cumsum(v)
+    out = cs[width - 1 :].copy()
+    out[1:] -= cs[:-width]
+    return out / width
+
+
+def update_out_of_place(x, c, W, spec):
+    """The windowed DE map at z = c..c+W-1 in the engine's order of
+    operations, each step on new arrays; x reads as zero outside the chain."""
+    w, ens = spec.w, spec.ens
+    ghosts = np.zeros(w)
+    reads = np.concatenate([ghosts, x, ghosts])[c : c + W + 2 * w - 2]
+    channel = np.concatenate([ghosts, np.full(spec.N, spec.epsilon), ghosts])
+    s = moving_mean_out_of_place(horner_out_of_place(ens.rho, 1.0 - reads), w)
+    eps_u = channel[c : c + W + w - 1]
+    return moving_mean_out_of_place(eps_u * horner_out_of_place(ens.lam, 1.0 - s), w)
+
+
+def run_out_of_place(spec, sched):
+    """The final vector and every window's (T_c+1, N+w-1) block."""
+    x, blocks = np.ones(spec.chain_len), {}
+    for c in range(1, sched.c_max(spec) + 1):
+        rows = [x.copy()]
+        for _ in range(sched.iterations_for(c)):
+            x[c - 1 : c - 1 + sched.W] = update_out_of_place(x, c, sched.W, spec)
+            rows.append(x.copy())
+        blocks[c] = np.array(rows)
+    return x, blocks
+
+
+SWEEP_ENSEMBLES = [
+    ENS36,
+    UncoupledEnsemble.regular(4, 8),
+    UncoupledEnsemble(L=from_pairs([(1, 1.0)]), R=from_pairs([(3, 1.0)])),  # lambda = 1
+    UncoupledEnsemble(L=from_pairs([(2, 0.4), (3, 0.6)]), R=from_pairs([(5, 0.5), (6, 0.5)])),
+    UncoupledEnsemble(L=from_pairs([(2, 0.3), (5, 0.7)]), R=from_pairs([(4, 0.25), (7, 0.75)])),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ens=st.sampled_from(SWEEP_ENSEMBLES),
+    N=st.integers(min_value=1, max_value=16),
+    w=st.integers(min_value=1, max_value=5),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+    T=st.integers(min_value=1, max_value=4),
+    T_first=st.none() | st.integers(min_value=1, max_value=8),
+    variant=st.sampled_from(["literal", "extended"]),
+    validate=st.booleans(),
+    data=st.data(),
+)
+def test_run_matches_out_of_place_arithmetic_bitwise(ens, N, w, eps, T, T_first, variant,
+                                                     validate, data):
+    # the engine's views and in-place steps round exactly as new arrays do
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
+    sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
+    final, traj = run_wd(spec, sched, record=True, validate=validate)
+    x, blocks = run_out_of_place(spec, sched)
+    assert final.x.tobytes() == x.tobytes()
+    assert traj.windows() == sorted(blocks)
+    for c, block in blocks.items():
+        assert traj.block(c).tobytes() == block.tobytes()
+        for row in block[[0, -1]]:
+            assert (window_update_values(row, c, W, spec).tobytes()
+                    == update_out_of_place(row, c, W, spec).tobytes())
+
+
 class TestSweepAndSlide:
     def test_first_sweep_pattern(self):
         after = first_window(spec36(w=3), WindowSchedule(W=11, T=6))[1]
@@ -159,10 +239,11 @@ class TestRunWd:
     @pytest.mark.parametrize(
         ("broken", "message"),
         [
-            (lambda buf, w, new: new * 0.0 + 1.0 + 1e-9,
+            (lambda reads, new: new * 0.0 + 1.0 + 1e-9,
              "erasure increased within window c=1, t=1"),
-            (lambda buf, w, new: -new - 1e-6, r"erasure left \[0, 1\]"),
-            (lambda buf, w, new: buf.__setitem__(-w - 1, 0.5) or new,
+            (lambda reads, new: -new - 1e-6, r"erasure left \[0, 1\]"),
+            # the last read lies right of the window, w-1 positions beyond it
+            (lambda reads, new: reads.__setitem__(-1, 0.5) or new,
              "out-of-window positions changed"),
         ],
         ids=["rise", "range", "outside"],
@@ -170,8 +251,8 @@ class TestRunWd:
     def test_broken_sweep_is_a_chain_check_error(self, monkeypatch, broken, message):
         kernel = scwde.window._window_kernel
 
-        def broken_kernel(buf, eps, c, W, spec):
-            return broken(buf, spec.w, kernel(buf, eps, c, W, spec))
+        def broken_kernel(reads, eps_u, spec):
+            return broken(reads, kernel(reads, eps_u, spec))
 
         monkeypatch.setattr("scwde.window._window_kernel", broken_kernel)
         with pytest.raises(ChainCheckError, match=message):
