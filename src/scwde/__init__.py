@@ -1,14 +1,7 @@
 """Density evolution and wave-speed analysis for spatially coupled LDPC
 ensembles under windowed decoding on the binary erasure channel."""
 
-from .coupled import (
-    AlphaCheck,
-    CoupledPotentialContext,
-    alpha_inequality_check,
-    coupled_gradient,
-    coupled_potential,
-    delta_u1,
-)
+from .coupled import CoupledPotentialContext, coupled_potential
 from .poly import DegreePolynomial, from_pairs, monomial, parse_polynomial
 from .scalar import (
     DERunResult,
@@ -25,14 +18,12 @@ from .scalar import (
     potential_d2,
 )
 from .speed import (
-    SlopeMarginReport,
     SpeedReport,
     SteadyState,
     LandscapeBounds,
     bound_a1,
     bound_th2,
     detect_steady_state,
-    slope_margin_check,
     measure_speed,
 )
 from .window import (
@@ -48,14 +39,12 @@ from .window import (
 )
 
 __all__ = [
-    "AlphaCheck",
     "ChainCheckError",
     "CoupledPotentialContext",
     "CoupledSpec",
     "DERunResult",
     "DEState",
     "DegreePolynomial",
-    "SlopeMarginReport",
     "NonConvergence",
     "PotentialLandscape",
     "SpeedReport",
@@ -66,20 +55,16 @@ __all__ = [
     "Trajectory",
     "UncoupledEnsemble",
     "WindowSchedule",
-    "alpha_inequality_check",
     "bound_a1",
     "bound_th2",
     "bp_threshold",
-    "coupled_gradient",
     "coupled_potential",
     "de_run",
     "de_step",
     "decode_success",
-    "delta_u1",
     "detect_steady_state",
     "from_pairs",
     "landscape",
-    "slope_margin_check",
     "map_threshold",
     "measure_speed",
     "monomial",

@@ -112,7 +112,7 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
 
     def potential_rows():
         for c in traj.windows():
-            ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c, alpha=cfg.alpha)
+            ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
             for t, u in enumerate(coupled_potential(traj.block(c), ctx).tolist()):
                 yield c, t, u
 

@@ -10,7 +10,6 @@ from typing import Any, Callable, Iterable, Optional
 
 import yaml
 
-from .coupled import CoupledPotentialContext
 from .scalar import GRID_N_DEFAULT, GRID_N_MIN, UncoupledEnsemble, map_threshold
 from .speed import STEADY_TOL, T_MAX_DEFAULT
 from .window import CoupledSpec, SuccessRule, WindowSchedule
@@ -38,11 +37,11 @@ class RunConfig:
     """One run request: ensembles, coupling, channel grid, window grid.
 
     ``epsilon_grid`` holds each ensemble's ε values, in the order of
-    ``ensembles``, as the config expands them at load. The coupling, ε,
-    window and alpha values are checked by building the engine's types from
-    them: a ``CoupledSpec`` per ε, a ``WindowSchedule`` per window size and
-    a ``CoupledPotentialContext``. These field defaults are the only ones: a
-    key a YAML config leaves out is not passed.
+    ``ensembles``, as the config expands them at load. The coupling, ε and
+    window values are checked by building the engine's types from them: a
+    ``CoupledSpec`` per ε and a ``WindowSchedule`` per window size. These
+    field defaults are the only ones: a key a YAML config leaves out is not
+    passed.
     """
 
     ensembles: tuple[UncoupledEnsemble, ...] = ()
@@ -73,9 +72,10 @@ class RunConfig:
         specs = [CoupledSpec(ens, self.N, self.w, eps)
                  for ens in self.ensembles for eps in self.epsilons(ens)]
         for W in self.W or (1,):
-            sched = WindowSchedule(W, 1 if self.T is None else self.T, self.schedule,
-                                   self.T_first)
-            CoupledPotentialContext(specs[0], sched, c=1, alpha=self.alpha)
+            WindowSchedule(W, 1 if self.T is None else self.T, self.schedule,
+                           self.T_first).validate(specs[0])
+        if not 1.0 <= self.alpha <= 2.0:
+            raise ConfigError("alpha must lie in [1, 2]")
         if self.T_max < 1:
             raise ConfigError("T_max must be >= 1")
         if self.grid_n < GRID_N_MIN:

@@ -8,10 +8,9 @@ from typing import Optional
 import numpy as np
 
 from .coupled import CoupledPotentialContext, coupled_potential
-from .scalar import PotentialLandscape, de_step, potential, potential_d1
+from .scalar import PotentialLandscape, potential, potential_d1
 from .window import (
     CoupledSpec,
-    DEState,
     SuccessRule,
     Trajectory,
     WindowSchedule,
@@ -21,7 +20,6 @@ from .window import (
 )
 
 STEADY_TOL = 1e-9
-SLOPE_TOL = 1e-9
 T_MAX_DEFAULT = 200
 
 # Relative margin by which the frozen erasures must exceed the average-policy
@@ -85,12 +83,14 @@ def bound_a1(
 
     Both potential evaluations use window configuration c'; the denominator
     sums rho'(1-x_z) (x_z - x_{z-1})^2 over the window at t = 0, reading
-    x_0 as zero.
+    x_0 as zero. alpha is the Taylor constant, in [1, 2].
     """
     spec, sched = traj.spec, traj.sched
     if c_prime + 1 not in set(traj.windows()):
         raise ValueError(f"trajectory lacks window {c_prime + 1}")
-    ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c_prime, alpha=alpha)
+    ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c_prime)
+    if not 1.0 <= alpha <= 2.0:
+        raise ValueError("alpha must lie in [1, 2]")
     x_now = traj.block(c_prime)[0]
     x_next = traj.block(c_prime + 1)[0]
     num = alpha * (coupled_potential(x_now, ctx) - coupled_potential(x_next, ctx))
@@ -114,7 +114,6 @@ class LandscapeBounds:
     B1: float
     B2: float
     numerator: float
-    alpha: float
 
 
 def _check_landscape_epsilon(spec: CoupledSpec, land: PotentialLandscape) -> None:
@@ -156,36 +155,6 @@ def bound_th2(
         B1=b1,
         B2=b2,
         numerator=num,
-        alpha=alpha,
-    )
-
-
-@dataclass(frozen=True)
-class SlopeMarginReport:
-    min_margin: float
-    holds: bool
-    margins: tuple[float, ...]
-
-
-def slope_margin_check(
-    state: DEState,
-    spec: CoupledSpec,
-    sched: WindowSchedule,
-) -> SlopeMarginReport:
-    """Check the profile-slope lower bound at the state's window.
-
-    For each in-window z the margin is
-    (x_z - x_{z-1}) - |x_z - eps lam(1 - rho(1 - x_z))| / w;
-    the bound holds when every margin is >= -SLOPE_TOL.
-    """
-    seg = slope_segment(state.x, state.c, sched.W, spec)
-    xs = seg[1:]
-    margins = np.diff(seg) - np.abs(xs - de_step(xs, spec.epsilon, spec.ens)) / spec.w
-    min_margin = float(np.min(margins))
-    return SlopeMarginReport(
-        min_margin=min_margin,
-        holds=min_margin >= -SLOPE_TOL,
-        margins=tuple(margins.tolist()),
     )
 
 
@@ -211,10 +180,6 @@ class SpeedReport:
     success_policy: str
     T_max: int
     best_avg: Optional[float] = None
-    steady_residual: Optional[float] = None
-    th2_B1: Optional[float] = None
-    th2_B2: Optional[float] = None
-    th2_hypothesis_residual: Optional[float] = None
 
     @property
     def v(self) -> Optional[float]:
@@ -235,16 +200,6 @@ class SpeedReport:
 
     def csv_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.CSV_COLUMNS)
-
-
-def _th2_left_edge_residual(traj: Trajectory) -> Optional[float]:
-    """Largest x_{c-1} at t = 0 over recorded interior windows c > 1.
-
-    Diagnoses the closed-form bound's hypothesis that the position just
-    left of the window has fully decoded when the window arrives.
-    """
-    vals = [traj.block(c)[0, c - 2] for c in traj.windows() if c > 1]
-    return float(max(vals)) if vals else None
 
 
 class _FrozenPrefixStop:
@@ -363,17 +318,14 @@ def measure_speed(
     if compute_bounds and t_min is not None and traj is None:
         _, traj = run_wd(spec, schedule(T), record=True, validate=validate)
 
-    c_prime = a1 = steady_residual = hyp_residual = None
+    c_prime = a1 = None
     if t_min is not None and compute_bounds:
-        steady = detect_steady_state(traj, tol=steady_tol)
-        c_prime = steady.c_prime
-        steady_residual = steady.residual
+        c_prime = detect_steady_state(traj, tol=steady_tol).c_prime
         if c_prime is not None:
             try:
                 a1 = bound_a1(traj, c_prime, alpha=alpha)
             except ZeroDivisionError:  # flat steady profile: A1 is undefined
                 pass
-        hyp_residual = _th2_left_edge_residual(traj)
 
     th2 = None
     if land is not None and compute_bounds:
@@ -394,8 +346,4 @@ def measure_speed(
         success_policy=success.policy,
         T_max=T_max,
         best_avg=best_avg,
-        steady_residual=steady_residual,
-        th2_B1=th2.B1 if th2 else None,
-        th2_B2=th2.B2 if th2 else None,
-        th2_hypothesis_residual=hyp_residual,
     )

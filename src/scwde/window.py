@@ -132,18 +132,6 @@ def _moving_mean(v: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def window_update_values(
-    x: np.ndarray, c: int, W: int, spec: CoupledSpec
-) -> np.ndarray:
-    """New erasure values for the in-window positions z = c..c+W-1.
-
-    Every neighbor read comes from the supplied vector (flooding update);
-    positions outside 1..N+w-1 read as zero.
-    """
-    reads, eps_u = _window_views(_padded(x, spec.w), _channel_profile(spec), c, W, spec.w)
-    return _window_kernel(reads, eps_u, spec)
-
-
 def window_check_stage(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
     """Window c's reads and channel (``_window_views``) of a chain vector, or
     of a block of them along the last axis (zero outside 1..N+w-1), with
@@ -169,7 +157,9 @@ def _check_stage(reads: np.ndarray, spec: CoupledSpec) -> tuple:
 
 
 def _window_kernel(reads: np.ndarray, eps_u: np.ndarray, spec: CoupledSpec) -> np.ndarray:
-    """``window_update_values`` on window c's views (``_window_views``)."""
+    """New erasure values for the in-window positions z = c..c+W-1 from
+    window c's views (``_window_views``). Every neighbor read comes from the
+    views (flooding update); positions outside 1..N+w-1 read as zero."""
     _, s = _check_stage(reads, spec)
     f = spec.ens.lam(1.0 - s)  # a new array; f * eps_u rounds as eps_u * f
     f *= eps_u

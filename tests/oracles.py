@@ -1,0 +1,66 @@
+"""Test oracles for the windowed engine, written position by position from
+the definitions.
+
+Each reads a chain vector x over check positions 1..N+w-1 one position at a
+time, with x read as zero outside that range and the channel eps_u = eps
+only on 1..N. They call the ensemble's polynomials and nothing of the window
+kernel, so a check against them does not share the code it checks.
+"""
+
+import numpy as np
+
+
+def _reader(x, spec):
+    """x_p at check position p: zero outside 1..N+w-1."""
+    return lambda p: float(x[p - 1]) if 1 <= p <= spec.chain_len else 0.0
+
+
+def update_by_definition(x, c, W, spec):
+    """The windowed DE map f at z = c..c+W-1, one position at a time.
+
+    x_z <- (1/w) sum_{i<w} eps_{z-i} lam(1 - (1/w) sum_{j<w} rho(1 - x_{z-i+j})).
+    """
+    w, ens, read = spec.w, spec.ens, _reader(x, spec)
+
+    def channel(u):
+        return spec.epsilon if 1 <= u <= spec.N else 0.0
+
+    out = []
+    for z in range(c, c + W):
+        total = 0.0
+        for u in range(z - w + 1, z + 1):
+            s = sum(ens.rho(1.0 - read(u + j)) for j in range(w)) / w
+            total += channel(u) * ens.lam(1.0 - s)
+        out.append(total / w)
+    return np.array(out)
+
+
+def gradient_by_definition(x, c, W, spec):
+    """Partial derivatives of the coupled potential under window
+    configuration c at the in-window positions z = c..c+W-1:
+    rho'(1 - x_z) (x_z - f(z, x)), with f the windowed DE map. They vanish
+    exactly at fixed points of that map."""
+    f = update_by_definition(x, c, W, spec)
+    return np.array([spec.ens.rho_d1(1.0 - float(x[z - 1])) * (float(x[z - 1]) - f_z)
+                     for z, f_z in zip(range(c, c + W), f)])
+
+
+def delta_u1_by_definition(y, x, c, W, spec):
+    """First-order Taylor term of the coupled potential at x toward y:
+    sum over z = c..c+W-1 of the gradient at x times (y_z - x_z)."""
+    grad = gradient_by_definition(x, c, W, spec)
+    return float(sum(g * (float(y[z - 1]) - float(x[z - 1]))
+                     for z, g in zip(range(c, c + W), grad)))
+
+
+def slope_margins(x, c, W, spec):
+    """Profile-slope margins at z = c..c+W-1:
+    (x_z - x_{z-1}) - |x_z - eps lam(1 - rho(1 - x_z))| / w, with x_0 read
+    as zero. The slope bound holds where every margin is >= 0, up to
+    rounding."""
+    ens, read = spec.ens, _reader(x, spec)
+    return np.array([
+        (read(z) - read(z - 1))
+        - abs(read(z) - spec.epsilon * ens.lam(1.0 - ens.rho(1.0 - read(z)))) / spec.w
+        for z in range(c, c + W)
+    ])

@@ -10,12 +10,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from oracles import delta_u1_by_definition, gradient_by_definition, slope_margins
 from scwde.config import load_preset
-from scwde.coupled import (
-    CoupledPotentialContext,
-    alpha_inequality_check,
-    coupled_potential,
-)
+from scwde.coupled import CoupledPotentialContext, coupled_potential
 from scwde.poly import from_pairs
 from scwde.scalar import (
     UncoupledEnsemble,
@@ -27,13 +24,8 @@ from scwde.scalar import (
     potential_d1,
     potential_d2,
 )
-from scwde.speed import (
-    bound_th2,
-    detect_steady_state,
-    slope_margin_check,
-    measure_speed,
-)
-from scwde.window import CoupledSpec, DEState, WindowSchedule, decode_success, run_wd
+from scwde.speed import bound_th2, detect_steady_state, measure_speed
+from scwde.window import CoupledSpec, WindowSchedule, decode_success, run_wd
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 
@@ -285,15 +277,13 @@ def test_criterion_5_potential_property_suite():
 
     spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
     sched = WindowSchedule(W=8, T=6)
-    ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15, alpha=1.0)
+    ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15)
     rng = np.random.default_rng(2024)
     hg = 1e-6
     ok_grad = True
-    from scwde.coupled import coupled_gradient
-
     for _ in range(100):
         x = rng.uniform(0.05, 0.95, spec.chain_len)
-        grad = coupled_gradient(x, ctx)
+        grad = gradient_by_definition(x, ctx.c, sched.W, spec)
         for j, z in enumerate(range(ctx.c, ctx.c + sched.W)):
             up, down = x.copy(), x.copy()
             up[z - 1] += hg
@@ -328,19 +318,20 @@ def test_criterion_6_first_order_inequality(fig3_run):
     needed_alpha = 0.0
     last_interior = spec.N - sched.W + 1
     for c in range(steady.c_prime, last_interior + 1):
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c, alpha=2.0)
+        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
         block = traj.block(c)
         for t in range(block.shape[0] - 1):
             checked += 1
-            chk = alpha_inequality_check(block[t + 1], block[t], ctx)
-            drop = chk.lhs / ctx.alpha  # U(y) - U(x)
+            y, x = block[t + 1], block[t]
+            drop = coupled_potential(y, ctx) - coupled_potential(x, ctx)
+            rhs = delta_u1_by_definition(y, x, c, sched.W, spec)
             if drop >= 0.0:
                 rises += 1
             else:
-                needed_alpha = max(needed_alpha, chk.rhs / drop)
-            if not chk.holds:
+                needed_alpha = max(needed_alpha, rhs / drop)
+            if not 2.0 * drop <= rhs + 1e-12:
                 alpha2_violations += 1
-            if drop > chk.rhs + 1e-12:
+            if drop > rhs + 1e-12:
                 alpha1_violations += 1
     ok = rises == 0 and alpha2_violations == 0
     detail = (
@@ -357,10 +348,10 @@ def test_criterion_7_profile_slope_bound(fig3_run):
     spec, sched, final, traj = fig3_run
     steady = detect_steady_state(traj)
     assert steady.c_prime is not None
-    state = DEState(x=traj.block(steady.c_prime)[0], c=steady.c_prime, t=0)
-    rep = slope_margin_check(state, spec, sched)
-    ok = rep.holds and rep.min_margin >= -1e-9
-    detail = f"min margin {rep.min_margin:.3e} at steady window {steady.c_prime} (target >= -1e-9)"
+    margins = slope_margins(traj.block(steady.c_prime)[0], steady.c_prime, sched.W, spec)
+    min_margin = float(margins.min())
+    ok = min_margin >= -1e-9
+    detail = f"min margin {min_margin:.3e} at steady window {steady.c_prime} (target >= -1e-9)"
     report(7, "profile slope dominates the scaled scalar gradient", ok, detail)
     assert ok, detail
 

@@ -416,8 +416,8 @@ def test_malformed_config_exits_with_one_line(tmp_path, capfd, command, override
     assert not (tmp_path / "out").exists()
 
 
-# Rules the config checks by building CoupledSpec, WindowSchedule and
-# CoupledPotentialContext: the engine's message still names the key.
+# Rules the config checks by building CoupledSpec and WindowSchedule, and
+# alpha's range: the engine's message still names the key.
 @pytest.mark.parametrize(
     ("override", "message"),
     [

@@ -3,28 +3,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scwde.coupled import (
-    CoupledPotentialContext,
-    alpha_inequality_check,
-    coupled_gradient,
-    coupled_potential,
-    delta_u1,
-)
+from oracles import delta_u1_by_definition, gradient_by_definition
+from scwde.coupled import CoupledPotentialContext, coupled_potential
 from scwde.scalar import UncoupledEnsemble, potential
-from scwde.window import (
-    CoupledSpec,
-    WindowSchedule,
-    run_wd,
-    window_update_values,
-)
+from scwde.window import CoupledSpec, WindowSchedule, run_wd
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 
 
-def make_ctx(N=40, w=3, eps=0.42, W=8, T=6, c=15, alpha=1.0):
+def make_ctx(N=40, w=3, eps=0.42, W=8, T=6, c=15):
     spec = CoupledSpec(ens=ENS36, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T)
-    return CoupledPotentialContext(spec=spec, sched=sched, c=c, alpha=alpha)
+    return CoupledPotentialContext(spec=spec, sched=sched, c=c)
+
+
+def gradient(x, ctx):
+    return gradient_by_definition(x, ctx.c, ctx.sched.W, ctx.spec)
+
+
+def delta_u1(y, x, ctx):
+    return delta_u1_by_definition(y, x, ctx.c, ctx.sched.W, ctx.spec)
+
+
+def alpha_check(y, x, ctx, alpha):
+    """alpha (U(y) - U(x)) against the first-order term DeltaU1(y, x):
+    (lhs, rhs, whether lhs <= rhs + 1e-12)."""
+    lhs = alpha * (coupled_potential(y, ctx) - coupled_potential(x, ctx))
+    rhs = delta_u1(y, x, ctx)
+    return lhs, rhs, lhs <= rhs + 1e-12
 
 
 class TestCoupledPotential:
@@ -45,10 +51,6 @@ class TestCoupledPotential:
     def test_window_configuration_bounds_checked(self):
         with pytest.raises(ValueError, match="window configuration"):
             make_ctx(c=50)
-
-    def test_alpha_range_checked(self):
-        with pytest.raises(ValueError, match="alpha"):
-            make_ctx(alpha=2.5)
 
 
 def potential_by_definition(x, ctx):
@@ -132,10 +134,13 @@ def test_block_potential_equals_rows_bitwise(N, w, ens, rows, data):
 
 
 class TestCoupledGradient:
+    """The engine's potential against the gradient identity
+    dU/dx_z = rho'(1-x_z) (x_z - f(z, x)), written from the definition."""
+
     def test_all_ones_interior_matches_closed_form(self):
         ctx = make_ctx()
         x = np.ones(ctx.spec.chain_len)
-        grad = coupled_gradient(x, ctx)
+        grad = gradient(x, ctx)
         # every in-window position sees f = epsilon on the all-ones state
         expected = ENS36.rho_d1(0.0) * (1.0 - 0.42)
         assert np.allclose(grad, expected, atol=1e-15)
@@ -146,7 +151,7 @@ class TestCoupledGradient:
         h = 1e-6
         for _ in range(10):
             x = rng.uniform(0.05, 0.95, ctx.spec.chain_len)
-            grad = coupled_gradient(x, ctx)
+            grad = gradient(x, ctx)
             for j, z in enumerate(range(ctx.c, ctx.c + ctx.sched.W)):
                 up, down = x.copy(), x.copy()
                 up[z - 1] += h
@@ -155,16 +160,13 @@ class TestCoupledGradient:
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_vanishes_at_window_fixed_point(self):
+        # window 15 of a run, swept 500 times: the engine's fixed point
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
         sched = WindowSchedule(W=8, T=500)
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15, alpha=1.0)
-        x = np.ones(spec.chain_len)
-        for _ in range(500):
-            new_vals = window_update_values(x, 15, 8, spec)
-            if np.max(np.abs(new_vals - x[14:22])) < 1e-15:
-                break
-            x[14:22] = new_vals
-        assert np.linalg.norm(coupled_gradient(x, ctx)) < 1e-8
+        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15)
+        final, _ = run_wd(spec, sched, validate=False, stop=lambda c, x: c == 15)
+        assert final.c == 15
+        assert np.linalg.norm(gradient(final.x, ctx)) < 1e-8
 
 
 class TestDeltaU1:
@@ -184,15 +186,13 @@ class TestDeltaU1:
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_successor_sweep_identity(self):
-        # y the next sweep of x: the first-order term collapses to
+        # y the engine's next sweep of x: the first-order term collapses to
         # -sum rho'(1-x_z) (y_z - x_z)^2 over the window
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
         sched = WindowSchedule(W=8, T=6)
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15, alpha=1.0)
-        rng = np.random.default_rng(11)
-        x = rng.uniform(0.2, 0.9, spec.chain_len)
-        y = x.copy()
-        y[14:22] = window_update_values(x, 15, 8, spec)
+        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15)
+        _, traj = run_wd(spec, sched, record=True, record_windows=[15])
+        x, y = traj.block(15)[:2]
         got = delta_u1(y, x, ctx)
         zs = slice(14, 22)
         expected = -np.sum(ENS36.rho_d1(1.0 - x[zs]) * (y[zs] - x[zs]) ** 2)
@@ -203,8 +203,8 @@ class TestAlphaInequality:
     def test_trivial_equality_at_zero_displacement(self):
         ctx = make_ctx()
         x = np.linspace(0.1, 0.9, ctx.spec.chain_len)
-        chk = alpha_inequality_check(x, x, ctx)
-        assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.holds
+        lhs, rhs, holds = alpha_check(x, x, ctx, alpha=1.0)
+        assert lhs == 0.0 and rhs == 0.0 and holds
 
     def test_taylor_constant_exists_in_range_along_steady_sweeps(self):
         # per sweep there is an alpha in [1, 2] making the first-order bound
@@ -216,14 +216,13 @@ class TestAlphaInequality:
         _, traj = run_wd(spec, sched, record=True)
         saw_alpha1_violation = False
         for c in (30, 35, 40):
-            ctx2 = CoupledPotentialContext(spec=spec, sched=sched, c=c, alpha=2.0)
+            ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
             block = traj.block(c)
             for t in range(block.shape[0] - 1):
                 y, x = block[t + 1], block[t]
-                chk2 = alpha_inequality_check(y, x, ctx2)
-                assert chk2.holds, (c, t, chk2)
-                drop = coupled_potential(y, ctx2) - coupled_potential(x, ctx2)
-                d1 = delta_u1(y, x, ctx2)
+                lhs, d1, holds = alpha_check(y, x, ctx, alpha=2.0)
+                assert holds, (c, t, lhs, d1)
+                drop = coupled_potential(y, ctx) - coupled_potential(x, ctx)
                 if drop < 0:
                     needed = d1 / drop
                     assert needed <= 2.0 + 1e-9, (c, t, needed)
@@ -235,10 +234,10 @@ class TestAlphaInequality:
         spec = CoupledSpec(ens=ENS36, N=60, w=3, epsilon=0.42)
         sched = WindowSchedule(W=11, T=6)
         _, traj = run_wd(spec, sched, record=True)
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=35, alpha=2.0)
+        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=35)
         block = traj.block(35)
         outcomes = [
-            alpha_inequality_check(block[t + 1], block[t], ctx).holds
+            alpha_check(block[t + 1], block[t], ctx, alpha=2.0)[2]
             for t in range(block.shape[0] - 1)
         ]
         assert outcomes and all(outcomes)

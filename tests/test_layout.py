@@ -1,7 +1,9 @@
-"""Module layout: no scwde module imports another scwde module's private names.
+"""Module layout: no scwde module imports another scwde module's private
+names, and every public function or class has a caller in the package.
 
 A private helper (leading underscore) belongs to the module that defines it;
-a module that needs it should go through that module's public functions.
+a module that needs it should go through that module's public functions. A
+public name that only tests call is a test oracle and lives in the tests.
 """
 
 import ast
@@ -28,6 +30,21 @@ def private_imports(path: Path) -> list[str]:
     return found
 
 
+def unreferenced_public_names(paths: list[Path]) -> list[str]:
+    """``module.name`` for every public top-level function or class in
+    ``paths`` whose name no code among ``paths`` uses (as a name or an
+    attribute) outside its own definition."""
+    statements = [(path, node) for path in paths
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    used = [(node, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))})
+            for _, node in statements]
+    return [f"{path.stem}.{node.name}" for path, node in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not any(node.name in names for other, names in used if other is not node)]
+
+
 def test_sources_found():
     assert {"window.py", "coupled.py", "speed.py"} <= {p.name for p in SOURCES}
 
@@ -44,3 +61,19 @@ def test_private_imports_detected(tmp_path):
                    "from scwde.speed import _FrozenPrefixStop\n"
                    "from os import _exit\n")
     assert private_imports(src) == [".window._padded", "scwde.speed._FrozenPrefixStop"]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # __init__.py re-exports names; an export is not a caller
+    assert unreferenced_public_names([p for p in SOURCES if p.name != "__init__.py"]) == []
+
+
+def test_unreferenced_public_names_detected(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    return used()\n\n"
+                                   "class Lonely:\n    def m(self):\n        return Lonely\n\n"
+                                   "def _private():\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import used\n\nVALUE = used\n\n"
+                                   "def check():\n    return obj.check\n")
+    # Lonely and check name themselves only inside their own definitions
+    assert unreferenced_public_names(sorted(tmp_path.glob("*.py"))) == [
+        "a.Lonely", "b.check"]

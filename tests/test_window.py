@@ -8,6 +8,7 @@ import scwde.window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import update_by_definition
 from scwde.poly import from_pairs
 from scwde.scalar import UncoupledEnsemble
 from scwde.speed import _FrozenPrefixStop
@@ -20,7 +21,6 @@ from scwde.window import (
     WindowSchedule,
     decode_success,
     run_wd,
-    window_update_values,
 )
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
@@ -46,72 +46,6 @@ class TestInitState:
         st0 = first_window(spec36(N=1, w=1), WindowSchedule(W=1, T=1))[0]
         assert st0.shape == (1,)
         assert st0[0] == 1.0
-
-
-class TestFUpdate:
-    """The windowed DE map f at in-window positions (window_update_values)."""
-
-    def test_interior_all_ones_gives_channel(self):
-        spec = spec36()
-        vals = window_update_values(np.ones(spec.chain_len), 4, 11, spec)
-        # interior in-window position z = 8: every variable group sees the channel
-        assert vals[8 - 4] == pytest.approx(0.42, rel=1e-14)
-
-    def test_all_zero_neighbors_give_zero(self):
-        spec = spec36()
-        vals = window_update_values(np.zeros(spec.chain_len), 1, 11, spec)
-        assert np.all(vals == 0.0)
-
-    def test_left_boundary_fraction(self):
-        # position z < w has only z non-virtual variable groups
-        spec = spec36(w=3)
-        vals = window_update_values(np.ones(spec.chain_len), 1, 11, spec)
-        for z in (1, 2):
-            assert vals[z - 1] == pytest.approx(0.42 * z / 3, rel=1e-14)
-
-
-def update_by_definition(x, c, W, spec):
-    """The windowed DE map at z = c..c+W-1, one position at a time.
-
-    x_z <- (1/w) sum_{i<w} eps_{z-i} lam(1 - (1/w) sum_{j<w} rho(1 - x_{z-i+j})),
-    with x read as zero outside 1..N+w-1 and eps_u = eps only on 1..N.
-    """
-    w, ens = spec.w, spec.ens
-
-    def read(p):
-        return float(x[p - 1]) if 1 <= p <= spec.chain_len else 0.0
-
-    def channel(u):
-        return spec.epsilon if 1 <= u <= spec.N else 0.0
-
-    out = []
-    for z in range(c, c + W):
-        total = 0.0
-        for u in range(z - w + 1, z + 1):
-            s = sum(ens.rho(1.0 - read(u + j)) for j in range(w)) / w
-            total += channel(u) * ens.lam(1.0 - s)
-        out.append(total / w)
-    return np.array(out)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    N=st.integers(min_value=1, max_value=20),
-    w=st.integers(min_value=1, max_value=4),
-    eps=st.floats(min_value=0.0, max_value=1.0),
-    degrees=st.sampled_from([(3, 6), (4, 8)]),
-    data=st.data(),
-)
-def test_window_update_matches_definition(N, w, eps, degrees, data):
-    W = data.draw(st.integers(min_value=1, max_value=N))
-    spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
-    x = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
-                                    min_size=spec.chain_len, max_size=spec.chain_len)))
-    # the extended schedule's configurations include the literal ones
-    c_max = WindowSchedule(W=W, T=1, variant="extended").c_max(spec)
-    for c in range(1, c_max + 1):
-        np.testing.assert_allclose(window_update_values(x, c, W, spec),
-                                   update_by_definition(x, c, W, spec), rtol=0, atol=1e-13)
 
 
 def horner_out_of_place(p, x):
@@ -188,9 +122,33 @@ def test_run_matches_out_of_place_arithmetic_bitwise(ens, N, w, eps, T, T_first,
     assert traj.windows() == sorted(blocks)
     for c, block in blocks.items():
         assert traj.block(c).tobytes() == block.tobytes()
-        for row in block[[0, -1]]:
-            assert (window_update_values(row, c, W, spec).tobytes()
-                    == update_out_of_place(row, c, W, spec).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ens=st.sampled_from(SWEEP_ENSEMBLES),
+    N=st.integers(min_value=1, max_value=12),
+    w=st.integers(min_value=1, max_value=4),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+    T=st.integers(min_value=1, max_value=3),
+    T_first=st.none() | st.integers(min_value=1, max_value=6),
+    variant=st.sampled_from(["literal", "extended"]),
+    data=st.data(),
+)
+def test_run_rows_match_definition(ens, N, w, eps, T, T_first, variant, data):
+    # every recorded sweep applies the windowed DE map to the row before it:
+    # window 1 reads left of the chain, and the extended schedule's last
+    # windows run into the termination tail
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
+    sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
+    _, traj = run_wd(spec, sched, record=True, validate=False)
+    for c in traj.windows():
+        block = traj.block(c)
+        for t in range(block.shape[0] - 1):
+            np.testing.assert_allclose(block[t + 1, c - 1 : c - 1 + W],
+                                       update_by_definition(block[t], c, W, spec),
+                                       rtol=0, atol=1e-13)
 
 
 class TestSweepAndSlide:
@@ -201,6 +159,10 @@ class TestSweepAndSlide:
         assert after[0] == pytest.approx(0.42 / 3, rel=1e-14)
         assert after[1] == pytest.approx(0.42 * 2 / 3, rel=1e-14)
         assert np.all(after[11:] == 1.0)
+
+    def test_zero_channel_first_sweep_erases_window(self):
+        after = first_window(spec36(eps=0.0), WindowSchedule(W=11, T=1))[1]
+        assert np.all(after[:11] == 0.0) and np.all(after[11:] == 1.0)
 
     def test_outside_window_bit_identical(self):
         # unvalidated, so run_wd's own out-of-window check cannot mask a change
