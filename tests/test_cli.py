@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -670,6 +671,33 @@ def test_first_failure_in_dispatch_order_surfaces(tmp_path, capfd, monkeypatch, 
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", workers])
     one_line_exit(capfd, code, 1, "configuration error: point epsilon=0.3 W=8\n")
+
+
+GRID_3X4 = {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01},
+            "W": [5, 6, 7, 8]}
+
+
+def test_first_failure_cancels_the_queued_points(tmp_path, capfd, monkeypatch):
+    # every point leaves a marker; the first one dispatched (largest epsilon,
+    # smallest W) fails at once and the rest sleep. pool.map cancels the
+    # futures it has not yet yielded when one raises, so the points still
+    # queued then never run (only those the workers had taken do)
+    markers = tmp_path / "markers"
+    markers.mkdir()
+
+    def marking_point(spec, W, **kwargs):
+        (markers / f"{spec.epsilon}_{W}").touch()
+        if (spec.epsilon, W) == (0.30, 5):
+            raise ValueError("first point fails")
+        time.sleep(0.5)
+
+    monkeypatch.setattr("scwde.cli.measure_speed", marking_point)
+    cfg = write_cfg(tmp_path, GRID_3X4)
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", "2"])
+    one_line_exit(capfd, code, 1, "configuration error: first point fails\n")
+    assert (markers / "0.3_5").exists()
+    assert len(list(markers.iterdir())) < 12
 
 
 def one_line_exit(capfd, code, expected, prefix) -> str:
