@@ -20,6 +20,7 @@ from .scalar import (
 from .speed import (
     SpeedReport,
     SteadyState,
+    SteadyStateScan,
     LandscapeBounds,
     bound_a1,
     bound_th2,
@@ -49,6 +50,7 @@ __all__ = [
     "PotentialLandscape",
     "SpeedReport",
     "SteadyState",
+    "SteadyStateScan",
     "SuccessReport",
     "SuccessRule",
     "LandscapeBounds",

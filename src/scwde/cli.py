@@ -7,9 +7,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, product
 from pathlib import Path
 
@@ -18,8 +16,8 @@ import numpy as np
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_preset
 from .coupled import CoupledPotentialContext, coupled_potential
 from .scalar import NonConvergence, bp_threshold, landscape, map_threshold
-from .speed import SpeedReport, detect_steady_state, measure_speed
-from .window import CoupledSpec, Trajectory, WindowSchedule, decode_success, run_wd
+from .speed import SpeedReport, SteadyStateScan, measure_speed
+from .window import ChainCheckError, CoupledSpec, WindowSchedule, decode_success, run_wd
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,26 +40,29 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_trajectory(path: Path, traj: Trajectory) -> None:
-    """trajectory.csv, byte for byte what ``_write_csv`` writes for the
-    (c, t, z, x) rows. A row is its ``c,t,`` prefix before each position's
-    ``z,x\\r\\n`` cell, and a cell is formatted again only where the float64
-    bit pattern differs from the last row written: a sweep changes W cells,
+def _trajectory_writer(fh, chain_len: int):
+    """Write the trajectory.csv header to ``fh`` and return ``write(c,
+    block)``, which appends window c's rows: byte for byte what
+    ``_write_csv`` writes for the (c, t, z, x) rows. A row is its ``c,t,``
+    prefix before each position's ``z,x\\r\\n`` cell, and a cell is
+    formatted again only where the float64 bit pattern differs from the last
+    row written, in this block or an earlier one: a sweep changes W cells,
     and bits, unlike ``==``, tell 0.0 from -0.0 and match a NaN to itself.
     """
-    cells = [""] * traj.spec.chain_len
-    last = None
-    with open(path, "w", newline="") as fh:
-        fh.write("c,t,z,x\r\n")
-        for c in traj.windows():
-            block = traj.block(c)
-            for t, (row, bits) in enumerate(zip(block, block.view(np.int64))):
-                changed = np.arange(len(row)) if last is None else np.flatnonzero(bits != last)
-                for z, v in zip(changed.tolist(), row[changed].tolist()):
-                    cells[z] = f"{z + 1},{v:.17g}\r\n"
-                last = bits
-                prefix = f"{c},{t},"
-                fh.write(prefix + prefix.join(cells))
+    cells, last = [""] * chain_len, None
+    fh.write("c,t,z,x\r\n")
+
+    def write(c: int, block: np.ndarray) -> None:
+        nonlocal last
+        for t, (row, bits) in enumerate(zip(block, block.view(np.int64))):
+            changed = np.arange(len(row)) if last is None else np.flatnonzero(bits != last)
+            for z, v in zip(changed.tolist(), row[changed].tolist()):
+                cells[z] = f"{z + 1},{v:.17g}\r\n"
+            last = bits
+            prefix = f"{c},{t},"
+            fh.write(prefix + prefix.join(cells))
+
+    return write
 
 
 def cmd_landscape(cfg: RunConfig, out: Path) -> int:
@@ -107,18 +108,29 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     if windows is not None and (not windows or not all(1 <= c <= c_max for c in windows)):
         raise ConfigError(f"record.windows must name windows in 1..{c_max}, this run's windows")
     out.mkdir(parents=True, exist_ok=True)
-    final, traj = run_wd(spec, sched, record=True, record_windows=windows)
-    _write_trajectory(out / "trajectory.csv", traj)
+    # Each recorded window's block is written, traced and scanned as the run
+    # hands it over, then dropped: memory holds a window, not the run.
+    paths = out / "trajectory.csv", out / "potential_trace.csv"
+    scan = SteadyStateScan(spec, sched.W, cfg.steady_tol)
+    try:
+        with open(paths[0], "w", newline="") as fh, open(paths[1], "w", newline="") as trace_fh:
+            write_states = _trajectory_writer(fh, spec.chain_len)
+            potentials = csv.writer(trace_fh)
+            potentials.writerow(("c", "t", "U"))
 
-    def potential_rows():
-        for c in traj.windows():
-            ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
-            for t, u in enumerate(coupled_potential(traj.block(c), ctx).tolist()):
-                yield c, t, u
+            def on_block(c: int, block: np.ndarray) -> None:
+                write_states(c, block)
+                ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
+                potentials.writerows((c, t, _fmt(u)) for t, u in
+                                     enumerate(coupled_potential(block, ctx).tolist()))
+                scan.add(c, block)
 
-    _write_csv(out / "potential_trace.csv", ("c", "t", "U"), potential_rows())
-
-    steady = detect_steady_state(traj, tol=cfg.steady_tol)
+            final, _ = run_wd(spec, sched, record_windows=windows, on_block=on_block)
+    except ChainCheckError:  # a run that fails its checks leaves no partial CSV
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
+    steady = scan.result()
     success = decode_success(final, spec, cfg.success)
     report = {
         "c_prime": steady.c_prime,
@@ -133,6 +145,14 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
+def _landscape(eps: float, ens, grid_n: int):
+    """``landscape`` of the last (epsilon, ensemble, grid_n) asked for: the
+    points at one epsilon share it, and one entry keeps memory bounded on
+    long epsilon grids."""
+    return landscape(eps, ens, grid_n=grid_n)
+
+
 def _speed_task(cfg: RunConfig, point) -> SpeedReport:
     """One grid point (ensemble, epsilon, W): the T search over 1..T_max, or
     over [T, T] for a fixed T.
@@ -141,7 +161,7 @@ def _speed_task(cfg: RunConfig, point) -> SpeedReport:
     """
     ens, eps, W = point
     spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps)
-    land = landscape(eps, ens, grid_n=cfg.grid_n) if cfg.bounds else None
+    land = _landscape(eps, ens, cfg.grid_n) if cfg.bounds else None
     fixed = cfg.T is not None
     return measure_speed(
         spec,
@@ -171,8 +191,15 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
     dispatched = [points[i] for i in order]
     task = partial(_speed_task, cfg)
     if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            done = list(pool.map(task, dispatched))
+        # imported here: the other commands never start multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+                done = list(pool.map(task, dispatched))
+        except BrokenProcessPool as exc:
+            print(f"worker failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     else:
         done = list(map(task, dispatched))
     reports = [report for _, report in sorted(zip(order, done))]
@@ -273,9 +300,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (NonConvergence, ArithmeticError) as exc:  # ChainCheckError, ZeroDivisionError
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except BrokenProcessPool as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

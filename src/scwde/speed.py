@@ -40,8 +40,10 @@ class SteadyState:
     tol: float
 
 
-def detect_steady_state(traj: Trajectory, tol: float = STEADY_TOL) -> SteadyState:
-    """Locate the first c' whose profile shifts one position per window slide.
+class SteadyStateScan:
+    """Locate the first c' from which the profile shifts one position per
+    window slide, one recorded window at a time: ``add`` each block in
+    ascending c, as ``run_wd`` hands them over, then read ``result``.
 
     For each pair (c, c+1) of recorded windows inside the uniform-channel
     region (c+1 <= N-W+1, no termination effects) and every recorded
@@ -50,28 +52,48 @@ def detect_steady_state(traj: Trajectory, tol: float = STEADY_TOL) -> SteadyStat
     wave-carrying positions: from w left of the window rightward, with a
     margin of w positions at both chain boundaries. (Positions the window
     left long before c keep the start-up transient frozen forever and say
-    nothing about the traveling profile.) The pairs are scanned from the
-    last one down until one does not comply (a NaN mismatch included); c'
-    is the c of the last complying pair scanned.
+    nothing about the traveling profile.) c' is the first c of the complying
+    pairs after the last pair that does not comply (a NaN mismatch
+    included), and the residual is their largest mismatch. Only the last
+    block added is kept.
     """
-    w, N = traj.spec.w, traj.spec.N
-    recorded = set(traj.windows())
-    interior_last = N - traj.sched.W + 1
-    z_hi = N - 1  # compare z against z+1, both clear of the right boundary
-    c_prime = residual = None
-    for c in sorted(recorded, reverse=True):
-        z_lo = max(w + 1, c - w)
-        if c + 1 not in recorded or c + 1 > interior_last or z_lo > z_hi:
-            continue
-        cur, nxt = traj.block(c), traj.block(c + 1)
+
+    def __init__(self, spec: CoupledSpec, W: int, tol: float = STEADY_TOL):
+        self.w, self.tol = spec.w, tol
+        self.interior_last = spec.N - W + 1
+        self.z_hi = spec.N - 1  # compare z against z+1, both clear of the right boundary
+        self.last: Optional[tuple[int, np.ndarray]] = None
+        self.c_prime: Optional[int] = None
+        self.residual: Optional[float] = None
+
+    def add(self, c: int, block: np.ndarray) -> None:
+        """Take window c's block; it pairs with the last one added when that
+        was window c-1."""
+        last, self.last = self.last, (c, block)
+        z_lo, z_hi, tol = max(self.w + 1, c - 1 - self.w), self.z_hi, self.tol
+        if last is None or last[0] != c - 1 or c > self.interior_last or z_lo > z_hi:
+            return
+        cur, nxt = last[1], block
         rows = min(cur.shape[0], nxt.shape[0])
         seg = cur[:rows, z_lo - 1 : z_hi]
         mismatch = float(np.max(np.abs(seg - nxt[:rows, z_lo : z_hi + 1])))
         if not mismatch <= tol or not np.all(cur[:rows, z_lo : z_hi + 1] >= seg - tol):
-            break
-        c_prime = c
-        residual = mismatch if residual is None else max(residual, mismatch)
-    return SteadyState(c_prime=c_prime, residual=residual, tol=tol)
+            self.c_prime = self.residual = None
+        elif self.c_prime is None:
+            self.c_prime, self.residual = c - 1, mismatch
+        else:
+            self.residual = max(self.residual, mismatch)
+
+    def result(self) -> SteadyState:
+        return SteadyState(c_prime=self.c_prime, residual=self.residual, tol=self.tol)
+
+
+def detect_steady_state(traj: Trajectory, tol: float = STEADY_TOL) -> SteadyState:
+    """``SteadyStateScan`` over the windows a trajectory recorded."""
+    scan = SteadyStateScan(traj.spec, traj.sched.W, tol)
+    for c in traj.windows():
+        scan.add(c, traj.block(c))
+    return scan.result()
 
 
 def bound_a1(

@@ -229,21 +229,30 @@ def run_wd(
     record_windows: Optional[Iterable[int]] = None,
     validate: bool = True,
     stop: Optional[Callable[[int, np.ndarray], bool]] = None,
+    on_block: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> tuple[DEState, Optional[Trajectory]]:
     """Run the window schedule: T_c sweeps at each configuration c.
 
     One erasure vector, a view into the padded layout, is updated in place;
-    sliding the window is the step to the next c. ``record`` keeps every
-    iteration of the selected window configurations (all of them when
-    ``record_windows`` is None). ``stop(c, x)`` is called once after each
-    window c with the live erasure vector, which it must not write to; a
-    true result ends the run there. The returned state is the vector after
-    the last window run, and its ``c`` is that window; a stopped run keeps
-    the trajectory of the windows it ran.
+    sliding the window is the step to the next c. ``on_block(c, block)`` is
+    called after each selected window c (every window when
+    ``record_windows`` is None) with a new read-only (T_c+1, N+w-1) array
+    of its iterations t = 0..T_c; ``record`` collects those blocks into the
+    returned ``Trajectory`` instead, and takes no ``on_block``.
+    ``stop(c, x)`` is called once after each window c, after ``on_block``,
+    with the live erasure vector, which it must not write to; a true result
+    ends the run there. The returned state is the vector after the last
+    window run, and its ``c`` is that window; a stopped run keeps the
+    trajectory of the windows it ran.
     """
     sched.validate(spec)
     wanted = None if record_windows is None else set(record_windows)
-    traj = Trajectory(sched, spec) if record else None
+    traj = None
+    if record:
+        if on_block is not None:
+            raise ValueError("run_wd takes record or on_block, not both")
+        traj = Trajectory(sched, spec)
+        on_block = traj._blocks.__setitem__
     W, w = sched.W, spec.w
     buf = _padded(np.ones(spec.chain_len), w)
     x = buf[w : w + spec.chain_len]
@@ -254,8 +263,8 @@ def run_wd(
         reads, eps_u = _window_views(buf, eps, c, W, w)
         T_c = sched.iterations_for(c)
         rows = None
-        if traj is not None and (wanted is None or c in wanted):
-            rows = traj._blocks[c] = np.empty((T_c + 1, spec.chain_len))
+        if on_block is not None and (wanted is None or c in wanted):
+            rows = np.empty((T_c + 1, spec.chain_len))
             rows[0] = x
         prev = x.copy() if validate else None
         for t in range(1, T_c + 1):
@@ -268,12 +277,13 @@ def run_wd(
             target[:] = new_vals
             if rows is not None:
                 rows[t] = x
-        if rows is not None:
-            rows.flags.writeable = False
         if validate and not (
             np.array_equal(x[:lo], prev[:lo]) and np.array_equal(x[hi:], prev[hi:])
         ):
             raise ChainCheckError("out-of-window positions changed during sweeps")
+        if rows is not None:
+            rows.flags.writeable = False
+            on_block(c, rows)
         if stop is not None and stop(c, x):
             break
     return DEState(x=x, c=c, t=T_c), traj

@@ -5,6 +5,8 @@ Each reads a chain vector x over check positions 1..N+w-1 one position at a
 time, with x read as zero outside that range and the channel eps_u = eps
 only on 1..N. They call the ensemble's polynomials and nothing of the window
 kernel, so a check against them does not share the code it checks.
+The steady-state oracle reads a recorded trajectory whole, from its last
+window pair down, where the package scans it window by window forward.
 """
 
 import numpy as np
@@ -64,3 +66,31 @@ def slope_margins(x, c, W, spec):
         - abs(read(z) - spec.epsilon * ens.lam(1.0 - ens.rho(1.0 - read(z)))) / spec.w
         for z in range(c, c + W)
     ])
+
+
+def steady_state_by_backward_scan(traj, tol):
+    """(c', residual) of a recorded trajectory, scanned from the last window
+    pair down: the pairs (c, c+1) of recorded windows with c+1 <= N-W+1 are
+    checked from the last one down until one does not comply (a NaN
+    mismatch included), and c' is the c of the last complying pair scanned.
+    A pair complies where, over every iteration both record and positions
+    z = max(w+1, c-w)..N-1, the shift mismatch |x_z^(c,t) - x_{z+1}^(c+1,t)|
+    is at most tol and x_{z+1}^(c,t) >= x_z^(c,t) - tol."""
+    w, N = traj.spec.w, traj.spec.N
+    recorded = set(traj.windows())
+    interior_last = N - traj.sched.W + 1
+    z_hi = N - 1
+    c_prime = residual = None
+    for c in sorted(recorded, reverse=True):
+        z_lo = max(w + 1, c - w)
+        if c + 1 not in recorded or c + 1 > interior_last or z_lo > z_hi:
+            continue
+        cur, nxt = traj.block(c), traj.block(c + 1)
+        rows = min(cur.shape[0], nxt.shape[0])
+        seg = cur[:rows, z_lo - 1 : z_hi]
+        mismatch = float(np.max(np.abs(seg - nxt[:rows, z_lo : z_hi + 1])))
+        if not mismatch <= tol or not np.all(cur[:rows, z_lo : z_hi + 1] >= seg - tol):
+            break
+        c_prime = c
+        residual = mismatch if residual is None else max(residual, mismatch)
+    return c_prime, residual

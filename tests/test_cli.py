@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,8 +16,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scwde.cli
 import scwde.window
-from scwde.cli import _write_trajectory, build_parser, main
+from scwde.cli import _trajectory_writer, build_parser, main
 from scwde.config import (
     _KEYS,
     MAX_GRID_N,
@@ -24,7 +28,7 @@ from scwde.config import (
     load_config,
     load_preset,
 )
-from scwde.scalar import NonConvergence, UncoupledEnsemble
+from scwde.scalar import NonConvergence, UncoupledEnsemble, landscape
 from scwde.window import ChainCheckError, CoupledSpec, Trajectory, WindowSchedule, run_wd
 
 
@@ -150,6 +154,24 @@ class TestWaveCommand:
         })
         assert main(["wave", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_memory_holds_a_window_not_the_run(self, tmp_path):
+        # the run's blocks come to over 4 MiB; each is written, traced and
+        # scanned when its window ends, then dropped
+        run = {"ensemble": {"L": "x^3", "R": "x^6"}, "N": 300, "w": 3, "epsilon": 0.42,
+               "W": 6, "T": 5, "schedule": "literal"}
+        windows, chain = run["N"] - run["W"] + 1, run["N"] + run["w"] - 1
+        assert windows * (run["T"] + 1) * chain * 8 >= 4 * 2**20
+        cfg = write_cfg(tmp_path, run)
+        tracemalloc.start()
+        try:
+            assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        rows = windows * (run["T"] + 1)
+        assert len(read_csv(tmp_path / "out" / "potential_trace.csv")) == rows + 1
+
 
 def trajectory_oracle(traj) -> bytes:
     """trajectory.csv as csv.writer writes the (c, t, z, x) rows."""
@@ -215,14 +237,18 @@ def test_trajectory_writer_formats_any_float(tmp_path_factory, values):
     # nan, inf, -0.0 and subnormals never come out of the recursion, but the
     # writer formats them as csv.writer with format(v, ".17g") does. Each row
     # is diffed against the last one written, across gaps between windows:
-    # 0.0 == -0.0 yet they print as 0 and -0, so the diff must compare bits
+    # 0.0 == -0.0 yet they print as 0 and -0, so the diff must compare bits.
+    # The blocks go through the writer one window at a time, as in a run
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=20, w=2, epsilon=0.42)
     traj = Trajectory(WindowSchedule(W=4, T=1), spec)
     rows, lo = np.array(values).reshape(WRITER_ROWS, 21), 0
     for c, height in WRITER_BLOCKS.items():
         traj._blocks[c], lo = rows[lo : lo + height], lo + height
     path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
-    _write_trajectory(path, traj)
+    with open(path, "w", newline="") as fh:
+        write = _trajectory_writer(fh, spec.chain_len)
+        for c in traj.windows():
+            write(c, traj.block(c))
     assert path.read_bytes() == trajectory_oracle(traj)
 
 
@@ -602,8 +628,34 @@ def inline_pool(monkeypatch) -> SimpleNamespace:
             seen.points.extend((eps, W) for _, eps, W in points)
             return map(fn, points)
 
-    monkeypatch.setattr("scwde.cli.ProcessPoolExecutor", InlinePool)
+    # cmd_speed imports the pool class from here when it makes a pool
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", InlinePool)
     return seen
+
+
+def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
+    # four W at one epsilon share one landscape, and the rows are those
+    # computed with a landscape per point
+    calls = []
+
+    def counting_landscape(*args, **kwargs):
+        calls.append(args[0])
+        return landscape(*args, **kwargs)
+
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "T": "auto", "T_max": 25, "W": [5, 6, 7, 8],
+                               "bounds": True})
+    uncached = tmp_path / "uncached"
+    with monkeypatch.context() as patch:
+        patch.setattr("scwde.cli._landscape",
+                      lambda eps, ens, grid_n: landscape(eps, ens, grid_n=grid_n))
+        assert main(["speed", "--config", str(cfg), "--out", str(uncached),
+                     "--workers", "1"]) == 0
+    monkeypatch.setattr("scwde.cli.landscape", counting_landscape)
+    scwde.cli._landscape.cache_clear()
+    assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 0
+    assert calls == [BASE_RUN["epsilon"]]
+    assert (tmp_path / "out" / "speed.csv").read_bytes() == (uncached / "speed.csv").read_bytes()
 
 
 def test_worker_pool_capped_at_grid_points(tmp_path, inline_pool):
@@ -832,6 +884,24 @@ def test_chain_check_failure_exits_2(tmp_path, capfd, monkeypatch):
     code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 2,
                   "numerical failure: erasure increased within window c=1, t=1")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_chain_check_failure_partway_leaves_no_csv(tmp_path, capfd, monkeypatch):
+    # the first windows are written before window 5 fails its checks; the
+    # partial CSVs are removed, so --out is left created and empty
+    kernel, calls = scwde.window._window_kernel, []
+
+    def kernel_failing_late(*args):
+        calls.append(None)
+        return kernel(*args) + (1.0 if len(calls) > 4 * BASE_RUN["T"] else 0.0)
+
+    monkeypatch.setattr("scwde.window._window_kernel", kernel_failing_late)
+    cfg = write_cfg(tmp_path, BASE_RUN)
+    code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    one_line_exit(capfd, code, 2,
+                  "numerical failure: erasure increased within window c=5, t=1")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -860,6 +930,19 @@ def test_worker_failure_exits_with_one_line(tmp_path, capfd, monkeypatch, failur
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "2"])
     one_line_exit(capfd, code, expected, prefix)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a speed run with more than one worker makes a process pool, so
+    # importing the CLI does not pay for multiprocessing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(scwde.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    code = ("import sys, scwde.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import slope_margins
+from oracles import slope_margins, steady_state_by_backward_scan
 from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, potential_d1
 from scwde.speed import (
     SpeedReport,
@@ -66,6 +66,19 @@ class TestDetectSteadyState:
         ss = detect_steady_state(broken)
         assert (ss.c_prime, ss.residual) == (None, None)
 
+    def test_mismatch_before_the_steady_suffix_restarts_it(self, fig3_traj):
+        # c' is 28 here; a NaN in window 40 fails the pairs (39, 40) and
+        # (40, 41), so the forward scan drops the complying pairs before them
+        # and starts the steady suffix again at 41
+        spec, sched, traj = fig3_traj
+        broken = Trajectory(sched, spec)
+        broken._blocks = {c: traj.block(c) for c in traj.windows()}
+        broken._blocks[40] = traj.block(40).copy()
+        broken._blocks[40][0, spec.N - 5] = np.nan
+        ss = detect_steady_state(broken)
+        assert ss.c_prime == 41
+        assert (ss.c_prime, ss.residual) == steady_state_by_backward_scan(broken, ss.tol)
+
     def test_zero_channel_profile_translates_trivially(self):
         # with eps = 0 every window clears instantly and the 0/1 step
         # profile translates exactly; the trajectory bound is then
@@ -77,6 +90,40 @@ class TestDetectSteadyState:
         assert ss.c_prime is not None
         with pytest.raises(ZeroDivisionError):
             bound_a1(traj, ss.c_prime)
+
+
+def float_bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(min_value=2, max_value=30), w=st.integers(min_value=1, max_value=4),
+       data=st.data())
+def test_forward_scan_matches_backward_oracle(N, w, data):
+    # random small runs, a random subset of windows recorded, and at times
+    # a NaN in one recorded state: the forward scan gives the backward
+    # scan's c' and the bits of its residual
+    W = data.draw(st.integers(min_value=1, max_value=N), label="W")
+    sched = WindowSchedule(
+        W=W, T=data.draw(st.integers(min_value=1, max_value=4), label="T"),
+        variant=data.draw(st.sampled_from(["literal", "extended"]), label="variant"),
+        T_first=data.draw(st.none() | st.integers(min_value=1, max_value=6), label="T_first"))
+    spec = CoupledSpec(ens=ENS36, N=N, w=w,
+                       epsilon=data.draw(st.floats(min_value=0.0, max_value=1.0), label="eps"))
+    c_max = sched.c_max(spec)
+    windows = data.draw(st.none() | st.lists(st.integers(min_value=1, max_value=c_max),
+                                             min_size=1, unique=True), label="windows")
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]), label="tol")
+    _, traj = run_wd(spec, sched, record=True, record_windows=windows, validate=False)
+    if data.draw(st.booleans(), label="nan"):
+        c = data.draw(st.sampled_from(traj.windows()), label="nan window")
+        block = traj._blocks[c] = traj.block(c).copy()
+        block[data.draw(st.integers(min_value=0, max_value=block.shape[0] - 1)),
+              data.draw(st.integers(min_value=0, max_value=block.shape[1] - 1))] = np.nan
+    ss = detect_steady_state(traj, tol=tol)
+    c_prime, residual = steady_state_by_backward_scan(traj, tol)
+    assert ss.c_prime == c_prime
+    assert float_bits(ss.residual) == float_bits(residual)
 
 
 class TestBoundA1:

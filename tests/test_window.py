@@ -284,6 +284,33 @@ class TestRunWd:
         final, _ = run_with(set())
         assert final.c == 13 and np.array_equal(final.x, full.block(13)[-1])
 
+    def test_blocks_handed_over_as_each_window_ends(self):
+        # on_block gets each selected window's read-only block, in order and
+        # before stop; record collects the same blocks
+        spec = spec36(N=20)
+        sched = WindowSchedule(W=8, T=3, T_first=5)
+        _, full = run_wd(spec, sched, record=True, record_windows=[7, 2, 5, 6])
+        events = []
+
+        def on_block(c, block):
+            assert not block.flags.writeable
+            events.append(("block", c, block))
+
+        def stop(c, x):
+            events.append(("stop", c, None))
+            return c == 6
+
+        final, traj = run_wd(spec, sched, record_windows=[7, 2, 5, 6], stop=stop,
+                             on_block=on_block)
+        assert traj is None and final.c == 6
+        assert [e[:2] for e in events if e[0] == "block" or e[1] in (2, 5, 6)] == [
+            ("block", 2), ("stop", 2), ("block", 5), ("stop", 5), ("block", 6), ("stop", 6)]
+        for kind, c, block in events:
+            if kind == "block":
+                assert np.array_equal(block, full.block(c))
+        with pytest.raises(ValueError, match="record or on_block"):
+            run_wd(spec, sched, record=True, on_block=on_block)
+
     def test_trajectory_window_filter(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
