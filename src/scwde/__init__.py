@@ -20,7 +20,6 @@ from .scalar import (
 from .speed import (
     SpeedReport,
     SteadyState,
-    SteadyStateScan,
     LandscapeBounds,
     bound_a1,
     bound_th2,
@@ -50,7 +49,6 @@ __all__ = [
     "PotentialLandscape",
     "SpeedReport",
     "SteadyState",
-    "SteadyStateScan",
     "SuccessReport",
     "SuccessRule",
     "LandscapeBounds",

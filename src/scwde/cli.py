@@ -7,7 +7,7 @@ import csv
 import json
 import os
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice, product
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from .config import PRESETS, ConfigError, RunConfig, load_config, load_preset
 from .coupled import CoupledPotentialContext, coupled_potential
 from .scalar import NonConvergence, bp_threshold, landscape, map_threshold
 from .speed import SpeedReport, SteadyStateScan, measure_speed
-from .window import ChainCheckError, CoupledSpec, WindowSchedule, decode_success, run_wd
+from .window import CoupledSpec, WindowSchedule, decode_success, run_wd
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -126,7 +126,7 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
                 scan.add(c, block)
 
             final, _ = run_wd(spec, sched, record_windows=windows, on_block=on_block)
-    except ChainCheckError:  # a run that fails its checks leaves no partial CSV
+    except BaseException:  # a run that fails partway leaves no partial CSV
         for path in paths:
             path.unlink(missing_ok=True)
         raise
@@ -145,14 +145,6 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=1)
-def _landscape(eps: float, ens, grid_n: int):
-    """``landscape`` of the last (epsilon, ensemble, grid_n) asked for: the
-    points at one epsilon share it, and one entry keeps memory bounded on
-    long epsilon grids."""
-    return landscape(eps, ens, grid_n=grid_n)
-
-
 def _speed_task(cfg: RunConfig, point) -> SpeedReport:
     """One grid point (ensemble, epsilon, W): the T search over 1..T_max, or
     over [T, T] for a fixed T.
@@ -161,7 +153,7 @@ def _speed_task(cfg: RunConfig, point) -> SpeedReport:
     """
     ens, eps, W = point
     spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps)
-    land = _landscape(eps, ens, cfg.grid_n) if cfg.bounds else None
+    land = landscape(eps, ens, grid_n=cfg.grid_n) if cfg.bounds else None
     fixed = cfg.T is not None
     return measure_speed(
         spec,

@@ -35,21 +35,14 @@ class DegreePolynomial:
         The first product is a new object, so the later steps update it in
         place and never write to x; each still rounds acc * x, then + c.
         A step whose coefficient is zero only multiplies: for x >= 0 and
-        non-negative coefficients, acc * x + 0.0 == acc * x bitwise. A float
-        array under a leading 1 and a zero starts at x * x, since 1.0 * x
-        is x exactly; a Python number keeps 1.0 * x, which makes it a float.
+        non-negative coefficients, acc * x + 0.0 == acc * x bitwise.
         """
         coeffs = self.coeffs
         if len(coeffs) == 1:
             # a constant has no x term to carry the argument's shape
             return np.full(x.shape, coeffs[0]) if isinstance(x, np.ndarray) else coeffs[0]
-        inner = coeffs[1:-1]
-        if (inner and coeffs[-1] == 1.0 and not inner[-1]
-                and isinstance(x, np.ndarray) and x.dtype.kind == "f"):
-            acc, inner = x * x, inner[:-1]
-        else:
-            acc = coeffs[-1] * x
-        for c in reversed(inner):
+        acc = coeffs[-1] * x
+        for c in reversed(coeffs[1:-1]):
             if c:
                 acc += c
             acc *= x

@@ -28,7 +28,7 @@ from scwde.config import (
     load_config,
     load_preset,
 )
-from scwde.scalar import NonConvergence, UncoupledEnsemble, landscape
+from scwde.scalar import NonConvergence, UncoupledEnsemble
 from scwde.window import ChainCheckError, CoupledSpec, Trajectory, WindowSchedule, run_wd
 
 
@@ -633,31 +633,6 @@ def inline_pool(monkeypatch) -> SimpleNamespace:
     return seen
 
 
-def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
-    # four W at one epsilon share one landscape, and the rows are those
-    # computed with a landscape per point
-    calls = []
-
-    def counting_landscape(*args, **kwargs):
-        calls.append(args[0])
-        return landscape(*args, **kwargs)
-
-    cfg = write_cfg(tmp_path, {**BASE_RUN, "T": "auto", "T_max": 25, "W": [5, 6, 7, 8],
-                               "bounds": True})
-    uncached = tmp_path / "uncached"
-    with monkeypatch.context() as patch:
-        patch.setattr("scwde.cli._landscape",
-                      lambda eps, ens, grid_n: landscape(eps, ens, grid_n=grid_n))
-        assert main(["speed", "--config", str(cfg), "--out", str(uncached),
-                     "--workers", "1"]) == 0
-    monkeypatch.setattr("scwde.cli.landscape", counting_landscape)
-    scwde.cli._landscape.cache_clear()
-    assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--workers", "1"]) == 0
-    assert calls == [BASE_RUN["epsilon"]]
-    assert (tmp_path / "out" / "speed.csv").read_bytes() == (uncached / "speed.csv").read_bytes()
-
-
 def test_worker_pool_capped_at_grid_points(tmp_path, inline_pool):
     # a process pool starts all of its workers at the first task, so the
     # pool must not ask for more than there are points
@@ -903,6 +878,34 @@ def test_chain_check_failure_partway_leaves_no_csv(tmp_path, capfd, monkeypatch)
                   "numerical failure: erasure increased within window c=5, t=1")
     assert list((tmp_path / "out").iterdir()) == []
 
+
+
+@pytest.mark.parametrize(("failure", "expected"), [
+    (ZeroDivisionError("division by zero"), 2),
+    (OSError(28, "No space left on device"), 1),
+    (KeyboardInterrupt(), None),
+])
+def test_any_failure_partway_leaves_no_csv(tmp_path, monkeypatch, failure, expected):
+    # whatever stops the run in a later window's hook, the CSVs written so
+    # far are removed before the failure goes on
+    potential, calls = scwde.cli.coupled_potential, []
+
+    def potential_failing_late(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise failure
+        return potential(*args)
+
+    monkeypatch.setattr("scwde.cli.coupled_potential", potential_failing_late)
+    cfg = write_cfg(tmp_path, BASE_RUN)
+    argv = ["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if expected is not None:
+        assert main(argv) == expected
+    else:
+        with pytest.raises(type(failure)):
+            main(argv)
+    assert len(calls) == 5
+    assert list((tmp_path / "out").iterdir()) == []
 
 @pytest.mark.parametrize(
     ("failure", "expected", "prefix"),
