@@ -23,7 +23,6 @@ from .speed import (
     LandscapeBounds,
     bound_a1,
     bound_th2,
-    detect_steady_state,
     measure_speed,
 )
 from .window import (
@@ -32,7 +31,6 @@ from .window import (
     DEState,
     SuccessReport,
     SuccessRule,
-    Trajectory,
     WindowSchedule,
     decode_success,
     run_wd,
@@ -52,7 +50,6 @@ __all__ = [
     "SuccessReport",
     "SuccessRule",
     "LandscapeBounds",
-    "Trajectory",
     "UncoupledEnsemble",
     "WindowSchedule",
     "bound_a1",
@@ -62,7 +59,6 @@ __all__ = [
     "de_run",
     "de_step",
     "decode_success",
-    "detect_steady_state",
     "from_pairs",
     "landscape",
     "map_threshold",

@@ -12,7 +12,6 @@ from .scalar import PotentialLandscape, potential, potential_d1
 from .window import (
     CoupledSpec,
     SuccessRule,
-    Trajectory,
     WindowSchedule,
     decode_success,
     run_wd,
@@ -54,8 +53,9 @@ class SteadyStateScan:
     left long before c keep the start-up transient frozen forever and say
     nothing about the traveling profile.) c' is the first c of the complying
     pairs after the last pair that does not comply (a NaN mismatch
-    included), and the residual is their largest mismatch. Only the last
-    block added is kept.
+    included), and the residual is their largest mismatch. ``starts`` holds
+    copies of row 0 of windows c' and c'+1, the start states ``bound_a1``
+    reads, or None while there is no c'. Only the last block added is kept.
     """
 
     def __init__(self, spec: CoupledSpec, W: int, tol: float = STEADY_TOL):
@@ -65,6 +65,7 @@ class SteadyStateScan:
         self.last: Optional[tuple[int, np.ndarray]] = None
         self.c_prime: Optional[int] = None
         self.residual: Optional[float] = None
+        self.starts: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def add(self, c: int, block: np.ndarray) -> None:
         """Take window c's block; it pairs with the last one added when that
@@ -78,9 +79,10 @@ class SteadyStateScan:
         seg = cur[:rows, z_lo - 1 : z_hi]
         mismatch = float(np.max(np.abs(seg - nxt[:rows, z_lo : z_hi + 1])))
         if not mismatch <= tol or not np.all(cur[:rows, z_lo : z_hi + 1] >= seg - tol):
-            self.c_prime = self.residual = None
+            self.c_prime = self.residual = self.starts = None
         elif self.c_prime is None:
             self.c_prime, self.residual = c - 1, mismatch
+            self.starts = cur[0].copy(), nxt[0].copy()
         else:
             self.residual = max(self.residual, mismatch)
 
@@ -88,33 +90,25 @@ class SteadyStateScan:
         return SteadyState(c_prime=self.c_prime, residual=self.residual, tol=self.tol)
 
 
-def detect_steady_state(traj: Trajectory, tol: float = STEADY_TOL) -> SteadyState:
-    """``SteadyStateScan`` over the windows a trajectory recorded."""
-    scan = SteadyStateScan(traj.spec, traj.sched.W, tol)
-    for c in traj.windows():
-        scan.add(c, traj.block(c))
-    return scan.result()
-
-
 def bound_a1(
-    traj: Trajectory,
+    spec: CoupledSpec,
+    sched: WindowSchedule,
     c_prime: int,
+    x_now: np.ndarray,
+    x_next: np.ndarray,
     alpha: float = 1.0,
 ) -> float:
-    """Trajectory upper bound on the speed from the potential drop per slide.
+    """Upper bound on the speed from the potential drop per window slide.
 
-    Both potential evaluations use window configuration c'; the denominator
-    sums rho'(1-x_z) (x_z - x_{z-1})^2 over the window at t = 0, reading
-    x_0 as zero. alpha is the Taylor constant, in [1, 2].
+    ``x_now`` and ``x_next`` are the start states (t = 0) of windows c' and
+    c'+1 (``SteadyStateScan.starts``). Both potential evaluations use window
+    configuration c'; the denominator sums rho'(1-x_z) (x_z - x_{z-1})^2
+    over the window at x_now, reading x_0 as zero. alpha is the Taylor
+    constant, in [1, 2].
     """
-    spec, sched = traj.spec, traj.sched
-    if c_prime + 1 not in set(traj.windows()):
-        raise ValueError(f"trajectory lacks window {c_prime + 1}")
     ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c_prime)
     if not 1.0 <= alpha <= 2.0:
         raise ValueError("alpha must lie in [1, 2]")
-    x_now = traj.block(c_prime)[0]
-    x_next = traj.block(c_prime + 1)[0]
     num = alpha * (coupled_potential(x_now, ctx) - coupled_potential(x_next, ctx))
     seg = slope_segment(x_now, c_prime, sched.W, spec)
     den = float(np.sum(spec.ens.rho_d1(1.0 - seg[1:]) * np.diff(seg) ** 2))
@@ -279,23 +273,22 @@ def measure_speed(
       survives the prefix, then bisect below it. Probes run only the
       prefix's windows; T_max counts as surviving without a probe;
     - run that T on the whole schedule, stopped when it fails (never at
-      T_max), recording it when ``compute_bounds`` is on. If it decodes it
-      is T_min; if it fails at window c (the last one when only the final
-      policy fails), drop its trajectory and search prefix c from lo = T+1.
+      T_max). When ``compute_bounds`` is on, a fresh ``SteadyStateScan``
+      takes each window's block as the run hands it over. If the run
+      decodes, T is T_min; if it fails at window c (the last one when only
+      the final policy fails), search prefix c from lo = T+1.
 
     The full run repeats its probe's windows, so it can only fail past the
-    prefix: the prefix grows every round. Most points take one round; a
-    round on the whole schedule repeats its winner once, to record it.
-    A search reaches T_max only after T_max - 1 failed, so it runs T_max
-    unrecorded and reruns it with recording only if it decodes. T_lo =
-    T_max tests one fixed budget with one full run, and every run gives the
-    first window ``T_first`` iterations when that is set.
+    prefix: the prefix grows every round. Each round makes one full run,
+    T_max included, and nothing is run again after the search: the T_min
+    run's scan gives c' and the start states the trajectory bound reads.
+    T_lo = T_max tests one fixed budget with one full run, and every run
+    gives the first window ``T_first`` iterations when that is set.
 
     ``best_avg`` is the success policy's metric of the run at T_min when a
-    T decodes, and of the full run at T_max when none does. The T_min run's
-    trajectory locates the steady state and gives the trajectory bound; the
-    landscape bounds are attached when a landscape is supplied; one taken at
-    another epsilon raises ValueError before any run.
+    T decodes, and of the full run at T_max when none does. The landscape
+    bounds are attached when a landscape is supplied; one taken at another
+    epsilon raises ValueError before any run.
     """
     if not 1 <= T_lo <= T_max:
         raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
@@ -305,7 +298,7 @@ def measure_speed(
     def schedule(T: int) -> WindowSchedule:
         return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
 
-    c_last, fixed = schedule(T_lo).c_max(spec), T_lo == T_max
+    c_last = schedule(T_lo).c_max(spec)
 
     def survives(T: int, c_stop: int) -> bool:
         if T == T_max:
@@ -328,24 +321,22 @@ def measure_speed(
             else:
                 failed = mid
         stop = None if T == T_max else _FrozenPrefixStop(spec, success)
-        final, traj = run_wd(spec, schedule(T), record=compute_bounds and (T < T_max or fixed),
-                             validate=validate, stop=stop)
+        scan = SteadyStateScan(spec, W, steady_tol)
+        final, _ = run_wd(spec, schedule(T), validate=validate, stop=stop,
+                          on_block=scan.add if compute_bounds else None)
         if stop is None or stop.failed_at is None:
             report = decode_success(final, spec, success)
             if report.success or T == T_max:
                 break
-        lo, c_stop, traj = T + 1, final.c, None
+        lo, c_stop = T + 1, final.c
     t_min = T if report.success else None
-    best_avg = report.metric
-    if compute_bounds and t_min is not None and traj is None:
-        _, traj = run_wd(spec, schedule(T), record=True, validate=validate)
 
     c_prime = a1 = None
     if t_min is not None and compute_bounds:
-        c_prime = detect_steady_state(traj, tol=steady_tol).c_prime
+        c_prime = scan.c_prime
         if c_prime is not None:
             try:
-                a1 = bound_a1(traj, c_prime, alpha=alpha)
+                a1 = bound_a1(spec, schedule(T), c_prime, *scan.starts, alpha=alpha)
             except ZeroDivisionError:  # flat steady profile: A1 is undefined
                 pass
 
@@ -367,5 +358,5 @@ def measure_speed(
         alpha=alpha,
         success_policy=success.policy,
         T_max=T_max,
-        best_avg=best_avg,
+        best_avg=report.metric,
     )

@@ -166,25 +166,6 @@ def _window_kernel(reads: np.ndarray, eps_u: np.ndarray, spec: CoupledSpec) -> n
     return _moving_mean(f, spec.w)
 
 
-class Trajectory:
-    """Recorded states x^(c,t) for selected window configurations.
-
-    ``block(c)`` is the read-only array of shape (T_c+1, N+w-1) holding
-    iterations t = 0..T_c of configuration c.
-    """
-
-    def __init__(self, sched: WindowSchedule, spec: CoupledSpec):
-        self.sched = sched
-        self.spec = spec
-        self._blocks: dict[int, np.ndarray] = {}
-
-    def windows(self) -> list[int]:
-        return sorted(self._blocks)
-
-    def block(self, c: int) -> np.ndarray:
-        return self._blocks[c]
-
-
 @dataclass(frozen=True)
 class SuccessReport:
     """``metric`` is the value the policy compares: ``avg`` or ``max``."""
@@ -225,34 +206,26 @@ def decode_success(
 def run_wd(
     spec: CoupledSpec,
     sched: WindowSchedule,
-    record: bool = False,
     record_windows: Optional[Iterable[int]] = None,
     validate: bool = True,
     stop: Optional[Callable[[int, np.ndarray], bool]] = None,
     on_block: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> tuple[DEState, Optional[Trajectory]]:
+) -> tuple[DEState, None]:
     """Run the window schedule: T_c sweeps at each configuration c.
 
     One erasure vector, a view into the padded layout, is updated in place;
     sliding the window is the step to the next c. ``on_block(c, block)`` is
     called after each selected window c (every window when
     ``record_windows`` is None) with a new read-only (T_c+1, N+w-1) array
-    of its iterations t = 0..T_c; ``record`` collects those blocks into the
-    returned ``Trajectory`` instead, and takes no ``on_block``.
+    of its iterations t = 0..T_c; it is the only way blocks leave a run.
     ``stop(c, x)`` is called once after each window c, after ``on_block``,
     with the live erasure vector, which it must not write to; a true result
-    ends the run there. The returned state is the vector after the last
-    window run, and its ``c`` is that window; a stopped run keeps the
-    trajectory of the windows it ran.
+    ends the run there. The returned pair holds the vector after the last
+    window run, as a ``DEState`` whose ``c`` is that window, and None, kept
+    for callers that unpack two items.
     """
     sched.validate(spec)
     wanted = None if record_windows is None else set(record_windows)
-    traj = None
-    if record:
-        if on_block is not None:
-            raise ValueError("run_wd takes record or on_block, not both")
-        traj = Trajectory(sched, spec)
-        on_block = traj._blocks.__setitem__
     W, w = sched.W, spec.w
     buf = _padded(np.ones(spec.chain_len), w)
     x = buf[w : w + spec.chain_len]
@@ -286,4 +259,4 @@ def run_wd(
             on_block(c, rows)
         if stop is not None and stop(c, x):
             break
-    return DEState(x=x, c=c, t=T_c), traj
+    return DEState(x=x, c=c, t=T_c), None

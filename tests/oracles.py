@@ -5,11 +5,32 @@ Each reads a chain vector x over check positions 1..N+w-1 one position at a
 time, with x read as zero outside that range and the channel eps_u = eps
 only on 1..N. They call the ensemble's polynomials and nothing of the window
 kernel, so a check against them does not share the code it checks.
-The steady-state oracle reads a recorded trajectory whole, from its last
-window pair down, where the package scans it window by window forward.
+The steady-state oracle reads a recorded run whole, from its last window
+pair down, where the package scans it window by window forward.
+``recorded_run`` collects a run's blocks for the tests that read them whole,
+and ``scan_of`` feeds such blocks to the package's forward scan.
 """
 
 import numpy as np
+
+from scwde.speed import STEADY_TOL, SteadyStateScan
+from scwde.window import run_wd
+
+
+def recorded_run(spec, sched, **kw):
+    """(final state, {c: block}) of ``run_wd``, each selected window's
+    read-only (T_c+1, N+w-1) block collected from ``on_block``."""
+    blocks = {}
+    final, _ = run_wd(spec, sched, on_block=blocks.__setitem__, **kw)
+    return final, blocks
+
+
+def scan_of(blocks, spec, W, tol=STEADY_TOL):
+    """A ``SteadyStateScan`` fed a run's blocks {c: block} in ascending c."""
+    scan = SteadyStateScan(spec, W, tol)
+    for c in sorted(blocks):
+        scan.add(c, blocks[c])
+    return scan
 
 
 def _reader(x, spec):
@@ -68,24 +89,25 @@ def slope_margins(x, c, W, spec):
     ])
 
 
-def steady_state_by_backward_scan(traj, tol):
-    """(c', residual) of a recorded trajectory, scanned from the last window
-    pair down: the pairs (c, c+1) of recorded windows with c+1 <= N-W+1 are
-    checked from the last one down until one does not comply (a NaN
-    mismatch included), and c' is the c of the last complying pair scanned.
+def steady_state_by_backward_scan(blocks, spec, W, tol):
+    """(c', residual) of a run's recorded blocks {c: block} at window size W,
+    scanned from the last window pair down: the pairs (c, c+1) of recorded
+    windows with c+1 <= N-W+1 are checked from the last one down until one
+    does not comply (a NaN mismatch included), and c' is the c of the last
+    complying pair scanned.
     A pair complies where, over every iteration both record and positions
     z = max(w+1, c-w)..N-1, the shift mismatch |x_z^(c,t) - x_{z+1}^(c+1,t)|
     is at most tol and x_{z+1}^(c,t) >= x_z^(c,t) - tol."""
-    w, N = traj.spec.w, traj.spec.N
-    recorded = set(traj.windows())
-    interior_last = N - traj.sched.W + 1
+    w, N = spec.w, spec.N
+    recorded = set(blocks)
+    interior_last = N - W + 1
     z_hi = N - 1
     c_prime = residual = None
     for c in sorted(recorded, reverse=True):
         z_lo = max(w + 1, c - w)
         if c + 1 not in recorded or c + 1 > interior_last or z_lo > z_hi:
             continue
-        cur, nxt = traj.block(c), traj.block(c + 1)
+        cur, nxt = blocks[c], blocks[c + 1]
         rows = min(cur.shape[0], nxt.shape[0])
         seg = cur[:rows, z_lo - 1 : z_hi]
         mismatch = float(np.max(np.abs(seg - nxt[:rows, z_lo : z_hi + 1])))

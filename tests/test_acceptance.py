@@ -10,7 +10,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import delta_u1_by_definition, gradient_by_definition, slope_margins
+from oracles import (
+    delta_u1_by_definition,
+    gradient_by_definition,
+    recorded_run,
+    scan_of,
+    slope_margins,
+)
 from scwde.config import load_preset
 from scwde.coupled import CoupledPotentialContext, coupled_potential
 from scwde.poly import from_pairs
@@ -24,7 +30,7 @@ from scwde.scalar import (
     potential_d1,
     potential_d2,
 )
-from scwde.speed import bound_th2, detect_steady_state, measure_speed
+from scwde.speed import bound_th2, measure_speed
 from scwde.window import CoupledSpec, WindowSchedule, decode_success, run_wd
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
@@ -40,8 +46,8 @@ def fig3_run():
     cfg = load_preset("fig3")
     spec = CoupledSpec(ens=cfg.ensembles[0], N=cfg.N, w=cfg.w, epsilon=cfg.epsilon)
     sched = WindowSchedule(W=cfg.W[0], T=cfg.T, variant=cfg.schedule)
-    final, traj = run_wd(spec, sched, record=True)
-    return spec, sched, final, traj
+    final, blocks = recorded_run(spec, sched)
+    return spec, sched, final, blocks
 
 
 def _table1_point(args):
@@ -85,21 +91,21 @@ def test_criterion_1_speed_and_bound_table():
 
 
 def test_criterion_2_wave_shift(fig3_run):
-    spec, sched, final, traj = fig3_run
-    steady = detect_steady_state(traj, tol=1e-6)
+    spec, sched, final, blocks = fig3_run
+    steady = scan_of(blocks, spec, sched.W, tol=1e-6).result()
     ok_onset = steady.c_prime is not None and steady.c_prime <= 14
     ok_resid = steady.residual is not None and steady.residual <= 1e-6
 
     # monotone in t at every recorded sweep, everywhere in the chain
     ok_t = all(
-        float(np.max(np.diff(traj.block(c), axis=0))) <= 1e-12
-        for c in traj.windows()
+        float(np.max(np.diff(block, axis=0))) <= 1e-12
+        for block in blocks.values()
     )
     # same position never grows when the window moves on
     ok_c = True
-    cs = traj.windows()
+    cs = sorted(blocks)
     for c in cs[:-1]:
-        cur, nxt = traj.block(c), traj.block(c + 1)
+        cur, nxt = blocks[c], blocks[c + 1]
         rows = min(cur.shape[0], nxt.shape[0])
         if not np.all(nxt[:rows] <= cur[:rows] + 1e-12):
             ok_c = False
@@ -110,7 +116,7 @@ def test_criterion_2_wave_shift(fig3_run):
         for c in cs:
             if c < steady.c_prime:
                 continue
-            block = traj.block(c)
+            block = blocks[c]
             z_lo = max(spec.w + 1, c - spec.w)
             seg = block[:, z_lo - 1 : spec.N]
             if seg.shape[1] >= 2 and np.min(seg[:, 1:] - seg[:, :-1]) < -1e-9:
@@ -308,8 +314,8 @@ def test_criterion_6_first_order_inequality(fig3_run):
     # convex (U''(0) = rho'(1)), and on a convex quadratic a step y = beta*x
     # with 0 <= beta < 1 needs alpha = 2/(1+beta) > 1, so alpha = 1 fails on
     # most relaxation sweeps; its failure count is reported, not asserted.
-    spec, sched, final, traj = fig3_run
-    steady = detect_steady_state(traj)
+    spec, sched, final, blocks = fig3_run
+    steady = scan_of(blocks, spec, sched.W).result()
     assert steady.c_prime is not None
     checked = 0
     rises = 0
@@ -319,7 +325,7 @@ def test_criterion_6_first_order_inequality(fig3_run):
     last_interior = spec.N - sched.W + 1
     for c in range(steady.c_prime, last_interior + 1):
         ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
-        block = traj.block(c)
+        block = blocks[c]
         for t in range(block.shape[0] - 1):
             checked += 1
             y, x = block[t + 1], block[t]
@@ -345,10 +351,10 @@ def test_criterion_6_first_order_inequality(fig3_run):
 
 
 def test_criterion_7_profile_slope_bound(fig3_run):
-    spec, sched, final, traj = fig3_run
-    steady = detect_steady_state(traj)
+    spec, sched, final, blocks = fig3_run
+    steady = scan_of(blocks, spec, sched.W).result()
     assert steady.c_prime is not None
-    margins = slope_margins(traj.block(steady.c_prime)[0], steady.c_prime, sched.W, spec)
+    margins = slope_margins(blocks[steady.c_prime][0], steady.c_prime, sched.W, spec)
     min_margin = float(margins.min())
     ok = min_margin >= -1e-9
     detail = f"min margin {min_margin:.3e} at steady window {steady.c_prime} (target >= -1e-9)"

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import scwde.cli
 import scwde.window
+from oracles import recorded_run
 from scwde.cli import _trajectory_writer, build_parser, main
 from scwde.config import (
     _KEYS,
@@ -29,7 +30,7 @@ from scwde.config import (
     load_preset,
 )
 from scwde.scalar import NonConvergence, UncoupledEnsemble
-from scwde.window import ChainCheckError, CoupledSpec, Trajectory, WindowSchedule, run_wd
+from scwde.window import ChainCheckError, CoupledSpec, WindowSchedule
 
 
 def write_cfg(tmp_path: Path, payload: dict, name="run.yaml") -> Path:
@@ -173,13 +174,14 @@ class TestWaveCommand:
         assert len(read_csv(tmp_path / "out" / "potential_trace.csv")) == rows + 1
 
 
-def trajectory_oracle(traj) -> bytes:
-    """trajectory.csv as csv.writer writes the (c, t, z, x) rows."""
+def trajectory_oracle(blocks) -> bytes:
+    """trajectory.csv as csv.writer writes the (c, t, z, x) rows of a run's
+    blocks {c: block}."""
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(("c", "t", "z", "x"))
-    for c in traj.windows():
-        for t, vec in enumerate(traj.block(c).tolist()):
+    for c in sorted(blocks):
+        for t, vec in enumerate(blocks[c].tolist()):
             for z, v in enumerate(vec, start=1):
                 writer.writerow((c, t, z, format(v, ".17g")))
     return text.getvalue().encode()
@@ -210,9 +212,8 @@ def test_trajectory_bytes_match_csv_writer(tmp_path, run):
                        epsilon=0.42)
     sched = WindowSchedule(W=run["W"], T=run["T"], variant=run["schedule"],
                            T_first=run.get("T_first"))
-    _, traj = run_wd(spec, sched, record=True,
-                     record_windows=run.get("record", {}).get("windows"))
-    assert (out / "trajectory.csv").read_bytes() == trajectory_oracle(traj)
+    _, blocks = recorded_run(spec, sched, record_windows=run.get("record", {}).get("windows"))
+    assert (out / "trajectory.csv").read_bytes() == trajectory_oracle(blocks)
 
 
 # recorded windows with gaps between them, and their block heights
@@ -240,16 +241,15 @@ def test_trajectory_writer_formats_any_float(tmp_path_factory, values):
     # 0.0 == -0.0 yet they print as 0 and -0, so the diff must compare bits.
     # The blocks go through the writer one window at a time, as in a run
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=20, w=2, epsilon=0.42)
-    traj = Trajectory(WindowSchedule(W=4, T=1), spec)
-    rows, lo = np.array(values).reshape(WRITER_ROWS, 21), 0
+    rows, lo, blocks = np.array(values).reshape(WRITER_ROWS, 21), 0, {}
     for c, height in WRITER_BLOCKS.items():
-        traj._blocks[c], lo = rows[lo : lo + height], lo + height
+        blocks[c], lo = rows[lo : lo + height], lo + height
     path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
     with open(path, "w", newline="") as fh:
         write = _trajectory_writer(fh, spec.chain_len)
-        for c in traj.windows():
-            write(c, traj.block(c))
-    assert path.read_bytes() == trajectory_oracle(traj)
+        for c in sorted(blocks):
+            write(c, blocks[c])
+    assert path.read_bytes() == trajectory_oracle(blocks)
 
 
 class TestSpeedCommand:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import delta_u1_by_definition, gradient_by_definition
+from oracles import delta_u1_by_definition, gradient_by_definition, recorded_run
 from scwde.coupled import CoupledPotentialContext, coupled_potential
 from scwde.scalar import UncoupledEnsemble, potential
 from scwde.window import CoupledSpec, WindowSchedule, run_wd
@@ -191,8 +191,8 @@ class TestDeltaU1:
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
         sched = WindowSchedule(W=8, T=6)
         ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15)
-        _, traj = run_wd(spec, sched, record=True, record_windows=[15])
-        x, y = traj.block(15)[:2]
+        _, blocks = recorded_run(spec, sched, record_windows=[15])
+        x, y = blocks[15][:2]
         got = delta_u1(y, x, ctx)
         zs = slice(14, 22)
         expected = -np.sum(ENS36.rho_d1(1.0 - x[zs]) * (y[zs] - x[zs]) ** 2)
@@ -213,11 +213,11 @@ class TestAlphaInequality:
         # (the trail coordinates sit in the convex basin of the potential)
         spec = CoupledSpec(ens=ENS36, N=60, w=3, epsilon=0.42)
         sched = WindowSchedule(W=11, T=6)
-        _, traj = run_wd(spec, sched, record=True)
+        _, blocks = recorded_run(spec, sched)
         saw_alpha1_violation = False
         for c in (30, 35, 40):
             ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
-            block = traj.block(c)
+            block = blocks[c]
             for t in range(block.shape[0] - 1):
                 y, x = block[t + 1], block[t]
                 lhs, d1, holds = alpha_check(y, x, ctx, alpha=2.0)
@@ -233,9 +233,9 @@ class TestAlphaInequality:
     def test_alpha_two_diagnostic_runs(self):
         spec = CoupledSpec(ens=ENS36, N=60, w=3, epsilon=0.42)
         sched = WindowSchedule(W=11, T=6)
-        _, traj = run_wd(spec, sched, record=True)
+        _, blocks = recorded_run(spec, sched)
         ctx = CoupledPotentialContext(spec=spec, sched=sched, c=35)
-        block = traj.block(35)
+        block = blocks[35]
         outcomes = [
             alpha_check(block[t + 1], block[t], ctx, alpha=2.0)[2]
             for t in range(block.shape[0] - 1)

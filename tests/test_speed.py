@@ -1,21 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import slope_margins, steady_state_by_backward_scan
+from oracles import recorded_run, scan_of, slope_margins, steady_state_by_backward_scan
 from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, potential_d1
 from scwde.speed import (
+    STEADY_TOL,
     SpeedReport,
     bound_a1,
     bound_th2,
-    detect_steady_state,
     measure_speed,
 )
 from scwde.window import (
     CoupledSpec,
     SuccessRule,
-    Trajectory,
     WindowSchedule,
     decode_success,
     run_wd,
@@ -25,59 +26,58 @@ ENS36 = UncoupledEnsemble.regular(3, 6)
 
 
 @pytest.fixture(scope="module")
-def fig3_traj():
+def fig3_run():
     spec = CoupledSpec(ens=ENS36, N=100, w=3, epsilon=0.42)
     sched = WindowSchedule(W=11, T=6)
-    _, traj = run_wd(spec, sched, record=True)
-    return spec, sched, traj
+    _, blocks = recorded_run(spec, sched)
+    return spec, sched, blocks
 
 
-class TestDetectSteadyState:
-    def test_translating_profile_detected(self, fig3_traj):
-        spec, sched, traj = fig3_traj
-        ss = detect_steady_state(traj)
+class TestSteadyStateScan:
+    def test_translating_profile_detected(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        ss = scan_of(blocks, spec, sched.W).result()
         assert ss.c_prime is not None
         assert ss.residual <= 1e-9
         # regression: onset of 1e-9 steadiness for this configuration
         assert ss.c_prime == 28
 
-    def test_looser_tolerance_detects_earlier(self, fig3_traj):
-        spec, sched, traj = fig3_traj
-        loose = detect_steady_state(traj, tol=1e-6)
-        tight = detect_steady_state(traj, tol=1e-9)
+    def test_looser_tolerance_detects_earlier(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        loose = scan_of(blocks, spec, sched.W, tol=1e-6).result()
+        tight = scan_of(blocks, spec, sched.W, tol=1e-9).result()
         assert loose.c_prime == 20
         assert loose.c_prime <= tight.c_prime
 
-    def test_shift_residual_attached(self, fig3_traj):
-        _, _, traj = fig3_traj
-        ss = detect_steady_state(traj)
+    def test_shift_residual_attached(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        ss = scan_of(blocks, spec, sched.W).result()
         assert 0.0 <= ss.residual <= ss.tol
 
-    def test_nan_mismatch_ends_the_steady_suffix(self, fig3_traj):
+    def test_nan_mismatch_ends_the_steady_suffix(self, fig3_run):
         # the scan runs from the last interior pair down and stops at the
         # first pair that does not comply: a NaN in the last interior window,
         # which only that pair's shift mismatch reads, leaves no steady suffix
-        spec, sched, traj = fig3_traj
+        spec, sched, blocks = fig3_run
         last = spec.N - sched.W + 1
-        broken = Trajectory(sched, spec)
-        broken._blocks = {c: traj.block(c) for c in traj.windows()}
-        broken._blocks[last] = traj.block(last).copy()
-        broken._blocks[last][0, spec.N - 5] = np.nan
-        ss = detect_steady_state(broken)
+        broken = dict(blocks)
+        broken[last] = blocks[last].copy()
+        broken[last][0, spec.N - 5] = np.nan
+        ss = scan_of(broken, spec, sched.W).result()
         assert (ss.c_prime, ss.residual) == (None, None)
 
-    def test_mismatch_before_the_steady_suffix_restarts_it(self, fig3_traj):
+    def test_mismatch_before_the_steady_suffix_restarts_it(self, fig3_run):
         # c' is 28 here; a NaN in window 40 fails the pairs (39, 40) and
         # (40, 41), so the forward scan drops the complying pairs before them
         # and starts the steady suffix again at 41
-        spec, sched, traj = fig3_traj
-        broken = Trajectory(sched, spec)
-        broken._blocks = {c: traj.block(c) for c in traj.windows()}
-        broken._blocks[40] = traj.block(40).copy()
-        broken._blocks[40][0, spec.N - 5] = np.nan
-        ss = detect_steady_state(broken)
+        spec, sched, blocks = fig3_run
+        broken = dict(blocks)
+        broken[40] = blocks[40].copy()
+        broken[40][0, spec.N - 5] = np.nan
+        ss = scan_of(broken, spec, sched.W).result()
         assert ss.c_prime == 41
-        assert (ss.c_prime, ss.residual) == steady_state_by_backward_scan(broken, ss.tol)
+        assert (ss.c_prime, ss.residual) == steady_state_by_backward_scan(
+            broken, spec, sched.W, ss.tol)
 
     def test_zero_channel_profile_translates_trivially(self):
         # with eps = 0 every window clears instantly and the 0/1 step
@@ -85,11 +85,11 @@ class TestDetectSteadyState:
         # rejected for having a flat in-window profile
         spec = CoupledSpec(ens=ENS36, N=30, w=3, epsilon=0.0)
         sched = WindowSchedule(W=8, T=2)
-        _, traj = run_wd(spec, sched, record=True)
-        ss = detect_steady_state(traj)
-        assert ss.c_prime is not None
+        _, blocks = recorded_run(spec, sched)
+        scan = scan_of(blocks, spec, sched.W)
+        assert scan.c_prime is not None
         with pytest.raises(ZeroDivisionError):
-            bound_a1(traj, ss.c_prime)
+            bound_a1(spec, sched, scan.c_prime, *scan.starts)
 
 
 def float_bits(value):
@@ -102,7 +102,8 @@ def float_bits(value):
 def test_forward_scan_matches_backward_oracle(N, w, data):
     # random small runs, a random subset of windows recorded, and at times
     # a NaN in one recorded state: the forward scan gives the backward
-    # scan's c' and the bits of its residual
+    # scan's c' and the bits of its residual, and keeps the start rows of
+    # windows c' and c'+1 as the blocks hold them, through any restart
     W = data.draw(st.integers(min_value=1, max_value=N), label="W")
     sched = WindowSchedule(
         W=W, T=data.draw(st.integers(min_value=1, max_value=4), label="T"),
@@ -114,42 +115,49 @@ def test_forward_scan_matches_backward_oracle(N, w, data):
     windows = data.draw(st.none() | st.lists(st.integers(min_value=1, max_value=c_max),
                                              min_size=1, unique=True), label="windows")
     tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]), label="tol")
-    _, traj = run_wd(spec, sched, record=True, record_windows=windows, validate=False)
+    _, blocks = recorded_run(spec, sched, record_windows=windows, validate=False)
     if data.draw(st.booleans(), label="nan"):
-        c = data.draw(st.sampled_from(traj.windows()), label="nan window")
-        block = traj._blocks[c] = traj.block(c).copy()
+        c = data.draw(st.sampled_from(sorted(blocks)), label="nan window")
+        block = blocks[c] = blocks[c].copy()
         block[data.draw(st.integers(min_value=0, max_value=block.shape[0] - 1)),
               data.draw(st.integers(min_value=0, max_value=block.shape[1] - 1))] = np.nan
-    ss = detect_steady_state(traj, tol=tol)
-    c_prime, residual = steady_state_by_backward_scan(traj, tol)
+    scan = scan_of(blocks, spec, W, tol)
+    ss = scan.result()
+    c_prime, residual = steady_state_by_backward_scan(blocks, spec, W, tol)
     assert ss.c_prime == c_prime
     assert float_bits(ss.residual) == float_bits(residual)
+    if c_prime is None:
+        assert scan.starts is None
+    else:
+        assert [row.tobytes() for row in scan.starts] == [
+            blocks[c][0].tobytes() for c in (c_prime, c_prime + 1)]
 
 
 class TestBoundA1:
-    def test_speed_bounded_on_steady_run(self, fig3_traj):
-        spec, sched, traj = fig3_traj
-        ss = detect_steady_state(traj)
-        a1 = bound_a1(traj, ss.c_prime)
+    def test_speed_bounded_on_steady_run(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        scan = scan_of(blocks, spec, sched.W)
+        a1 = bound_a1(spec, sched, scan.c_prime, *scan.starts)
         assert 1.0 / sched.T <= a1
 
-    def test_deterministic_recomputation(self, fig3_traj):
-        spec, sched, traj = fig3_traj
-        ss = detect_steady_state(traj)
-        a1 = bound_a1(traj, ss.c_prime)
-        _, traj2 = run_wd(spec, sched, record=True)
-        assert bound_a1(traj2, ss.c_prime) == a1
+    def test_deterministic_recomputation(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        scan = scan_of(blocks, spec, sched.W)
+        a1 = bound_a1(spec, sched, scan.c_prime, *scan.starts)
+        again = scan_of(recorded_run(spec, sched)[1], spec, sched.W)
+        assert bound_a1(spec, sched, again.c_prime, *again.starts) == a1
 
-    def test_missing_window_rejected(self, fig3_traj):
-        _, _, traj = fig3_traj
-        with pytest.raises(ValueError):
-            bound_a1(traj, max(traj.windows()) + 5)
+    def test_window_outside_the_schedule_rejected(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        c = sched.c_max(spec) + 1
+        with pytest.raises(ValueError, match="outside"):
+            bound_a1(spec, sched, c, blocks[c - 1][0], blocks[c - 1][0])
 
-    def test_alpha_range_checked(self, fig3_traj):
-        _, _, traj = fig3_traj
-        c_prime = detect_steady_state(traj).c_prime
+    def test_alpha_range_checked(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        scan = scan_of(blocks, spec, sched.W)
         with pytest.raises(ValueError, match="alpha"):
-            bound_a1(traj, c_prime, alpha=2.5)
+            bound_a1(spec, sched, scan.c_prime, *scan.starts, alpha=2.5)
 
 
 @pytest.fixture(scope="module")
@@ -218,10 +226,10 @@ class TestSlopeMargin:
     """The profile-slope margins of ``oracles.slope_margins``; the bound holds
     where the smallest margin is >= -1e-9."""
 
-    def test_steady_profile_satisfies_bound(self, fig3_traj):
-        spec, sched, traj = fig3_traj
-        ss = detect_steady_state(traj)
-        margins = slope_margins(traj.block(ss.c_prime)[0], ss.c_prime, sched.W, spec)
+    def test_steady_profile_satisfies_bound(self, fig3_run):
+        spec, sched, blocks = fig3_run
+        ss = scan_of(blocks, spec, sched.W).result()
+        margins = slope_margins(blocks[ss.c_prime][0], ss.c_prime, sched.W, spec)
         assert margins.min() >= -1e-9
 
     def test_first_margin_reads_zero_left_of_chain(self):
@@ -267,48 +275,37 @@ class TestMeasureSpeed:
         spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.45)
         assert measure_speed(spec, W=12, compute_bounds=False, validate=False).T_min == 22
 
-    def test_budget_exhaustion_reports_best_average(self, monkeypatch):
-        # with no decoding T, best_avg is the average of the full run at T_max,
-        # and no run is recorded: there is no T_min trajectory to keep
-        records = []
-
-        def counting_run_wd(spec, sched, record=False, **kwargs):
-            records.append(record)
-            return run_wd(spec, sched, record=record, **kwargs)
-
-        monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
+    def test_budget_exhaustion_reports_best_average(self):
+        # with no decoding T there is no c' or A1, and best_avg is the
+        # average of the full run at T_max
         spec = CoupledSpec(ens=ENS36, N=40, w=4, epsilon=0.487)
         rep = measure_speed(spec, W=12, T_max=3, schedule_variant="extended")
         assert rep.T_min is None and rep.v is None
-        assert records and not any(records)
+        assert (rep.c_prime, rep.A1) == (None, None)
         assert rep.best_avg is not None and rep.best_avg > 1e-6
         final, _ = run_wd(spec, WindowSchedule(W=12, T=3, variant="extended"))
         assert rep.best_avg == decode_success(final, spec).avg
 
-    @pytest.mark.parametrize(
-        ("T_lo", "last_runs"),
-        [(1, [(24, False), (24, True)]), (24, [(24, True)])],
-        ids=["search", "fixed"],
-    )
-    def test_decoding_T_max_recorded_once(self, monkeypatch, T_lo, last_runs):
-        # T_min = T_max = 24: a search runs T_max unrecorded and, as it
-        # decodes, once more with recording; a fixed T records its one run.
-        # c' and A1 are those of a search whose T_max lies above T_min
+    @pytest.mark.parametrize("T_lo", [1, 24], ids=["search", "fixed"])
+    def test_decoding_T_max_runs_once(self, monkeypatch, T_lo):
+        # T_min = T_max = 24: the search and the fixed T each run 24 once, in
+        # full and scanned as it runs, and nothing after it. c' and A1 are
+        # those of a search whose T_max lies above T_min
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
         wide = measure_speed(spec, W=10, T_max=60, schedule_variant="extended")
         assert wide.T_min == 24 and wide.c_prime is not None and wide.A1 is not None
-        records = []
+        runs = []
 
-        def counting_run_wd(spec, sched, record=False, **kwargs):
-            records.append((sched.T, record))
-            return run_wd(spec, sched, record=record, **kwargs)
+        def counting_run_wd(spec, sched, **kwargs):
+            runs.append((sched.T, kwargs.get("stop"), kwargs.get("on_block") is not None))
+            return run_wd(spec, sched, **kwargs)
 
         monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
         rep = measure_speed(spec, W=10, T_lo=T_lo, T_max=24, schedule_variant="extended")
         assert (rep.T_min, rep.c_prime, rep.A1, rep.best_avg) == (
             wide.T_min, wide.c_prime, wide.A1, wide.best_avg)
-        assert records[-len(last_runs):] == last_runs
-        assert [r for _, r in records].count(True) == 1
+        assert runs[-1] == (24, None, True)
+        assert [T for T, _, _ in runs].count(24) == 1
 
     def test_report_carries_bounds_when_landscape_given(self):
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
@@ -350,13 +347,15 @@ class TestMeasureSpeed:
         assert row[0] == 0.4 and row[2] == 5 and row[3] == 0.2
 
 
-def steady_and_a1(traj):
-    """c' and A1 of a recorded run, as ``measure_speed`` reports them."""
-    c_prime = detect_steady_state(traj).c_prime
+def steady_and_a1(blocks, spec, sched):
+    """c' and A1 of a run's recorded blocks, as ``measure_speed`` reports
+    them: c' from the backward-scan oracle, A1 from the start rows of
+    windows c' and c'+1."""
+    c_prime, _ = steady_state_by_backward_scan(blocks, spec, sched.W, STEADY_TOL)
     if c_prime is None:
         return None, None
     try:
-        return c_prime, bound_a1(traj, c_prime)
+        return c_prime, bound_a1(spec, sched, c_prime, blocks[c_prime][0], blocks[c_prime + 1][0])
     except ZeroDivisionError:
         return c_prime, None
 
@@ -380,7 +379,7 @@ def test_search_matches_linear_scan(
 ):
     # the prefix-deepening search with stopped runs finds what a plain upward
     # scan of full runs finds, reports the metric of the run it stopped at,
-    # and takes c' and A1 from that run's trajectory. With T_first, runs
+    # and takes c' and A1 from that run's blocks. With T_first, runs
     # fail at later windows and the search takes several rounds
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
@@ -392,36 +391,58 @@ def test_search_matches_linear_scan(
     )
     for T in range(T_lo, T_max + 1):
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-        final, traj = run_wd(spec, sched, record=True, validate=False)
+        final, blocks = recorded_run(spec, sched, validate=False)
         verdict = decode_success(final, spec, SuccessRule(policy=policy))
         if verdict.success:
             break
     assert rep.T_min == (T if verdict.success else None)
     assert rep.best_avg == verdict.metric
-    expected = steady_and_a1(traj) if verdict.success and compute_bounds else (None, None)
+    expected = (steady_and_a1(blocks, spec, sched) if verdict.success and compute_bounds
+                else (None, None))
     assert (rep.c_prime, rep.A1) == expected
 
 
 def test_search_runs_the_whole_schedule_once(monkeypatch):
     # near the MAP threshold (T_min = 75) the smallest T that survives the
-    # first window decodes: the search runs the whole schedule once, records
-    # that run, and takes c' and A1 from it without a rerun
+    # first window decodes: the search runs the whole schedule once, scans
+    # that run as it goes, and takes c' and A1 from it without a rerun
     calls = []
 
     def counting_run_wd(spec, sched, **kwargs):
-        final, traj = run_wd(spec, sched, **kwargs)
-        calls.append((sched.c_max(spec), final, traj, kwargs["stop"]))
-        return final, traj
+        blocks, scan_block = {}, kwargs.get("on_block")
+        if scan_block is not None:
+            def on_block(c, block):
+                blocks[c] = block
+                scan_block(c, block)
+
+            kwargs["on_block"] = on_block
+        final, _ = run_wd(spec, sched, **kwargs)
+        calls.append((sched, final, blocks, kwargs["stop"]))
+        return final, None
 
     monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.480)
     rep = measure_speed(spec, W=15, schedule_variant="extended", validate=False)
-    whole = [(final, traj, stop) for c_last, final, traj, stop in calls if final.c == c_last]
+    whole = [call for call in calls if call[1].c == call[0].c_max(spec)]
     assert rep.T_min == 75 and rep.c_prime is not None
     assert len(whole) == 1
-    final, traj, stop = whole[0]
+    sched, final, blocks, stop = whole[0]
     assert stop.failed_at is None and final.t == 75
-    assert (rep.c_prime, rep.A1) == steady_and_a1(traj)
+    assert (rep.c_prime, rep.A1) == steady_and_a1(blocks, spec, sched)
+
+
+def test_memory_holds_a_window_not_the_run():
+    # the T_min run is scanned window by window, not kept whole: its 392
+    # blocks of 29 states over 403 positions would take 35 MiB
+    spec = CoupledSpec(ens=ENS36, N=400, w=4, epsilon=0.465)
+    tracemalloc.start()
+    try:
+        rep = measure_speed(spec, W=12, T_max=60, validate=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.T_min, rep.c_prime) == (28, 13)
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import scwde.window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import update_by_definition
+from oracles import recorded_run, update_by_definition
 from scwde.poly import from_pairs
 from scwde.scalar import UncoupledEnsemble
 from scwde.speed import _FrozenPrefixStop
@@ -32,8 +32,8 @@ def spec36(N=100, w=3, eps=0.42):
 
 def first_window(spec, sched):
     """Recorded iterations t = 0..T_1 of window configuration 1."""
-    _, traj = run_wd(spec, sched, record=True, record_windows=[1])
-    return traj.block(1)
+    _, blocks = recorded_run(spec, sched, record_windows=[1])
+    return blocks[1]
 
 
 class TestInitState:
@@ -116,12 +116,12 @@ def test_run_matches_out_of_place_arithmetic_bitwise(ens, N, w, eps, T, T_first,
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    final, traj = run_wd(spec, sched, record=True, validate=validate)
-    x, blocks = run_out_of_place(spec, sched)
+    final, blocks = recorded_run(spec, sched, validate=validate)
+    x, expected = run_out_of_place(spec, sched)
     assert final.x.tobytes() == x.tobytes()
-    assert traj.windows() == sorted(blocks)
-    for c, block in blocks.items():
-        assert traj.block(c).tobytes() == block.tobytes()
+    assert sorted(blocks) == sorted(expected)
+    for c, block in expected.items():
+        assert blocks[c].tobytes() == block.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,9 +142,9 @@ def test_run_rows_match_definition(ens, N, w, eps, T, T_first, variant, data):
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    _, traj = run_wd(spec, sched, record=True, validate=False)
-    for c in traj.windows():
-        block = traj.block(c)
+    _, blocks = recorded_run(spec, sched, validate=False)
+    for c in sorted(blocks):
+        block = blocks[c]
         for t in range(block.shape[0] - 1):
             np.testing.assert_allclose(block[t + 1, c - 1 : c - 1 + W],
                                        update_by_definition(block[t], c, W, spec),
@@ -168,27 +168,27 @@ class TestSweepAndSlide:
         # unvalidated, so run_wd's own out-of-window check cannot mask a change
         spec = spec36(N=30)
         sched = WindowSchedule(W=11, T=4, variant="extended")
-        _, traj = run_wd(spec, sched, record=True, validate=False)
-        for c in traj.windows():
-            block = traj.block(c)
+        _, blocks = recorded_run(spec, sched, validate=False)
+        for c in sorted(blocks):
+            block = blocks[c]
             inside = np.zeros(spec.chain_len, dtype=bool)
             inside[c - 1 : c - 1 + sched.W] = True
             assert np.all(block[:, ~inside] == block[0, ~inside])
 
     def test_monotone_in_iteration(self):
         spec = spec36()
-        _, traj = run_wd(spec, WindowSchedule(W=11, T=6), record=True,
+        _, blocks = recorded_run(spec, WindowSchedule(W=11, T=6),
                          validate=False)
-        for c in traj.windows():
-            assert np.all(np.diff(traj.block(c), axis=0) <= 1e-12)
+        for c in sorted(blocks):
+            assert np.all(np.diff(blocks[c], axis=0) <= 1e-12)
 
     def test_slide_keeps_vector_and_resets_t(self):
         spec = spec36()
         sched = WindowSchedule(W=11, T=2, T_first=5)
-        _, traj = run_wd(spec, sched, record=True, record_windows=[1, 2])
-        assert traj.block(1).shape[0] == 6
-        assert traj.block(2).shape[0] == 3
-        assert np.array_equal(traj.block(2)[0], traj.block(1)[-1])
+        _, blocks = recorded_run(spec, sched, record_windows=[1, 2])
+        assert blocks[1].shape[0] == 6
+        assert blocks[2].shape[0] == 3
+        assert np.array_equal(blocks[2][0], blocks[1][-1])
 
 
 class TestRunWd:
@@ -250,18 +250,18 @@ class TestRunWd:
     def test_trajectory_layout(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
-        final, traj = run_wd(spec, sched, record=True)
-        assert traj.windows() == list(range(1, 14))
-        assert traj.block(5).shape == (4, spec.chain_len)
-        assert np.array_equal(traj.block(13)[3], final.x)
+        final, blocks = recorded_run(spec, sched)
+        assert sorted(blocks) == list(range(1, 14))
+        assert blocks[5].shape == (4, spec.chain_len)
+        assert np.array_equal(blocks[13][3], final.x)
         # hand-off identity: next window's t=0 equals previous window's t=T
         for c in range(1, 13):
-            assert np.array_equal(traj.block(c)[3], traj.block(c + 1)[0])
+            assert np.array_equal(blocks[c][3], blocks[c + 1][0])
 
     def test_stop_sees_each_window_and_ends_at_first_true(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
-        _, full = run_wd(spec, sched, record=True)
+        _, full = recorded_run(spec, sched)
 
         def run_with(stop_at):
             seen = []
@@ -270,26 +270,26 @@ class TestRunWd:
                 seen.append((c, x.copy()))
                 return c in stop_at
 
-            final, traj = run_wd(spec, sched, record=True, stop=stop)
+            final, blocks = recorded_run(spec, sched, stop=stop)
             # called once per window run, in order, with the state after it
             assert [c for c, _ in seen] == list(range(1, final.c + 1))
-            assert all(np.array_equal(x, full.block(c)[-1]) for c, x in seen)
-            return final, traj
+            assert all(np.array_equal(x, full[c][-1]) for c, x in seen)
+            return final, blocks
 
-        final, traj = run_with({5, 7})
-        assert traj.windows() == [1, 2, 3, 4, 5]
+        final, blocks = run_with({5, 7})
+        assert sorted(blocks) == [1, 2, 3, 4, 5]
         assert (final.c, final.t) == (5, 3)
-        assert np.array_equal(final.x, full.block(5)[-1])
+        assert np.array_equal(final.x, full[5][-1])
         # a hook that never returns true runs the whole schedule
         final, _ = run_with(set())
-        assert final.c == 13 and np.array_equal(final.x, full.block(13)[-1])
+        assert final.c == 13 and np.array_equal(final.x, full[13][-1])
 
     def test_blocks_handed_over_as_each_window_ends(self):
         # on_block gets each selected window's read-only block, in order and
-        # before stop; record collects the same blocks
+        # before stop; the run's second item is always None
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3, T_first=5)
-        _, full = run_wd(spec, sched, record=True, record_windows=[7, 2, 5, 6])
+        _, full = recorded_run(spec, sched, record_windows=[7, 2, 5, 6])
         events = []
 
         def on_block(c, block):
@@ -300,38 +300,36 @@ class TestRunWd:
             events.append(("stop", c, None))
             return c == 6
 
-        final, traj = run_wd(spec, sched, record_windows=[7, 2, 5, 6], stop=stop,
+        final, rest = run_wd(spec, sched, record_windows=[7, 2, 5, 6], stop=stop,
                              on_block=on_block)
-        assert traj is None and final.c == 6
+        assert rest is None and final.c == 6
         assert [e[:2] for e in events if e[0] == "block" or e[1] in (2, 5, 6)] == [
             ("block", 2), ("stop", 2), ("block", 5), ("stop", 5), ("block", 6), ("stop", 6)]
         for kind, c, block in events:
             if kind == "block":
-                assert np.array_equal(block, full.block(c))
-        with pytest.raises(ValueError, match="record or on_block"):
-            run_wd(spec, sched, record=True, on_block=on_block)
+                assert np.array_equal(block, full[c])
 
     def test_trajectory_window_filter(self):
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3)
-        _, traj = run_wd(spec, sched, record=True, record_windows=[4, 5])
-        assert traj.windows() == [4, 5]
+        _, blocks = recorded_run(spec, sched, record_windows=[4, 5])
+        assert sorted(blocks) == [4, 5]
 
     def test_monotone_across_configurations(self):
         spec = spec36(N=30)
         sched = WindowSchedule(W=8, T=4)
-        _, traj = run_wd(spec, sched, record=True)
+        _, blocks = recorded_run(spec, sched)
         for c in range(1, 23):
-            cur, nxt = traj.block(c), traj.block(c + 1)
+            cur, nxt = blocks[c], blocks[c + 1]
             rows = min(cur.shape[0], nxt.shape[0])
             assert np.all(nxt[:rows] <= cur[:rows] + 1e-12)
 
     def test_first_window_warm_start(self):
         spec = spec36(N=30)
         sched = WindowSchedule(W=8, T=3, T_first=20)
-        _, traj = run_wd(spec, sched, record=True)
-        assert traj.block(1).shape[0] == 21
-        assert traj.block(2).shape[0] == 4
+        _, blocks = recorded_run(spec, sched)
+        assert blocks[1].shape[0] == 21
+        assert blocks[2].shape[0] == 4
 
 
 class TestDecodeSuccess:
@@ -373,10 +371,10 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=ENS36, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T)
-    final, traj = run_wd(spec, sched, record=True)
+    final, blocks = recorded_run(spec, sched)
     assert np.all(final.x >= 0.0) and np.all(final.x <= 1.0)
-    for c in traj.windows():
-        block = traj.block(c)
+    for c in sorted(blocks):
+        block = blocks[c]
         assert np.all(block >= 0.0) and np.all(block <= 1.0)
         assert np.all(np.diff(block, axis=0) <= 1e-12)
 
@@ -414,11 +412,11 @@ def test_final_erasures_monotone_in_T(
     fewer_sched, more_sched = (
         WindowSchedule(W=W, T=T_, variant=variant, T_first=T_first) for T_ in (T, T + 1)
     )
-    fewer, fewer_traj = run_wd(spec, fewer_sched, record=True, validate=False)
-    more, more_traj = run_wd(spec, more_sched, record=True, validate=False)
+    fewer, fewer_blocks = recorded_run(spec, fewer_sched, validate=False)
+    more, more_blocks = recorded_run(spec, more_sched, validate=False)
     assert np.all(more.x <= fewer.x + MONOTONE_SLACK)
-    for c in fewer_traj.windows():
-        assert np.all(more_traj.block(c)[-1] <= fewer_traj.block(c)[-1] + MONOTONE_SLACK)
+    for c in sorted(fewer_blocks):
+        assert np.all(more_blocks[c][-1] <= fewer_blocks[c][-1] + MONOTONE_SLACK)
     rule = SuccessRule(threshold, policy)
     assert abort_window(spec, more_sched, rule) >= abort_window(spec, fewer_sched, rule)
 
@@ -445,22 +443,22 @@ def test_abort_stops_only_failing_runs(
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    full, full_traj = run_wd(spec, sched, record=True, validate=False)
+    full, full_blocks = recorded_run(spec, sched, validate=False)
     if threshold == "tie":
         metric = decode_success(full, spec, SuccessRule(policy=policy)).metric
         threshold = max(float(np.nextafter(metric, 1.0)), 1e-300)
     rule = SuccessRule(threshold, policy)
     verdict = decode_success(full, spec, rule)
     stop = _FrozenPrefixStop(spec, rule)
-    stopped, traj = run_wd(spec, sched, record=True, validate=False, stop=stop)
+    stopped, blocks = recorded_run(spec, sched, validate=False, stop=stop)
     if stop.failed_at is not None:
         assert stopped.c == stop.failed_at
         assert not verdict.success
     else:
         assert np.array_equal(stopped.x, full.x)
     # a stopped run keeps the windows it ran, as the full run recorded them
-    assert traj.windows() == list(range(1, stopped.c + 1))
-    assert all(np.array_equal(traj.block(c), full_traj.block(c)) for c in traj.windows())
+    assert sorted(blocks) == list(range(1, stopped.c + 1))
+    assert all(np.array_equal(blocks[c], full_blocks[c]) for c in sorted(blocks))
     # a run stopped after window c_stop survives it unless the rule failed it by then
     c_stop = data.draw(st.integers(min_value=1, max_value=sched.c_max(spec)))
     prefix_stop = _FrozenPrefixStop(spec, rule, c_stop)
