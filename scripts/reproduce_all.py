@@ -4,7 +4,7 @@
 Roughly: thresholds for both regular ensembles, the potential landscape,
 one recorded wave trajectory, the speed-vs-window table, and the two
 speed-vs-erasure staircases. The staircase sweep is the slow part
-(a few seconds: about 2.4 s with 2 workers on a 2-vCPU host).
+(about 1.3 s with 2 workers on a 2-vCPU host).
 
 Usage: python scripts/reproduce_all.py [--out out] [--workers N]
 """

@@ -29,19 +29,27 @@ class DegreePolynomial:
             raise ValueError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
         """Evaluate by Horner's scheme (works on scalars and numpy arrays).
 
-        The first product is a new object, so the later steps update it in
-        place and never write to x; each still rounds acc * x, then + c.
-        A step whose coefficient is zero only multiplies: for x >= 0 and
-        non-negative coefficients, acc * x + 0.0 == acc * x bitwise.
+        The first product is a new object, or ``out`` (shaped like x, not x itself;
+        a leading 1 copies x there, as 1.0 * x == x), so the later steps update it
+        in place and never write to x; each still rounds acc * x, then + c. A step
+        whose coefficient is zero only multiplies: for x >= 0 and non-negative
+        coefficients, acc * x + 0.0 == acc * x bitwise.
         """
         coeffs = self.coeffs
         if len(coeffs) == 1:
             # a constant has no x term to carry the argument's shape
+            if out is not None:
+                out.fill(coeffs[0])
+                return out
             return np.full(x.shape, coeffs[0]) if isinstance(x, np.ndarray) else coeffs[0]
-        acc = coeffs[-1] * x
+        if out is None:
+            acc = coeffs[-1] * x
+        else:
+            out[...] = x
+            acc = out if coeffs[-1] == 1.0 else np.multiply(out, coeffs[-1], out)
         for c in reversed(coeffs[1:-1]):
             if c:
                 acc += c
@@ -51,12 +59,8 @@ class DegreePolynomial:
         return acc
 
     def derivative(self) -> "DegreePolynomial":
-        """Formal derivative; the result is not renormalized."""
-        if len(self.coeffs) == 1:
-            return DegreePolynomial((0.0,))
-        return DegreePolynomial(
-            tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-        )
+        """Formal derivative, (0.0,) for a constant; the result is not renormalized."""
+        return DegreePolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0.0,))
 
     def to_edge_perspective(self) -> "DegreePolynomial":
         """Return p'(x)/p'(1), the edge-perspective counterpart of a

@@ -124,21 +124,14 @@ def slope_segment(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> np.ndarra
     return _padded(x, spec.w)[c + spec.w - 2 : c + W + spec.w - 1]
 
 
-def _moving_mean(v: np.ndarray, width: int) -> np.ndarray:
-    cs = v.cumsum(axis=-1)
-    out = cs[..., width - 1 :].copy()
-    out[..., 1:] -= cs[..., :-width]
-    out /= width
-    return out
-
-
 def window_check_stage(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
     """Window c's reads and channel (``_window_views``) of a chain vector, or
     of a block of them along the last axis (zero outside 1..N+w-1), with
     ``_check_stage`` between them: (reads, rho(1-x), channel, S_u)."""
     reads, eps_u = _window_views(_padded(x, spec.w), _channel_profile(spec), c, W, spec.w)
-    rho_vals, s = _check_stage(reads, spec)
-    return reads, rho_vals, eps_u, s
+    ws = _Workspace(spec, W, reads.shape[:-1])
+    _check_stage(ws, reads)
+    return reads, ws.rho_vals, eps_u, ws.s
 
 
 def _window_views(buf: np.ndarray, eps: np.ndarray, c: int, W: int, w: int) -> tuple:
@@ -148,22 +141,48 @@ def _window_views(buf: np.ndarray, eps: np.ndarray, c: int, W: int, w: int) -> t
     return buf[..., c : c + W + 2 * w - 2], eps[c : c + W + w - 1]
 
 
-def _check_stage(reads: np.ndarray, spec: CoupledSpec) -> tuple:
+class _Workspace:
+    """The buffers every step of a sweep writes, for reads of shape
+    ``lead + (W+2w-2,)``. A moving mean sums into ``cs`` after its leading 0
+    and divides differences of two views of it: x - 0.0 == x, so the means
+    round as a cumulative sum's differences (the first one a copy) did."""
+
+    def __init__(self, spec: CoupledSpec, W: int, lead: tuple = ()) -> None:
+        w, n = spec.w, W + 2 * spec.w - 2
+        self.rho, self.lam = spec.ens.rho, spec.ens.lam
+        self.one, self.width = np.ones(()), np.array(float(w))
+        self.one_minus_x, self.rho_vals = np.empty(lead + (n,)), np.empty(lead + (n,))
+        self.s, self.one_minus_s, self.f = (np.empty(lead + (n - w + 1,)) for _ in range(3))
+        cs = np.zeros(lead + (n + 1,))
+        self.check_sums = cs[..., 1:], cs[..., w:], cs[..., :-w]
+        self.var_sums = cs[..., 1 : n - w + 2], cs[..., w : n - w + 2], cs[..., : n - 2 * w + 2]
+
+
+def _check_stage(ws: _Workspace, reads: np.ndarray) -> None:
     """rho(1-x) of the erasures window c reads, and the check averages S_u,
-    the mean of rho(1-x) over u..u+w-1. Shared by the DE update and the
-    coupled potential."""
-    rho_vals = spec.ens.rho(1.0 - reads)
-    return rho_vals, _moving_mean(rho_vals, spec.w)
+    the mean of rho(1-x) over u..u+w-1, into ``ws.rho_vals`` and ``ws.s``.
+    Shared by the DE update and the coupled potential."""
+    np.subtract(ws.one, reads, ws.one_minus_x)
+    ws.rho(ws.one_minus_x, ws.rho_vals)
+    acc, hi, lo = ws.check_sums
+    np.add.accumulate(ws.rho_vals, -1, None, acc)
+    np.subtract(hi, lo, ws.s)
+    np.divide(ws.s, ws.width, ws.s)
 
 
-def _window_kernel(reads: np.ndarray, eps_u: np.ndarray, spec: CoupledSpec) -> np.ndarray:
+def _window_kernel(ws: _Workspace, reads: np.ndarray, eps_u: np.ndarray, out: np.ndarray) -> None:
     """New erasure values for the in-window positions z = c..c+W-1 from
-    window c's views (``_window_views``). Every neighbor read comes from the
-    views (flooding update); positions outside 1..N+w-1 read as zero."""
-    _, s = _check_stage(reads, spec)
-    f = spec.ens.lam(1.0 - s)  # a new array; f * eps_u rounds as eps_u * f
-    f *= eps_u
-    return _moving_mean(f, spec.w)
+    window c's views (``_window_views``), written to ``out``, which may be
+    the W positions themselves. Every neighbor read comes from the views
+    (flooding update); positions outside 1..N+w-1 read as zero."""
+    _check_stage(ws, reads)
+    np.subtract(ws.one, ws.s, ws.one_minus_s)
+    ws.lam(ws.one_minus_s, ws.f)
+    np.multiply(ws.f, eps_u, ws.f)  # rounds as eps_u * f
+    acc, hi, lo = ws.var_sums
+    np.add.accumulate(ws.f, -1, None, acc)
+    np.subtract(hi, lo, out)
+    np.divide(out, ws.width, out)
 
 
 @dataclass(frozen=True)
@@ -213,15 +232,15 @@ def run_wd(
 ) -> tuple[DEState, None]:
     """Run the window schedule: T_c sweeps at each configuration c.
 
-    One erasure vector, a view into the padded layout, is updated in place;
-    sliding the window is the step to the next c. ``on_block(c, block)`` is
-    called after each selected window c (every window when
-    ``record_windows`` is None) with a new read-only (T_c+1, N+w-1) array
-    of its iterations t = 0..T_c; it is the only way blocks leave a run.
-    ``stop(c, x)`` is called once after each window c, after ``on_block``,
-    with the live erasure vector, which it must not write to; a true result
-    ends the run there. The returned pair holds the vector after the last
-    window run, as a ``DEState`` whose ``c`` is that window, and None, kept
+    One erasure vector, a view into the padded layout, is updated in place by
+    sweeps that write into buffers made once per run; sliding the window is the
+    step to the next c. ``on_block(c, block)`` is called after each selected
+    window c (every window when ``record_windows`` is None) with a new read-only
+    (T_c+1, N+w-1) array of its iterations t = 0..T_c; it is the only way blocks
+    leave a run. ``stop(c, x)`` is called once after each window c, after
+    ``on_block``, with the live erasure vector, which it must not write to; a
+    true result ends the run there. The returned pair holds the vector after the
+    last window run, as a ``DEState`` whose ``c`` is that window, and None, kept
     for callers that unpack two items.
     """
     sched.validate(spec)
@@ -230,6 +249,7 @@ def run_wd(
     buf = _padded(np.ones(spec.chain_len), w)
     x = buf[w : w + spec.chain_len]
     eps = _channel_profile(spec)
+    ws, new_vals = _Workspace(spec, W), np.empty(W)
     for c in range(1, sched.c_max(spec) + 1):
         lo, hi = c - 1, c - 1 + W
         target = x[lo:hi]
@@ -240,14 +260,15 @@ def run_wd(
             rows = np.empty((T_c + 1, spec.chain_len))
             rows[0] = x
         prev = x.copy() if validate else None
+        out = new_vals if validate else target  # x is read before out is written
         for t in range(1, T_c + 1):
-            new_vals = _window_kernel(reads, eps_u, spec)
+            _window_kernel(ws, reads, eps_u, out)
             if validate:
                 if (new_vals > target + MONOTONE_SLACK).any():
                     raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
                 if (new_vals < -MONOTONE_SLACK).any() or (new_vals > 1.0 + MONOTONE_SLACK).any():
                     raise ChainCheckError("erasure left [0, 1]")
-            target[:] = new_vals
+                target[...] = new_vals
             if rows is not None:
                 rows[t] = x
         if validate and not (

@@ -9,12 +9,28 @@ The steady-state oracle reads a recorded run whole, from its last window
 pair down, where the package scans it window by window forward.
 ``recorded_run`` collects a run's blocks for the tests that read them whole,
 and ``scan_of`` feeds such blocks to the package's forward scan.
+
+The ``*_out_of_place`` helpers are a different kind of oracle: they repeat
+the engine's order of operations, each step on new arrays, so that a
+bitwise comparison checks that the engine's buffered steps round exactly
+as plain arithmetic does. ``SWEEP_ENSEMBLES`` are the ensembles those
+comparisons run over.
 """
 
 import numpy as np
 
+from scwde.poly import from_pairs
+from scwde.scalar import UncoupledEnsemble
 from scwde.speed import STEADY_TOL, SteadyStateScan
 from scwde.window import run_wd
+
+SWEEP_ENSEMBLES = [
+    UncoupledEnsemble.regular(3, 6),
+    UncoupledEnsemble.regular(4, 8),
+    UncoupledEnsemble(L=from_pairs([(1, 1.0)]), R=from_pairs([(3, 1.0)])),  # lambda = 1
+    UncoupledEnsemble(L=from_pairs([(2, 0.4), (3, 0.6)]), R=from_pairs([(5, 0.5), (6, 0.5)])),
+    UncoupledEnsemble(L=from_pairs([(2, 0.3), (5, 0.7)]), R=from_pairs([(4, 0.25), (7, 0.75)])),
+]
 
 
 def recorded_run(spec, sched, **kw):
@@ -31,6 +47,45 @@ def scan_of(blocks, spec, W, tol=STEADY_TOL):
     for c in sorted(blocks):
         scan.add(c, blocks[c])
     return scan
+
+
+def horner_out_of_place(p, x):
+    """DegreePolynomial.__call__ with a new array at every step."""
+    if len(p.coeffs) == 1 and isinstance(x, np.ndarray):
+        return np.full(x.shape, p.coeffs[0])
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * x + c if c else acc * x
+    return acc
+
+
+def moving_mean_out_of_place(v, width):
+    """Means over ``width`` consecutive entries along the last axis, as
+    differences of a cumulative sum."""
+    cs = np.cumsum(v, axis=-1)
+    out = cs[..., width - 1 :].copy()
+    out[..., 1:] -= cs[..., :-width]
+    return out / width
+
+
+def window_reads_out_of_place(x, c, W, spec):
+    """Window c's reads of a chain vector or a block of them (last axis):
+    the erasures at positions c-w+1..c+W+w-2, zero outside the chain, and
+    the channel at u = c-w+1..c+W-1."""
+    w = spec.w
+    ghosts = np.zeros(np.shape(x)[:-1] + (w,))
+    reads = np.concatenate([ghosts, x, ghosts], axis=-1)[..., c : c + W + 2 * w - 2]
+    channel = np.concatenate([np.zeros(w), np.full(spec.N, spec.epsilon), np.zeros(w)])
+    return reads, channel[c : c + W + w - 1]
+
+
+def update_out_of_place(x, c, W, spec):
+    """The windowed DE map at z = c..c+W-1 in the engine's order of
+    operations, each step on new arrays; x reads as zero outside the chain."""
+    w, ens = spec.w, spec.ens
+    reads, eps_u = window_reads_out_of_place(x, c, W, spec)
+    s = moving_mean_out_of_place(horner_out_of_place(ens.rho, 1.0 - reads), w)
+    return moving_mean_out_of_place(eps_u * horner_out_of_place(ens.lam, 1.0 - s), w)
 
 
 def _reader(x, spec):

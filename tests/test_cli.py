@@ -853,8 +853,12 @@ def test_every_epsilon_grid_expanded_before_any_point(tmp_path, capfd, speed_cal
 def test_chain_check_failure_exits_2(tmp_path, capfd, monkeypatch):
     # a sweep that raises an erasure breaks the recursion's monotonicity
     kernel = scwde.window._window_kernel
-    monkeypatch.setattr("scwde.window._window_kernel",
-                        lambda *args: np.full_like(kernel(*args), 1.5))
+
+    def kernel_raising(*args):  # args: (workspace, reads, channel, out)
+        kernel(*args)
+        args[-1].fill(1.5)
+
+    monkeypatch.setattr("scwde.window._window_kernel", kernel_raising)
     cfg = write_cfg(tmp_path, BASE_RUN)
     code = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 2,
@@ -867,9 +871,10 @@ def test_chain_check_failure_partway_leaves_no_csv(tmp_path, capfd, monkeypatch)
     # partial CSVs are removed, so --out is left created and empty
     kernel, calls = scwde.window._window_kernel, []
 
-    def kernel_failing_late(*args):
+    def kernel_failing_late(*args):  # args: (workspace, reads, channel, out)
         calls.append(None)
-        return kernel(*args) + (1.0 if len(calls) > 4 * BASE_RUN["T"] else 0.0)
+        kernel(*args)
+        args[-1][...] += 1.0 if len(calls) > 4 * BASE_RUN["T"] else 0.0
 
     monkeypatch.setattr("scwde.window._window_kernel", kernel_failing_late)
     cfg = write_cfg(tmp_path, BASE_RUN)
@@ -951,8 +956,12 @@ def test_cli_import_leaves_multiprocessing_out():
 def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):
     # a fixed T runs validated, inside the two forked workers
     kernel = scwde.window._window_kernel
-    monkeypatch.setattr("scwde.window._window_kernel",
-                        lambda *args: -kernel(*args) - 1e-6)
+
+    def kernel_negating(*args):  # args: (workspace, reads, channel, out)
+        kernel(*args)
+        args[-1][...] = -args[-1] - 1e-6
+
+    monkeypatch.setattr("scwde.window._window_kernel", kernel_negating)
     cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "2"])

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import delta_u1_by_definition, gradient_by_definition, recorded_run
+from oracles import (
+    SWEEP_ENSEMBLES,
+    delta_u1_by_definition,
+    gradient_by_definition,
+    horner_out_of_place,
+    moving_mean_out_of_place,
+    recorded_run,
+    window_reads_out_of_place,
+)
 from scwde.coupled import CoupledPotentialContext, coupled_potential
 from scwde.scalar import UncoupledEnsemble, potential
 from scwde.window import CoupledSpec, WindowSchedule, run_wd
@@ -131,6 +139,43 @@ def test_block_potential_equals_rows_bitwise(N, w, ens, rows, data):
         got = coupled_potential(block, ctx)
         assert got.shape == (rows,)
         assert got.view(np.int64).tolist() == np.array(per_row).view(np.int64).tolist()
+
+
+def potential_out_of_place(x, ctx):
+    """``coupled_potential``'s formula in its order of operations, each step
+    on new arrays: one value per row of a block (last axis)."""
+    spec, ens, w = ctx.spec, ctx.spec.ens, ctx.spec.w
+    reads, eps = window_reads_out_of_place(x, ctx.c, ctx.sched.W, spec)
+    rho_vals = horner_out_of_place(ens.rho, 1.0 - reads)
+    s = moving_mean_out_of_place(rho_vals, w)
+    xs, rho_xs = reads[..., : len(eps)], rho_vals[..., : len(eps)]
+    free = (1.0 - horner_out_of_place(ens.R, 1.0 - xs)) / ens.R_prime_1 - xs * rho_xs
+    channel = (eps / ens.L_prime_1) * horner_out_of_place(ens.L, 1.0 - s)
+    return np.sum(free - channel, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ens=st.sampled_from(SWEEP_ENSEMBLES),
+    N=st.integers(min_value=1, max_value=16),
+    w=st.integers(min_value=1, max_value=5),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+    rows=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_block_potential_matches_out_of_place_arithmetic_bitwise(ens, N, w, eps, rows, data):
+    # the shared buffered check stage rounds as new arrays do, in every
+    # configuration of the extended schedule
+    W = data.draw(st.integers(min_value=1, max_value=N))
+    spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
+    sched = WindowSchedule(W=W, T=1, variant="extended")
+    block = np.array(data.draw(st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1.0),
+                 min_size=spec.chain_len, max_size=spec.chain_len),
+        min_size=rows, max_size=rows)))
+    for c in range(1, sched.c_max(spec) + 1):
+        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
+        assert coupled_potential(block, ctx).tobytes() == potential_out_of_place(block, ctx).tobytes()
 
 
 class TestCoupledGradient:

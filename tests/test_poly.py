@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import horner_out_of_place
 from scwde.poly import DegreePolynomial, from_pairs, monomial, parse_polynomial
 
 
@@ -145,16 +146,6 @@ def test_zero_coefficient_steps_skipped_bitwise(p, xs):
             assert np.float64(q(v)).tobytes() == np.float64(plain_horner(q.coeffs, v)).tobytes()
 
 
-def out_of_place_horner(p, x):
-    """DegreePolynomial.__call__ with a new object at every step."""
-    if len(p.coeffs) == 1 and isinstance(x, np.ndarray):
-        return np.full(x.shape, p.coeffs[0])
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * x + c if c else acc * x
-    return acc
-
-
 any_polys = st.lists(st.just(0.0) | st.floats(min_value=-2.0, max_value=2.0),
                      min_size=1, max_size=8).map(lambda cs: DegreePolynomial(tuple(cs)))
 
@@ -162,6 +153,7 @@ any_polys = st.lists(st.just(0.0) | st.floats(min_value=-2.0, max_value=2.0),
 @given(any_polys, st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=6, max_size=6))
 @example(DegreePolynomial((0.25,)), [0.5] * 6)
 @example(DegreePolynomial((0.1, 0.0, 0.0, 3.0)), [0.0, 0.25, 0.5, 0.75, 1.0, 0.3])
+@example(DegreePolynomial((0.0, 0.0, 1.0)), [0.0, 0.25, 0.5, 0.75, 1.0, 0.3])  # a leading 1
 @settings(max_examples=200)
 def test_in_place_horner_leaves_argument_alone(p, vals):
     # read-only arrays make any write to the argument raise
@@ -170,8 +162,13 @@ def test_in_place_horner_leaves_argument_alone(p, vals):
         a.flags.writeable = False
     for x in (*arrays, vals[0], np.float64(vals[0])):
         before = np.array(x)
-        got, want = p(x), out_of_place_horner(p, x)
+        got, want = p(x), horner_out_of_place(p, x)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert np.asarray(x).tobytes() == before.tobytes()
         assert not np.shares_memory(got, x)
+    # into a given buffer: the same bits, in that buffer, constants included
+    for x in arrays:
+        out = np.full(x.shape, np.nan)
+        assert p(x, out) is out
+        assert out.tobytes() == np.asarray(horner_out_of_place(p, x)).tobytes()

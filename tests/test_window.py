@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import scwde.window
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import recorded_run, update_by_definition
-from scwde.poly import from_pairs
+from oracles import SWEEP_ENSEMBLES, recorded_run, update_by_definition, update_out_of_place
 from scwde.scalar import UncoupledEnsemble
 from scwde.speed import _FrozenPrefixStop
 from scwde.window import (
@@ -48,35 +47,6 @@ class TestInitState:
         assert st0[0] == 1.0
 
 
-def horner_out_of_place(p, x):
-    """DegreePolynomial.__call__ with a new array at every step."""
-    if len(p.coeffs) == 1 and isinstance(x, np.ndarray):
-        return np.full(x.shape, p.coeffs[0])
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * x + c if c else acc * x
-    return acc
-
-
-def moving_mean_out_of_place(v, width):
-    cs = np.cumsum(v)
-    out = cs[width - 1 :].copy()
-    out[1:] -= cs[:-width]
-    return out / width
-
-
-def update_out_of_place(x, c, W, spec):
-    """The windowed DE map at z = c..c+W-1 in the engine's order of
-    operations, each step on new arrays; x reads as zero outside the chain."""
-    w, ens = spec.w, spec.ens
-    ghosts = np.zeros(w)
-    reads = np.concatenate([ghosts, x, ghosts])[c : c + W + 2 * w - 2]
-    channel = np.concatenate([ghosts, np.full(spec.N, spec.epsilon), ghosts])
-    s = moving_mean_out_of_place(horner_out_of_place(ens.rho, 1.0 - reads), w)
-    eps_u = channel[c : c + W + w - 1]
-    return moving_mean_out_of_place(eps_u * horner_out_of_place(ens.lam, 1.0 - s), w)
-
-
 def run_out_of_place(spec, sched):
     """The final vector and every window's (T_c+1, N+w-1) block."""
     x, blocks = np.ones(spec.chain_len), {}
@@ -89,31 +59,37 @@ def run_out_of_place(spec, sched):
     return x, blocks
 
 
-SWEEP_ENSEMBLES = [
-    ENS36,
-    UncoupledEnsemble.regular(4, 8),
-    UncoupledEnsemble(L=from_pairs([(1, 1.0)]), R=from_pairs([(3, 1.0)])),  # lambda = 1
-    UncoupledEnsemble(L=from_pairs([(2, 0.4), (3, 0.6)]), R=from_pairs([(5, 0.5), (6, 0.5)])),
-    UncoupledEnsemble(L=from_pairs([(2, 0.3), (5, 0.7)]), R=from_pairs([(4, 0.25), (7, 0.75)])),
-]
+# (N, W) with 1 <= W <= N
+chain_and_window = st.integers(min_value=1, max_value=16).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(min_value=1, max_value=N)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     ens=st.sampled_from(SWEEP_ENSEMBLES),
-    N=st.integers(min_value=1, max_value=16),
+    NW=chain_and_window,
     w=st.integers(min_value=1, max_value=5),
     eps=st.floats(min_value=0.0, max_value=1.0),
     T=st.integers(min_value=1, max_value=4),
     T_first=st.none() | st.integers(min_value=1, max_value=8),
     variant=st.sampled_from(["literal", "extended"]),
     validate=st.booleans(),
-    data=st.data(),
 )
-def test_run_matches_out_of_place_arithmetic_bitwise(ens, N, w, eps, T, T_first, variant,
-                                                     validate, data):
-    # the engine's views and in-place steps round exactly as new arrays do
-    W = data.draw(st.integers(min_value=1, max_value=N))
+# the edge shapes, run every time: w = 1 with W = 1 (each mean is one
+# value), a constant lambda (its Horner fills the buffer), a warm first
+# window, and the validated path (which writes through a separate buffer)
+@example(ens=ENS36, NW=(6, 1), w=1, eps=0.42, T=3, T_first=None, variant="extended",
+         validate=False)
+@example(ens=SWEEP_ENSEMBLES[2], NW=(9, 4), w=3, eps=0.5, T=2, T_first=None,
+         variant="extended", validate=False)
+@example(ens=ENS36, NW=(12, 5), w=3, eps=0.45, T=2, T_first=7, variant="literal",
+         validate=False)
+@example(ens=SWEEP_ENSEMBLES[1], NW=(14, 6), w=4, eps=0.47, T=3, T_first=None,
+         variant="extended", validate=True)
+def test_run_matches_out_of_place_arithmetic_bitwise(ens, NW, w, eps, T, T_first, variant,
+                                                     validate):
+    # the engine's views and buffered steps round exactly as new arrays do
+    N, W = NW
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
     final, blocks = recorded_run(spec, sched, validate=validate)
@@ -213,8 +189,9 @@ class TestRunWd:
     def test_broken_sweep_is_a_chain_check_error(self, monkeypatch, broken, message):
         kernel = scwde.window._window_kernel
 
-        def broken_kernel(reads, eps_u, spec):
-            return broken(reads, kernel(reads, eps_u, spec))
+        def broken_kernel(ws, reads, eps_u, out):
+            kernel(ws, reads, eps_u, out)
+            out[...] = broken(reads, out)
 
         monkeypatch.setattr("scwde.window._window_kernel", broken_kernel)
         with pytest.raises(ChainCheckError, match=message):
