@@ -1,6 +1,12 @@
 """Density evolution and wave-speed analysis for spatially coupled LDPC
 ensembles under windowed decoding on the binary erasure channel."""
 
+import os
+
+# The package makes no BLAS call, so an OpenBLAS thread pool only spins and burns
+# CPU; this must run before numpy loads, and keeps any value the user set.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .coupled import CoupledPotentialContext, coupled_potential
 from .poly import DegreePolynomial, from_pairs, monomial, parse_polynomial
 from .scalar import (

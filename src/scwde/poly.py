@@ -28,6 +28,9 @@ class DegreePolynomial:
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
+        # the buffered path's operands, as a ufunc converts a Python float on every
+        # call; a zero, whose step is skipped, stays a float for a cheap truth test
+        object.__setattr__(self, "_coeff_arrays", tuple(np.array(c) if c else c for c in coeffs))
 
     def __call__(self, x, out=None):
         """Evaluate by Horner's scheme (works on scalars and numpy arrays).
@@ -49,7 +52,8 @@ class DegreePolynomial:
             acc = coeffs[-1] * x
         else:
             out[...] = x
-            acc = out if coeffs[-1] == 1.0 else np.multiply(out, coeffs[-1], out)
+            acc = out if coeffs[-1] == 1.0 else np.multiply(out, self._coeff_arrays[-1], out)
+            coeffs = self._coeff_arrays
         for c in reversed(coeffs[1:-1]):
             if c:
                 acc += c

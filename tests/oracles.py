@@ -59,6 +59,21 @@ def horner_out_of_place(p, x):
     return acc
 
 
+def horner_into_with_floats(p, x, out):
+    """DegreePolynomial.__call__ into ``out`` (of at least two coefficients),
+    each coefficient a Python float operand of an in-place ufunc step."""
+    coeffs = p.coeffs
+    out[...] = x
+    acc = out if coeffs[-1] == 1.0 else np.multiply(out, coeffs[-1], out)
+    for c in reversed(coeffs[1:-1]):
+        if c:
+            acc += c
+        acc *= x
+    if coeffs[0]:
+        acc += coeffs[0]
+    return acc
+
+
 def moving_mean_out_of_place(v, width):
     """Means over ``width`` consecutive entries along the last axis, as
     differences of a cumulative sum."""

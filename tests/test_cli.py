@@ -940,17 +940,40 @@ def test_worker_failure_exits_with_one_line(tmp_path, capfd, monkeypatch, failur
     one_line_exit(capfd, code, expected, prefix)
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # only a speed run with more than one worker makes a process pool, so
-    # importing the CLI does not pay for multiprocessing
+def python_c(code, **env_vars):
+    """Stdout of ``python -c code`` in a fresh process that can import the
+    package; an ``env_vars`` value of None removes that variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(scwde.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a speed run with more than one worker makes a process pool, so
+    # importing the CLI does not pay for multiprocessing
     code = ("import sys, scwde.cli; "
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert python_c(code) == "[]\n"
+
+
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_starts_no_blas_threads(user_value, expected):
+    # the package makes no BLAS call, so it sets OPENBLAS_NUM_THREADS=1 before
+    # numpy loads, and the import leaves one thread; a value the user set stays
+    code = ("import os, scwde.cli; task = '/proc/self/task'; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir(task)) if os.path.isdir(task) else 'unknown')")
+    value, threads = python_c(code, OPENBLAS_NUM_THREADS=user_value).split()
+    assert value == expected
+    if user_value is None and threads != "unknown":  # no /proc: no thread count
+        assert threads == "1"
 
 
 def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):

@@ -1,5 +1,6 @@
 """Module layout: no scwde module imports another scwde module's private
-names, and every public function or class has a caller in the package.
+names, every public function or class has a caller in the package, and no
+module makes a BLAS call.
 
 A private helper (leading underscore) belongs to the module that defines it;
 a module that needs it should go through that module's public functions. A
@@ -45,6 +46,30 @@ def unreferenced_public_names(paths: list[Path]) -> list[str]:
             and not any(node.name in names for other, names in used if other is not node)]
 
 
+# numpy names whose work goes to BLAS or LAPACK
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg", "lstsq",
+              "polyfit"}
+
+
+def blas_uses(path: Path) -> list[str]:
+    """``line:name``, in line order, for every ``@`` in ``path`` and every BLAS
+    name it reads as an attribute (``np.dot``, ``x.dot``) or imports (``from
+    numpy import dot``, ``import numpy.linalg``); a local variable of such a
+    name is not a call."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = (node.module or "").split(".") if isinstance(node, ast.ImportFrom) else []
+            for alias in node.names:
+                found += [(node.lineno, name) for name in parts + alias.name.split(".")
+                          if name in BLAS_NAMES]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
 def test_sources_found():
     assert {"window.py", "coupled.py", "speed.py"} <= {p.name for p in SOURCES}
 
@@ -77,3 +102,25 @@ def test_unreferenced_public_names_detected(tmp_path):
     # Lonely and check name themselves only inside their own definitions
     assert unreferenced_public_names(sorted(tmp_path.glob("*.py"))) == [
         "a.Lonely", "b.check"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_blas_call(path):
+    assert blas_uses(path) == [], (
+        "the package sets OPENBLAS_NUM_THREADS=1 because it makes no BLAS call; "
+        "adding one means revisiting that one-thread default in scwde/__init__.py")
+
+
+def test_blas_uses_detected(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy as np\n"
+                   "import numpy.linalg\n"
+                   "from numpy import einsum, sum\n"
+                   "from numpy.linalg import solve\n"
+                   "inner = 1.0 - x\n"
+                   "a = np.dot(x, y) + x.vdot(y)\n"
+                   "b = x @ y\n"
+                   "b @= y\n"
+                   "c = np.polyfit(x, y, 2)\n")
+    assert blas_uses(src) == ["2:linalg", "3:einsum", "4:linalg", "6:dot", "6:vdot",
+                              "7:@", "8:@", "9:polyfit"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import horner_out_of_place
+from oracles import horner_into_with_floats, horner_out_of_place
 from scwde.poly import DegreePolynomial, from_pairs, monomial, parse_polynomial
 
 
@@ -172,3 +172,23 @@ def test_in_place_horner_leaves_argument_alone(p, vals):
         out = np.full(x.shape, np.nan)
         assert p(x, out) is out
         assert out.tobytes() == np.asarray(horner_out_of_place(p, x)).tobytes()
+
+
+irregular_node_polys = sparse_node_polys.filter(lambda p: sum(map(bool, p.coeffs)) > 1)
+
+
+@given(irregular_node_polys,
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+@example(from_pairs([(2, 0.4), (3, 0.6)]), [0.0, 0.3, 0.7, 1.0])
+@settings(max_examples=200)
+def test_buffered_horner_takes_coefficients_as_arrays_bitwise(p, xs):
+    # into a buffer the nonzero coefficients are 0-d arrays; they round as the
+    # Python floats do, and the polynomial still compares and hashes by its floats
+    xs = np.array(xs)
+    for q in (p, p.to_edge_perspective(), p.to_edge_perspective().derivative()):
+        if len(q.coeffs) == 1:
+            continue
+        want = horner_into_with_floats(q, xs, np.empty_like(xs))
+        assert q(xs, np.empty_like(xs)).tobytes() == want.tobytes()
+        same = DegreePolynomial(q.coeffs)
+        assert same == q and hash(same) == hash(q) and type(q(0.5)) is float
