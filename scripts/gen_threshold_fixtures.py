@@ -3,8 +3,9 @@
 
 Scans the erasure probability in steps of 1e-4 around each threshold and
 records the last grid point on the convergent (resp. non-negative-potential)
-side and the first on the other side. The scan is deliberately independent
-of the bisection routines it cross-checks.
+side and the first on the other side. The scan runs DE from x = 1 at each
+grid point, deliberately independent of the fixed-point curve the package
+reads both thresholds from.
 
 Usage: python scripts/gen_threshold_fixtures.py [--out tests/fixtures/thresholds.json]
 """
@@ -15,16 +16,33 @@ import argparse
 import json
 from pathlib import Path
 
-from scwde.scalar import UncoupledEnsemble, ZERO_LIMIT, de_run, potential
+from scwde.scalar import UncoupledEnsemble, de_step, potential
 
 STEP = 1e-4
+DE_TOL = 1e-12
+DE_MAX_ITER = 100_000
+# A DE limit below this is the zero fixed point; the nontrivial fixed points
+# of the scanned ensembles sit many orders of magnitude higher (~1e-1).
+ZERO_LIMIT = 1e-9
+
+
+def de_limit(eps: float, ens: UncoupledEnsemble) -> float:
+    """DE from x = 1 until a step is below DE_TOL, x reaches 0, or
+    DE_MAX_ITER steps are taken."""
+    x = 1.0
+    for _ in range(DE_MAX_ITER):
+        x_next = de_step(x, eps, ens)
+        step, x = x - x_next, x_next
+        if x == 0.0 or step < DE_TOL:
+            break
+    return x
 
 
 def scan_bp(ens: UncoupledEnsemble, lo: float, hi: float) -> dict:
     last_pass = first_fail = None
     eps = lo
     while eps <= hi + 1e-12:
-        ok = de_run(eps, ens).limit < ZERO_LIMIT
+        ok = de_limit(eps, ens) < ZERO_LIMIT
         if ok:
             last_pass = eps
         elif first_fail is None:
@@ -37,7 +55,7 @@ def scan_map(ens: UncoupledEnsemble, lo: float, hi: float) -> dict:
     last_nonneg = first_neg = None
     eps = lo
     while eps <= hi + 1e-12:
-        limit = de_run(eps, ens).limit
+        limit = de_limit(eps, ens)
         u = 0.0 if limit < ZERO_LIMIT else potential(limit, eps, ens)
         if u >= 0.0:
             last_nonneg = eps

@@ -10,12 +10,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .coupled import CoupledPotentialContext, coupled_potential
 from .poly import DegreePolynomial, from_pairs, monomial, parse_polynomial
 from .scalar import (
-    DERunResult,
     NonConvergence,
     PotentialLandscape,
     UncoupledEnsemble,
     bp_threshold,
-    de_run,
     de_step,
     landscape,
     map_threshold,
@@ -25,7 +23,6 @@ from .scalar import (
 )
 from .speed import (
     SpeedReport,
-    SteadyState,
     LandscapeBounds,
     bound_a1,
     bound_th2,
@@ -46,13 +43,11 @@ __all__ = [
     "ChainCheckError",
     "CoupledPotentialContext",
     "CoupledSpec",
-    "DERunResult",
     "DEState",
     "DegreePolynomial",
     "NonConvergence",
     "PotentialLandscape",
     "SpeedReport",
-    "SteadyState",
     "SuccessReport",
     "SuccessRule",
     "LandscapeBounds",
@@ -62,7 +57,6 @@ __all__ = [
     "bound_th2",
     "bp_threshold",
     "coupled_potential",
-    "de_run",
     "de_step",
     "decode_success",
     "from_pairs",

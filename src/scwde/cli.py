@@ -130,18 +130,17 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
         for path in paths:
             path.unlink(missing_ok=True)
         raise
-    steady = scan.result()
     success = decode_success(final, spec, cfg.success)
     report = {
-        "c_prime": steady.c_prime,
-        "shift_residual": steady.residual,
-        "steady_tol": steady.tol,
+        "c_prime": scan.c_prime,
+        "shift_residual": scan.residual,
+        "steady_tol": scan.tol,
         "decode_success": success.success,
         "avg": success.avg,
         "max": success.max,
     }
     (out / "steady_state.json").write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wave: c_prime={steady.c_prime} residual={steady.residual}")
+    print(f"wave: c_prime={scan.c_prime} residual={scan.residual}")
     return EXIT_OK
 
 

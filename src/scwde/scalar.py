@@ -13,14 +13,7 @@ from .poly import DegreePolynomial, PolySpec, monomial, parse_polynomial
 # Distribution normalization is validated, never silently repaired: a
 # coefficient vector that does not sum to 1 is a configuration error.
 NORMALIZATION_TOL = 1e-12
-DE_TOL = 1e-12
-DE_MAX_ITER = 100_000
-# A DE limit below this is treated as the zero fixed point; nontrivial fixed
-# points of interest sit many orders of magnitude higher (~1e-1).
-ZERO_LIMIT = 1e-9
 ROOT_TOL = 1e-10
-# Width of the final bracket of the BP and MAP threshold bisections.
-THRESHOLD_TOL = 1e-6
 # Fewest landscape grid points that bracket every critical point reliably.
 GRID_N_MIN = 1000
 # Landscape grid points unless a run asks for another count.
@@ -102,43 +95,6 @@ def de_step(x, epsilon: float, ens: UncoupledEnsemble):
     return epsilon * ens.lam(1.0 - ens.rho(1.0 - x))
 
 
-@dataclass(frozen=True)
-class DERunResult:
-    limit: float
-    iterations: int
-    converged: bool
-
-
-def de_run(
-    epsilon: float,
-    ens: UncoupledEnsemble,
-    tol: float = DE_TOL,
-    max_iter: int = DE_MAX_ITER,
-) -> DERunResult:
-    """Iterate density evolution from x = 1 until the step size drops below tol.
-
-    The iterate sequence is non-increasing; a violation beyond rounding
-    noise indicates a broken ensemble and raises.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    x = 1.0
-    for it in range(1, max_iter + 1):
-        x_next = de_step(x, epsilon, ens)
-        if x_next > x + 1e-14:
-            raise NonConvergence(
-                f"density evolution increased from {x} to {x_next} at iteration {it}"
-            )
-        step = x - x_next
-        x = x_next
-        if x == 0.0 or step < tol:
-            # 0 is exactly absorbing, no confirmation step needed
-            return DERunResult(limit=x, iterations=it, converged=True)
-    return DERunResult(limit=x, iterations=max_iter, converged=False)
-
-
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     """Bisect [lo, hi] for a sign change of ``f``, whose value at ``lo`` the
     caller passes as ``f_lo``. Returns a midpoint where ``f`` is exactly 0 at
@@ -153,20 +109,6 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
-
-
-def bp_threshold(ens: UncoupledEnsemble) -> float:
-    """Largest erasure probability for which DE from x = 1 drives x to ~0.
-
-    Bisection over [0, 1] on the success predicate ``limit < ZERO_LIMIT``.
-    """
-
-    def sign(eps: float) -> float:  # +1 where DE succeeds
-        return 1.0 if de_run(eps, ens).limit < ZERO_LIMIT else -1.0
-
-    if sign(0.0) < 0.0:
-        raise NonConvergence("density evolution fails even at epsilon = 0")
-    return _bisect(sign, 0.0, 1.0, 1.0, THRESHOLD_TOL)
 
 
 def potential(x, epsilon: float, ens: UncoupledEnsemble):
@@ -333,23 +275,61 @@ def landscape(
     )
 
 
+def _fixed_point_channel(x, ens: UncoupledEnsemble):
+    """The channel eps(x) = x / lam(1 - rho(1 - x)) at which x is a DE fixed point."""
+    return x / ens.lam(1.0 - ens.rho(1.0 - x))
+
+
+def _fixed_point_curve(ens: UncoupledEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """eps(x) sampled on the landscape grid over (0, 1]."""
+    xs = np.linspace(0.0, 1.0, GRID_N_DEFAULT)[1:]
+    return xs, _fixed_point_channel(xs, ens)
+
+
+def bp_threshold(ens: UncoupledEnsemble) -> float:
+    """Largest erasure probability for which DE from x = 1 drives x to 0:
+    the minimum of eps(x) over (0, 1].
+
+    The grid minimum is refined by golden section. The infimum may sit at
+    x -> 0+: there eps(x) tends to 0 with degree-1 variable nodes, and to the
+    stability limit 1 / (lam'(0) rho'(1)) with degree-2 ones.
+    """
+    if ens.lam(0.0) > 0.0:
+        return 0.0
+    xs, eps = _fixed_point_curve(ens)
+    i = int(np.argmin(eps))
+    lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
+    _, neg_min = _golden_max(lambda x: -_fixed_point_channel(x, ens), lo, hi)
+    eps_bp = -neg_min
+    if ens.lam_d1(0.0) > 0.0:
+        eps_bp = min(eps_bp, 1.0 / (ens.lam_d1(0.0) * ens.rho_d1(1.0)))
+    return eps_bp
+
+
 def map_threshold(ens: UncoupledEnsemble) -> float:
     """Erasure probability where U at the stable DE fixed point crosses zero.
 
-    Below the threshold the potential at the fixed point reached from
-    x = 1 is non-negative (it is exactly 0 below the BP threshold, where
-    the limit is 0); above it is negative. Bisection on that sign.
+    The fixed points DE reaches from x = 1 are the x where eps(x) equals its
+    minimum over [x, 1]; along them, in ascending x, the channel rises from
+    the BP threshold. The first grid point where U(x; eps(x)) is negative is
+    refined by bisection against the point before it. Below the BP threshold
+    DE reaches 0, where U is 0, so U negative from the branch's first point
+    on, as for (2,4), puts the MAP threshold at the BP threshold.
     """
-
-    def sign(eps: float) -> float:  # +1 where U at the fixed point is >= 0
-        limit = de_run(eps, ens).limit
-        # Trivial fixed point: U is exactly 0 there, and evaluating the
-        # closed form at a ~1e-20 limit only returns cancellation noise.
-        non_negative = limit < ZERO_LIMIT or float(potential(limit, eps, ens)) >= 0.0
-        return 1.0 if non_negative else -1.0
-
-    if sign(1.0) > 0.0:
+    xs, eps = _fixed_point_curve(ens)
+    stable = eps == np.minimum.accumulate(eps[::-1])[::-1]
+    xs, eps = xs[stable], eps[stable]
+    U = potential(xs, eps, ens)
+    negative = np.flatnonzero(U < 0.0)
+    if not negative.size:
         raise NonConvergence(
             "potential at the stable fixed point never turns negative on [0, 1]"
         )
-    return _bisect(sign, 0.0, 1.0, 1.0, THRESHOLD_TOL)
+    k = int(negative[0])
+    if k == 0:
+        return bp_threshold(ens)
+    x_star = _bisect(
+        lambda x: potential(x, _fixed_point_channel(x, ens), ens),
+        float(xs[k - 1]), float(xs[k]), float(U[k - 1]), ROOT_TOL,
+    )
+    return float(_fixed_point_channel(x_star, ens))

@@ -26,23 +26,11 @@ T_MAX_DEFAULT = 200
 ABORT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """First window configuration from which the profile translates exactly.
-
-    ``residual`` is the largest shift mismatch over the steady suffix;
-    ``c_prime`` is None when no steady configuration exists in the run.
-    """
-
-    c_prime: Optional[int]
-    residual: Optional[float]
-    tol: float
-
-
 class SteadyStateScan:
     """Locate the first c' from which the profile shifts one position per
     window slide, one recorded window at a time: ``add`` each block in
-    ascending c, as ``run_wd`` hands them over, then read ``result``.
+    ascending c, as ``run_wd`` hands them over, then read ``c_prime``,
+    ``residual`` and ``tol``.
 
     For each pair (c, c+1) of recorded windows inside the uniform-channel
     region (c+1 <= N-W+1, no termination effects) and every recorded
@@ -85,9 +73,6 @@ class SteadyStateScan:
             self.starts = cur[0].copy(), nxt[0].copy()
         else:
             self.residual = max(self.residual, mismatch)
-
-    def result(self) -> SteadyState:
-        return SteadyState(c_prime=self.c_prime, residual=self.residual, tol=self.tol)
 
 
 def bound_a1(

@@ -9,6 +9,9 @@ The steady-state oracle reads a recorded run whole, from its last window
 pair down, where the package scans it window by window forward.
 ``recorded_run`` collects a run's blocks for the tests that read them whole,
 and ``scan_of`` feeds such blocks to the package's forward scan.
+``de_limit`` runs uncoupled DE from x = 1, and the ``*_by_de_bisection``
+thresholds bisect over the channel on where it stops, where the package
+reads both thresholds off the fixed-point curve.
 
 The ``*_out_of_place`` helpers are a different kind of oracle: they repeat
 the engine's order of operations, each step on new arrays, so that a
@@ -20,7 +23,7 @@ comparisons run over.
 import numpy as np
 
 from scwde.poly import from_pairs
-from scwde.scalar import UncoupledEnsemble
+from scwde.scalar import UncoupledEnsemble, de_step, potential
 from scwde.speed import STEADY_TOL, SteadyStateScan
 from scwde.window import run_wd
 
@@ -31,6 +34,51 @@ SWEEP_ENSEMBLES = [
     UncoupledEnsemble(L=from_pairs([(2, 0.4), (3, 0.6)]), R=from_pairs([(5, 0.5), (6, 0.5)])),
     UncoupledEnsemble(L=from_pairs([(2, 0.3), (5, 0.7)]), R=from_pairs([(4, 0.25), (7, 0.75)])),
 ]
+
+# A DE limit below this is the zero fixed point; the nontrivial fixed points
+# of the ensembles checked sit many orders of magnitude higher (~1e-1).
+ZERO_LIMIT = 1e-9
+
+
+def de_limit(epsilon, ens, tol=1e-12, max_iter=100_000):
+    """Uncoupled DE from x = 1: ``de_step`` iterated until a step is below
+    ``tol``, x reaches 0, or ``max_iter`` steps are taken."""
+    x = 1.0
+    for _ in range(max_iter):
+        x_next = de_step(x, epsilon, ens)
+        step, x = x - x_next, x_next
+        if x == 0.0 or step < tol:
+            break
+    return x
+
+
+def _bisect_channel(holds, tol=1e-6):
+    """The midpoint of the final bracket, at most ``tol`` wide, of a
+    bisection over eps in [0, 1] for where ``holds(eps)`` turns false."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bp_by_de_bisection(ens):
+    """Largest eps at which DE from x = 1 reaches the zero fixed point."""
+    return _bisect_channel(lambda eps: de_limit(eps, ens) < ZERO_LIMIT)
+
+
+def map_by_de_bisection(ens):
+    """Largest eps at which U at the DE limit from x = 1 is non-negative;
+    U is exactly 0 at the zero fixed point."""
+
+    def non_negative(eps):
+        x = de_limit(eps, ens)
+        return x < ZERO_LIMIT or potential(x, eps, ens) >= 0.0
+
+    return _bisect_channel(non_negative)
 
 
 def recorded_run(spec, sched, **kw):

@@ -92,7 +92,7 @@ def test_criterion_1_speed_and_bound_table():
 
 def test_criterion_2_wave_shift(fig3_run):
     spec, sched, final, blocks = fig3_run
-    steady = scan_of(blocks, spec, sched.W, tol=1e-6).result()
+    steady = scan_of(blocks, spec, sched.W, tol=1e-6)
     ok_onset = steady.c_prime is not None and steady.c_prime <= 14
     ok_resid = steady.residual is not None and steady.residual <= 1e-6
 
@@ -315,7 +315,7 @@ def test_criterion_6_first_order_inequality(fig3_run):
     # with 0 <= beta < 1 needs alpha = 2/(1+beta) > 1, so alpha = 1 fails on
     # most relaxation sweeps; its failure count is reported, not asserted.
     spec, sched, final, blocks = fig3_run
-    steady = scan_of(blocks, spec, sched.W).result()
+    steady = scan_of(blocks, spec, sched.W)
     assert steady.c_prime is not None
     checked = 0
     rises = 0
@@ -352,7 +352,7 @@ def test_criterion_6_first_order_inequality(fig3_run):
 
 def test_criterion_7_profile_slope_bound(fig3_run):
     spec, sched, final, blocks = fig3_run
-    steady = scan_of(blocks, spec, sched.W).result()
+    steady = scan_of(blocks, spec, sched.W)
     assert steady.c_prime is not None
     margins = slope_margins(blocks[steady.c_prime][0], steady.c_prime, sched.W, spec)
     min_margin = float(margins.min())

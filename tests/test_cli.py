@@ -1032,8 +1032,8 @@ class TestThresholdsCommand:
         assert rows[0] == ["ensemble", "eps_bp", "eps_map"]
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # a negative-rate ensemble whose fixed-point potential never turns
-        # negative: the potential-threshold bisection cannot bracket
+        # a negative-rate ensemble whose potential at the stable fixed point
+        # never turns negative: there is no MAP threshold to find
         cfg = write_cfg(tmp_path, {"ensemble": {"L": "x^6", "R": "x^3"},
                                    "epsilon": 0.4})
         assert main(["thresholds", "--config", str(cfg),

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ZERO_LIMIT, bp_by_de_bisection, de_limit, map_by_de_bisection
 from scwde.poly import DegreePolynomial, monomial
 from scwde.scalar import (
-    THRESHOLD_TOL,
     UncoupledEnsemble,
     bp_threshold,
-    de_run,
     de_step,
     landscape,
     map_threshold,
@@ -20,6 +19,9 @@ from scwde.scalar import (
 ENS36 = UncoupledEnsemble.regular(3, 6)
 ENS48 = UncoupledEnsemble.regular(4, 8)
 ENS_IRR = UncoupledEnsemble(DegreePolynomial((0.0, 0.0, 0.4, 0.6)), monomial(6))
+# Its stability limit lies above the BP threshold, and U(x; eps(x)) is
+# negative near x = 0, off the branch of fixed points DE reaches from x = 1.
+ENS_DEG2 = UncoupledEnsemble(DegreePolynomial((0.0, 0.0, 0.387, 0.0, 0.0, 0.613)), monomial(7))
 
 # Exact rational evaluations (independent of the code under test):
 # de_step(1/2, 19/40) = 19/40 * (1 - (1/2)^5)^2 = 18259/40960
@@ -91,35 +93,12 @@ class TestDeStep:
         e_lo, e_hi = min(e1, e2), max(e1, e2)
         assert de_step(x_lo, e_lo, ENS36) <= de_step(x_hi, e_hi, ENS36) + 1e-12
 
-
-class TestDeRun:
-    def test_below_threshold_converges_to_zero(self):
-        res = de_run(0.3, ENS36)
-        assert res.converged
-        assert res.limit < 1e-9
-
-    def test_above_threshold_hits_stable_fixed_point(self):
-        res = de_run(0.475, ENS36)
-        land = landscape(0.475, ENS36)
-        assert res.limit > 0.1
-        assert res.limit == pytest.approx(land.x_d, abs=1e-8)
-
-    def test_zero_channel_converges_immediately(self):
-        res = de_run(0.0, ENS36)
-        assert res.limit == 0.0
-        assert res.iterations == 1
-
     def test_sequence_is_non_increasing(self):
         x = 1.0
         for _ in range(200):
             x_next = de_step(x, 0.46, ENS36)
             assert x_next <= x + 1e-15
             x = x_next
-
-    def test_non_convergence_flag(self):
-        res = de_run(0.475, ENS36, tol=1e-12, max_iter=5)
-        assert not res.converged
-        assert res.iterations == 5
 
 
 class TestThresholds:
@@ -131,9 +110,6 @@ class TestThresholds:
         assert 0.0 < t < 0.4294
         assert t == pytest.approx(0.38345, abs=5e-4)
 
-    def test_zero_channel_is_inside_bracket(self):
-        assert de_run(0.0, ENS36).limit < 1e-9
-
     def test_map_threshold_regular_3_6(self):
         assert map_threshold(ENS36) == pytest.approx(0.4881, abs=5e-4)
 
@@ -143,15 +119,15 @@ class TestThresholds:
     @pytest.mark.parametrize(
         ("ens", "eps_bp", "eps_map"),
         [
-            (ENS36, 0.4294400215148926, 0.48815107345581055),
-            (ENS48, 0.38344621658325195, 0.4977412223815918),
-            (ENS_IRR, 0.3845391273498535, 0.40364980697631836),
+            (ENS36, 0.4294398144194917, 0.48815088421168423),
+            (ENS48, 0.3834465723217365, 0.49774086294842934),
+            (ENS_IRR, 0.38453921823385434, 0.4036494432374694),
         ],
         ids=["x3_x6", "x4_x8", "irr23_x6"],
     )
     def test_thresholds_pinned_bitwise(self, ens, eps_bp, eps_map):
-        # the floats the bisections have always returned: a change to the
-        # bisection that moves any bit shows here
+        # the floats read off the fixed-point curve: a change to the grid or
+        # to the refinement that moves any bit shows here
         assert bp_threshold(ens) == eps_bp
         assert map_threshold(ens) == eps_map
 
@@ -159,28 +135,42 @@ class TestThresholds:
         for ens in (ENS36, ENS48):
             assert map_threshold(ens) > bp_threshold(ens)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "with lambda'(0) > 0 DE reaches 0 only linearly near the threshold, and de_run's "
-        "step rule stops above ZERO_LIMIT: (2,4) gives 0.3330007 and 0.3332677"))
     def test_degree_two_thresholds_at_stability_limit(self):
         # (2,4): x / lam(1 - rho(1 - x)) = 1 / (3 - 3x + x^2) rises from 1/3,
         # so both thresholds are the stability limit 1 / (lam'(0) rho'(1)) = 1/3
         ens = UncoupledEnsemble.regular(2, 4)
-        assert bp_threshold(ens) == pytest.approx(1 / 3, abs=THRESHOLD_TOL)
-        assert map_threshold(ens) == pytest.approx(1 / 3, abs=THRESHOLD_TOL)
+        assert bp_threshold(ens) == pytest.approx(1 / 3, abs=1e-12)
+        assert map_threshold(ens) == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_degree_one_variable_nodes_have_zero_bp_threshold(self):
+        # lam(0) > 0: every eps > 0 leaves the fixed point eps lam(0) > 0
+        ens = UncoupledEnsemble(DegreePolynomial((0.0, 0.1, 0.0, 0.9)), monomial(6))
+        assert bp_threshold(ens) == 0.0
+        assert map_threshold(ens) == 0.0
 
     def test_potential_vanishes_at_returned_map_threshold(self):
         eps = map_threshold(ENS36)
-        x_d = de_run(eps, ENS36).limit
-        assert abs(potential(x_d, eps, ENS36)) < 10 * THRESHOLD_TOL
+        x_d = de_limit(eps, ENS36)
+        assert abs(potential(x_d, eps, ENS36)) < 1e-10
 
     def test_fixed_point_potential_sign_orientation(self):
         for eps in (0.45, 0.47, 0.485):
-            lim = de_run(eps, ENS36).limit
+            lim = de_limit(eps, ENS36)
             assert potential(lim, eps, ENS36) > 0.0
         for eps in (0.49, 0.6):
-            lim = de_run(eps, ENS36).limit
+            lim = de_limit(eps, ENS36)
             assert potential(lim, eps, ENS36) < 0.0
+
+    @pytest.mark.parametrize(
+        "ens",
+        [UncoupledEnsemble.regular(l, r) for l in range(3, 7) for r in range(l + 1, 13)]
+        + [ENS_IRR, ENS_DEG2],
+        ids=lambda ens: ens.label(),
+    )
+    def test_thresholds_match_de_bisection(self, ens):
+        # the oracle bisects to a 1e-6 bracket on where DE from x = 1 stops
+        assert bp_threshold(ens) == pytest.approx(bp_by_de_bisection(ens), abs=1e-6)
+        assert map_threshold(ens) == pytest.approx(map_by_de_bisection(ens), abs=1e-6)
 
 
 class TestPotential:
@@ -260,6 +250,11 @@ class TestLandscape:
         land = landscape(0.475, ENS36)
         assert land.D == pytest.approx(5.0, abs=1e-6)
 
+    def test_stable_point_is_the_de_limit(self):
+        land = landscape(0.475, ENS36)
+        assert land.x_d > 0.1
+        assert de_limit(0.475, ENS36) == pytest.approx(land.x_d, abs=1e-8)
+
     def test_stationary_roots_are_de_fixed_points(self):
         land = landscape(0.475, ENS36)
         for root in land.d1_roots:
@@ -307,8 +302,8 @@ def test_roots_lie_in_the_cells_the_rule_brackets(l_degree, r_extra, eps):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.44, max_value=0.52))
 def test_map_sign_convention_on_random_channel(eps):
-    lim = de_run(eps, ENS36).limit
-    u = 0.0 if lim < 1e-9 else potential(lim, eps, ENS36)
+    lim = de_limit(eps, ENS36)
+    u = 0.0 if lim < ZERO_LIMIT else potential(lim, eps, ENS36)
     threshold = 0.488151
     if eps < threshold - 1e-3:
         assert u >= 0.0

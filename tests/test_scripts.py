@@ -25,17 +25,20 @@ OUTPUTS = {
 }
 
 
-def test_reproduce_all_without_staircase(tmp_path):
+def run_script(name, *args, timeout):
+    """Run scripts/<name> with the package's sources on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_reproduce_all_without_staircase(tmp_path):
     out = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"),
-         "--out", str(out), "--skip-staircase", "--workers", "1"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_script("reproduce_all.py", "--out", str(out), "--skip-staircase",
+                      "--workers", "1", timeout=120)
     assert done.returncode == 0, done.stderr
     for name, header in OUTPUTS.items():
         with open(out / name, newline="") as fh:
@@ -45,6 +48,13 @@ def test_reproduce_all_without_staircase(tmp_path):
                            "decode_success", "avg", "max"}
     assert sorted(p.name for p in out.iterdir()) == [
         "landscape", "speed_table", "thresholds", "wave"]
+
+
+def test_threshold_fixture_regenerates_byte_for_byte(tmp_path):
+    out = tmp_path / "thresholds.json"
+    done = run_script("gen_threshold_fixtures.py", "--out", str(out), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (ROOT / "tests" / "fixtures" / "thresholds.json").read_bytes()
 
 
 def load_perfbench(name):

@@ -36,23 +36,23 @@ def fig3_run():
 class TestSteadyStateScan:
     def test_translating_profile_detected(self, fig3_run):
         spec, sched, blocks = fig3_run
-        ss = scan_of(blocks, spec, sched.W).result()
-        assert ss.c_prime is not None
-        assert ss.residual <= 1e-9
+        scan = scan_of(blocks, spec, sched.W)
+        assert scan.c_prime is not None
+        assert scan.residual <= 1e-9
         # regression: onset of 1e-9 steadiness for this configuration
-        assert ss.c_prime == 28
+        assert scan.c_prime == 28
 
     def test_looser_tolerance_detects_earlier(self, fig3_run):
         spec, sched, blocks = fig3_run
-        loose = scan_of(blocks, spec, sched.W, tol=1e-6).result()
-        tight = scan_of(blocks, spec, sched.W, tol=1e-9).result()
+        loose = scan_of(blocks, spec, sched.W, tol=1e-6)
+        tight = scan_of(blocks, spec, sched.W, tol=1e-9)
         assert loose.c_prime == 20
         assert loose.c_prime <= tight.c_prime
 
     def test_shift_residual_attached(self, fig3_run):
         spec, sched, blocks = fig3_run
-        ss = scan_of(blocks, spec, sched.W).result()
-        assert 0.0 <= ss.residual <= ss.tol
+        scan = scan_of(blocks, spec, sched.W)
+        assert 0.0 <= scan.residual <= scan.tol
 
     def test_nan_mismatch_ends_the_steady_suffix(self, fig3_run):
         # the scan runs from the last interior pair down and stops at the
@@ -63,8 +63,8 @@ class TestSteadyStateScan:
         broken = dict(blocks)
         broken[last] = blocks[last].copy()
         broken[last][0, spec.N - 5] = np.nan
-        ss = scan_of(broken, spec, sched.W).result()
-        assert (ss.c_prime, ss.residual) == (None, None)
+        scan = scan_of(broken, spec, sched.W)
+        assert (scan.c_prime, scan.residual) == (None, None)
 
     def test_mismatch_before_the_steady_suffix_restarts_it(self, fig3_run):
         # c' is 28 here; a NaN in window 40 fails the pairs (39, 40) and
@@ -74,10 +74,10 @@ class TestSteadyStateScan:
         broken = dict(blocks)
         broken[40] = blocks[40].copy()
         broken[40][0, spec.N - 5] = np.nan
-        ss = scan_of(broken, spec, sched.W).result()
-        assert ss.c_prime == 41
-        assert (ss.c_prime, ss.residual) == steady_state_by_backward_scan(
-            broken, spec, sched.W, ss.tol)
+        scan = scan_of(broken, spec, sched.W)
+        assert scan.c_prime == 41
+        assert (scan.c_prime, scan.residual) == steady_state_by_backward_scan(
+            broken, spec, sched.W, scan.tol)
 
     def test_zero_channel_profile_translates_trivially(self):
         # with eps = 0 every window clears instantly and the 0/1 step
@@ -122,10 +122,9 @@ def test_forward_scan_matches_backward_oracle(N, w, data):
         block[data.draw(st.integers(min_value=0, max_value=block.shape[0] - 1)),
               data.draw(st.integers(min_value=0, max_value=block.shape[1] - 1))] = np.nan
     scan = scan_of(blocks, spec, W, tol)
-    ss = scan.result()
     c_prime, residual = steady_state_by_backward_scan(blocks, spec, W, tol)
-    assert ss.c_prime == c_prime
-    assert float_bits(ss.residual) == float_bits(residual)
+    assert scan.c_prime == c_prime
+    assert float_bits(scan.residual) == float_bits(residual)
     if c_prime is None:
         assert scan.starts is None
     else:
@@ -228,8 +227,8 @@ class TestSlopeMargin:
 
     def test_steady_profile_satisfies_bound(self, fig3_run):
         spec, sched, blocks = fig3_run
-        ss = scan_of(blocks, spec, sched.W).result()
-        margins = slope_margins(blocks[ss.c_prime][0], ss.c_prime, sched.W, spec)
+        scan = scan_of(blocks, spec, sched.W)
+        margins = slope_margins(blocks[scan.c_prime][0], scan.c_prime, sched.W, spec)
         assert margins.min() >= -1e-9
 
     def test_first_margin_reads_zero_left_of_chain(self):
