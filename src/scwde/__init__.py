@@ -7,7 +7,7 @@ import os
 # CPU; this must run before numpy loads, and keeps any value the user set.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .coupled import CoupledPotentialContext, coupled_potential
+from .coupled import coupled_potential
 from .poly import DegreePolynomial, from_pairs, monomial, parse_polynomial
 from .scalar import (
     NonConvergence,
@@ -41,7 +41,6 @@ from .window import (
 
 __all__ = [
     "ChainCheckError",
-    "CoupledPotentialContext",
     "CoupledSpec",
     "DEState",
     "DegreePolynomial",

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_preset
-from .coupled import CoupledPotentialContext, coupled_potential
+from .coupled import coupled_potential
 from .scalar import NonConvergence, bp_threshold, landscape, map_threshold
 from .speed import SpeedReport, SteadyStateScan, measure_speed
-from .window import CoupledSpec, WindowSchedule, decode_success, run_wd
+from .window import CoupledSpec, decode_success, run_wd
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,9 +101,7 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("the wave command needs a single window size")
     ens = cfg.ensembles[0]
     spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=cfg.epsilon)
-    sched = WindowSchedule(
-        W=cfg.W[0], T=cfg.T, variant=cfg.schedule, T_first=cfg.T_first
-    )
+    sched = cfg.window_schedule(cfg.W[0])
     c_max, windows = sched.c_max(spec), cfg.record_windows
     if windows is not None and (not windows or not all(1 <= c <= c_max for c in windows)):
         raise ConfigError(f"record.windows must name windows in 1..{c_max}, this run's windows")
@@ -120,9 +118,8 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
 
             def on_block(c: int, block: np.ndarray) -> None:
                 write_states(c, block)
-                ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
                 potentials.writerows((c, t, _fmt(u)) for t, u in
-                                     enumerate(coupled_potential(block, ctx).tolist()))
+                                     enumerate(coupled_potential(block, spec, sched, c).tolist()))
                 scan.add(c, block)
 
             final, _ = run_wd(spec, sched, record_windows=windows, on_block=on_block)
@@ -156,13 +153,10 @@ def _speed_task(cfg: RunConfig, point) -> SpeedReport:
     fixed = cfg.T is not None
     return measure_speed(
         spec,
-        W,
-        T_lo=cfg.T if fixed else 1,
+        cfg.window_schedule(W),
         T_max=cfg.T if fixed else cfg.T_max,
-        T_first=cfg.T_first,
         alpha=cfg.alpha,
         success=cfg.success,
-        schedule_variant=cfg.schedule,
         steady_tol=cfg.steady_tol,
         land=land,
         compute_bounds=cfg.bounds,
@@ -288,6 +282,9 @@ def main(argv=None) -> int:
     # a one-process run; a type not named below is a fault of the program.
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:  # Python's own carries no message
+        print("configuration error: the run does not fit in memory", file=sys.stderr)
         return EXIT_CONFIG
     except (NonConvergence, ArithmeticError) as exc:  # ChainCheckError, ZeroDivisionError
         print(f"numerical failure: {exc}", file=sys.stderr)

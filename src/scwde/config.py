@@ -72,8 +72,7 @@ class RunConfig:
         specs = [CoupledSpec(ens, self.N, self.w, eps)
                  for ens in self.ensembles for eps in self.epsilons(ens)]
         for W in self.W or (1,):
-            WindowSchedule(W, 1 if self.T is None else self.T, self.schedule,
-                           self.T_first).validate(specs[0])
+            self.window_schedule(W).validate(specs[0])
         if not 1.0 <= self.alpha <= 2.0:
             raise ConfigError("alpha must lie in [1, 2]")
         if self.T_max < 1:
@@ -86,6 +85,11 @@ class RunConfig:
             raise ConfigError("steady_tol must be >= 0")
         if not isinstance(self.bounds, bool):
             raise ConfigError(f"bounds must be true or false, got {self.bounds!r}")
+
+    def window_schedule(self, W: int) -> WindowSchedule:
+        """The schedule of window size W that every run of this config uses;
+        under ``T: auto`` its T is 1, where the T search starts."""
+        return WindowSchedule(W, 1 if self.T is None else self.T, self.schedule, self.T_first)
 
     def epsilons(self, ens: UncoupledEnsemble) -> tuple[float, ...]:
         """The ε values of one of ``ensembles``."""

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .coupled import CoupledPotentialContext, coupled_potential
+from .coupled import coupled_potential
 from .scalar import PotentialLandscape, potential, potential_d1
 from .window import (
     CoupledSpec,
@@ -91,10 +91,10 @@ def bound_a1(
     over the window at x_now, reading x_0 as zero. alpha is the Taylor
     constant, in [1, 2].
     """
-    ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c_prime)
     if not 1.0 <= alpha <= 2.0:
         raise ValueError("alpha must lie in [1, 2]")
-    num = alpha * (coupled_potential(x_now, ctx) - coupled_potential(x_next, ctx))
+    num = alpha * (coupled_potential(x_now, spec, sched, c_prime)
+                   - coupled_potential(x_next, spec, sched, c_prime))
     seg = slope_segment(x_now, c_prime, sched.W, spec)
     den = float(np.sum(spec.ens.rho_d1(1.0 - seg[1:]) * np.diff(seg) ** 2))
     if abs(den) < 1e-300:
@@ -234,25 +234,23 @@ class _FrozenPrefixStop:
 
 def measure_speed(
     spec: CoupledSpec,
-    W: int,
+    sched: WindowSchedule,
     T_max: int = T_MAX_DEFAULT,
     alpha: float = 1.0,
     success: SuccessRule = SuccessRule(),
-    schedule_variant: str = "extended",
     steady_tol: float = STEADY_TOL,
     land: Optional[PotentialLandscape] = None,
     compute_bounds: bool = True,
     validate: bool = True,
-    T_lo: int = 1,
-    T_first: Optional[int] = None,
 ) -> SpeedReport:
-    """Find the smallest iterations-per-window count T in [T_lo, T_max] that decodes.
+    """Find the smallest iterations-per-window count T from ``sched.T`` up
+    to T_max that decodes; every run uses ``sched`` with T replaced.
 
     A run "survives prefix c" when ``_FrozenPrefixStop`` has not failed it
     by the end of window c; on the whole schedule it must also decode. A
     decoding run survives every prefix, and survival of a prefix is
     monotone in T (property-tested in ``tests/test_window.py``). So the
-    search goes in rounds, from prefix 1 and lo = T_lo:
+    search goes in rounds, from prefix 1 and lo = ``sched.T``:
 
     - gallop through lo, lo+1, lo+3, lo+7, ... (clipped to T_max) until a T
       survives the prefix, then bisect below it. Probes run only the
@@ -267,34 +265,29 @@ def measure_speed(
     prefix: the prefix grows every round. Each round makes one full run,
     T_max included, and nothing is run again after the search: the T_min
     run's scan gives c' and the start states the trajectory bound reads.
-    T_lo = T_max tests one fixed budget with one full run, and every run
-    gives the first window ``T_first`` iterations when that is set.
+    ``sched.T`` = T_max tests one fixed budget with one full run.
 
     ``best_avg`` is the success policy's metric of the run at T_min when a
     T decodes, and of the full run at T_max when none does. The landscape
     bounds are attached when a landscape is supplied; one taken at another
-    epsilon raises ValueError before any run.
+    epsilon raises ValueError before any run, as does ``sched.T`` > T_max.
     """
-    if not 1 <= T_lo <= T_max:
-        raise ValueError(f"T range {T_lo}..{T_max} is empty or starts below 1")
+    if sched.T > T_max:
+        raise ValueError(f"T range {sched.T}..{T_max} is empty")
     if land is not None and compute_bounds:
         _check_landscape_epsilon(spec, land)
-
-    def schedule(T: int) -> WindowSchedule:
-        return WindowSchedule(W=W, T=T, variant=schedule_variant, T_first=T_first)
-
-    c_last = schedule(T_lo).c_max(spec)
+    c_last = sched.c_max(spec)
 
     def survives(T: int, c_stop: int) -> bool:
         if T == T_max:
             return True
         stop = _FrozenPrefixStop(spec, success, c_stop)
-        final, _ = run_wd(spec, schedule(T), validate=validate, stop=stop)
+        final, _ = run_wd(spec, replace(sched, T=T), validate=validate, stop=stop)
         return stop.failed_at is None and (
             c_stop < c_last or decode_success(final, spec, success).success
         )
 
-    lo, c_stop = T_lo, 1
+    lo, c_stop = sched.T, 1
     while True:
         failed, T = lo - 1, lo
         while not survives(T, c_stop):
@@ -306,8 +299,8 @@ def measure_speed(
             else:
                 failed = mid
         stop = None if T == T_max else _FrozenPrefixStop(spec, success)
-        scan = SteadyStateScan(spec, W, steady_tol)
-        final, _ = run_wd(spec, schedule(T), validate=validate, stop=stop,
+        scan = SteadyStateScan(spec, sched.W, steady_tol)
+        final, _ = run_wd(spec, replace(sched, T=T), validate=validate, stop=stop,
                           on_block=scan.add if compute_bounds else None)
         if stop is None or stop.failed_at is None:
             report = decode_success(final, spec, success)
@@ -321,20 +314,20 @@ def measure_speed(
         c_prime = scan.c_prime
         if c_prime is not None:
             try:
-                a1 = bound_a1(spec, schedule(T), c_prime, *scan.starts, alpha=alpha)
+                a1 = bound_a1(spec, sched, c_prime, *scan.starts, alpha=alpha)  # T is not read
             except ZeroDivisionError:  # flat steady profile: A1 is undefined
                 pass
 
     th2 = None
     if land is not None and compute_bounds:
         try:
-            th2 = bound_th2(spec, W, land, alpha=alpha)
+            th2 = bound_th2(spec, sched.W, land, alpha=alpha)
         except ValueError:  # the landscape lacks a critical point
             pass
 
     return SpeedReport(
         epsilon=spec.epsilon,
-        W=W,
+        W=sched.W,
         T_min=t_min,
         c_prime=c_prime,
         A1=a1,

@@ -50,7 +50,8 @@ class WindowSchedule:
     The ``literal`` variant slides the window over configurations
     c = 1..N-W+1 so it never covers check positions beyond N; the
     ``extended`` variant continues to c = N+w-W so the termination tail
-    is updated too (needed for the average erasure to reach ~0).
+    is updated too (needed for the average erasure to reach ~0). The
+    variant has no default here; a run config's ``schedule`` has the one.
 
     ``T_first`` optionally gives the first window a larger iteration
     budget (a common warm start that removes the ignition transient);
@@ -59,7 +60,7 @@ class WindowSchedule:
 
     W: int
     T: int
-    variant: ScheduleVariant = "literal"
+    variant: ScheduleVariant
     T_first: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -18,7 +18,7 @@ from oracles import (
     slope_margins,
 )
 from scwde.config import load_preset
-from scwde.coupled import CoupledPotentialContext, coupled_potential
+from scwde.coupled import coupled_potential
 from scwde.poly import from_pairs
 from scwde.scalar import (
     UncoupledEnsemble,
@@ -54,7 +54,7 @@ def _table1_point(args):
     N, W, eps = args
     spec = CoupledSpec(ens=ENS36, N=N, w=4, epsilon=eps)
     return measure_speed(
-        spec, W, T_max=200, schedule_variant="extended", validate=False
+        spec, WindowSchedule(W, 1, "extended"), T_max=200, validate=False
     )
 
 
@@ -140,9 +140,8 @@ def _fig4_point(args):
     land = landscape(eps, ens)
     rep = measure_speed(
         spec,
-        W,
+        WindowSchedule(W, 1, "extended"),
         T_max=200,
-        schedule_variant="extended",
         land=land,
         validate=False,
     )
@@ -282,19 +281,20 @@ def test_criterion_5_potential_property_suite():
     )
 
     spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
-    sched = WindowSchedule(W=8, T=6)
-    ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15)
+    sched = WindowSchedule(W=8, T=6, variant="literal")
+    c = 15
     rng = np.random.default_rng(2024)
     hg = 1e-6
     ok_grad = True
     for _ in range(100):
         x = rng.uniform(0.05, 0.95, spec.chain_len)
-        grad = gradient_by_definition(x, ctx.c, sched.W, spec)
-        for j, z in enumerate(range(ctx.c, ctx.c + sched.W)):
+        grad = gradient_by_definition(x, c, sched.W, spec)
+        for j, z in enumerate(range(c, c + sched.W)):
             up, down = x.copy(), x.copy()
             up[z - 1] += hg
             down[z - 1] -= hg
-            fd = (coupled_potential(up, ctx) - coupled_potential(down, ctx)) / (2 * hg)
+            fd = (coupled_potential(up, spec, sched, c)
+                  - coupled_potential(down, spec, sched, c)) / (2 * hg)
             if not math.isclose(grad[j], fd, rel_tol=1e-6, abs_tol=1e-9):
                 ok_grad = False
 
@@ -324,12 +324,11 @@ def test_criterion_6_first_order_inequality(fig3_run):
     needed_alpha = 0.0
     last_interior = spec.N - sched.W + 1
     for c in range(steady.c_prime, last_interior + 1):
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
         block = blocks[c]
         for t in range(block.shape[0] - 1):
             checked += 1
             y, x = block[t + 1], block[t]
-            drop = coupled_potential(y, ctx) - coupled_potential(x, ctx)
+            drop = coupled_potential(y, spec, sched, c) - coupled_potential(x, spec, sched, c)
             rhs = delta_u1_by_definition(y, x, c, sched.W, spec)
             if drop >= 0.0:
                 rises += 1
@@ -371,7 +370,7 @@ def test_criterion_8_landscape_speed_bound():
     if th2.B1 > 0:
         ok_bound = th2.finite_w is not None and th2.finite_w > 0
         rep = measure_speed(
-            spec, 15, T_max=200, schedule_variant="extended", validate=False
+            spec, WindowSchedule(15, 1, "extended"), T_max=200, validate=False
         )
         ok_dominates = rep.v is not None and rep.v <= th2.finite_w + 1e-9
         status = f"B1={th2.B1:.6f} > 0, bound={th2.finite_w}, v={rep.v}"

@@ -690,8 +690,8 @@ def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_first_failure_in_dispatch_order_surfaces(tmp_path, capfd, monkeypatch, workers):
     # every point fails; the pool forks after the patch, so its workers fail too
-    def failing_point(spec, W, **kwargs):
-        raise ValueError(f"point epsilon={spec.epsilon} W={W}")
+    def failing_point(spec, sched, **kwargs):
+        raise ValueError(f"point epsilon={spec.epsilon} W={sched.W}")
 
     monkeypatch.setattr("scwde.cli.measure_speed", failing_point)
     cfg = write_cfg(tmp_path, GRID_2X2)
@@ -712,9 +712,9 @@ def test_first_failure_cancels_the_queued_points(tmp_path, capfd, monkeypatch):
     markers = tmp_path / "markers"
     markers.mkdir()
 
-    def marking_point(spec, W, **kwargs):
-        (markers / f"{spec.epsilon}_{W}").touch()
-        if (spec.epsilon, W) == (0.30, 5):
+    def marking_point(spec, sched, **kwargs):
+        (markers / f"{spec.epsilon}_{sched.W}").touch()
+        if (spec.epsilon, sched.W) == (0.30, 5):
             raise ValueError("first point fails")
         time.sleep(0.5)
 
@@ -805,6 +805,22 @@ def test_help_exits_0_and_lists_the_presets(capsys):
 def test_config_directory_exits_with_one_line(tmp_path, capfd):
     code = main(["wave", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 1, "configuration error: ")
+
+
+@pytest.mark.parametrize(("command", "payload", "workers"), [
+    ("wave", BASE_RUN, []),
+    ("speed", BASE_RUN, ["--workers", "1"]),
+    ("speed", {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02}},
+     ["--workers", "2"]),
+], ids=["wave", "speed-1-worker", "speed-2-workers"])
+def test_run_too_large_for_memory_exits_with_one_line(tmp_path, capfd, command, payload,
+                                                      workers):
+    # the first allocation, 8 bytes a position on a 1e17-position chain, is
+    # larger than any address space and fails at once without touching memory
+    cfg = write_cfg(tmp_path, {**payload, "N": 10**17})
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *workers])
+    one_line_exit(capfd, code, 1, "configuration error: the run does not fit in memory\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_out_path_on_a_file_exits_with_one_line(tmp_path, capfd):

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,25 @@ from oracles import (
     recorded_run,
     window_reads_out_of_place,
 )
-from scwde.coupled import CoupledPotentialContext, coupled_potential
+from scwde.coupled import coupled_potential
 from scwde.scalar import UncoupledEnsemble, potential
 from scwde.window import CoupledSpec, WindowSchedule, run_wd
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 
 
+class Config(NamedTuple):
+    """A window configuration c of a run: ``coupled_potential(x, *ctx)``."""
+
+    spec: CoupledSpec
+    sched: WindowSchedule
+    c: int
+
+
 def make_ctx(N=40, w=3, eps=0.42, W=8, T=6, c=15):
     spec = CoupledSpec(ens=ENS36, N=N, w=w, epsilon=eps)
-    sched = WindowSchedule(W=W, T=T)
-    return CoupledPotentialContext(spec=spec, sched=sched, c=c)
+    sched = WindowSchedule(W=W, T=T, variant="literal")
+    return Config(spec, sched, c)
 
 
 def gradient(x, ctx):
@@ -36,7 +46,7 @@ def delta_u1(y, x, ctx):
 def alpha_check(y, x, ctx, alpha):
     """alpha (U(y) - U(x)) against the first-order term DeltaU1(y, x):
     (lhs, rhs, whether lhs <= rhs + 1e-12)."""
-    lhs = alpha * (coupled_potential(y, ctx) - coupled_potential(x, ctx))
+    lhs = alpha * (coupled_potential(y, *ctx) - coupled_potential(x, *ctx))
     rhs = delta_u1(y, x, ctx)
     return lhs, rhs, lhs <= rhs + 1e-12
 
@@ -45,7 +55,7 @@ class TestCoupledPotential:
     def test_zero_state_has_zero_potential(self):
         ctx = make_ctx()
         x = np.zeros(ctx.spec.chain_len)
-        assert coupled_potential(x, ctx) == 0.0
+        assert coupled_potential(x, *ctx) == 0.0
 
     def test_constant_interior_state_collapses_to_scalar(self):
         # deep-interior window on a constant vector: the coupled averages
@@ -54,11 +64,17 @@ class TestCoupledPotential:
         level = 0.37
         x = np.full(ctx.spec.chain_len, level)
         expected = (ctx.sched.W + ctx.spec.w - 1) * potential(level, 0.42, ENS36)
-        assert coupled_potential(x, ctx) == pytest.approx(expected, abs=1e-12)
+        assert coupled_potential(x, *ctx) == pytest.approx(expected, abs=1e-12)
 
     def test_window_configuration_bounds_checked(self):
-        with pytest.raises(ValueError, match="window configuration"):
-            make_ctx(c=50)
+        spec, sched, _ = make_ctx()
+        with pytest.raises(ValueError, match="window configuration 50 outside 1..33"):
+            coupled_potential(np.zeros(spec.chain_len), spec, sched, 50)
+
+    def test_schedule_wider_than_chain_rejected(self):
+        spec, sched, _ = make_ctx(N=7, W=8)
+        with pytest.raises(ValueError, match="exceeds coupling length"):
+            coupled_potential(np.zeros(spec.chain_len), spec, sched, 1)
 
 
 def potential_by_definition(x, ctx):
@@ -105,8 +121,8 @@ def test_coupled_potential_matches_definition(N, w, eps, ens, data):
     # every configuration of the extended schedule: c = 1 reads left of the
     # chain, the last ones run into the termination tail
     for c in range(1, sched.c_max(spec) + 1):
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
-        assert coupled_potential(x, ctx) == pytest.approx(
+        ctx = Config(spec, sched, c)
+        assert coupled_potential(x, *ctx) == pytest.approx(
             potential_by_definition(x, ctx), rel=0, abs=1e-12)
 
 
@@ -133,10 +149,10 @@ def test_block_potential_equals_rows_bitwise(N, w, ens, rows, data):
         min_size=rows, max_size=rows)))
     c_max = sched.c_max(spec)
     for c in {1, data.draw(st.integers(min_value=1, max_value=c_max)), c_max}:
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
-        per_row = [coupled_potential(x, ctx) for x in block]
+        ctx = Config(spec, sched, c)
+        per_row = [coupled_potential(x, *ctx) for x in block]
         assert all(type(u) is float for u in per_row)
-        got = coupled_potential(block, ctx)
+        got = coupled_potential(block, *ctx)
         assert got.shape == (rows,)
         assert got.view(np.int64).tolist() == np.array(per_row).view(np.int64).tolist()
 
@@ -174,8 +190,8 @@ def test_block_potential_matches_out_of_place_arithmetic_bitwise(ens, N, w, eps,
                  min_size=spec.chain_len, max_size=spec.chain_len),
         min_size=rows, max_size=rows)))
     for c in range(1, sched.c_max(spec) + 1):
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
-        assert coupled_potential(block, ctx).tobytes() == potential_out_of_place(block, ctx).tobytes()
+        ctx = Config(spec, sched, c)
+        assert coupled_potential(block, *ctx).tobytes() == potential_out_of_place(block, ctx).tobytes()
 
 
 class TestCoupledGradient:
@@ -201,14 +217,14 @@ class TestCoupledGradient:
                 up, down = x.copy(), x.copy()
                 up[z - 1] += h
                 down[z - 1] -= h
-                fd = (coupled_potential(up, ctx) - coupled_potential(down, ctx)) / (2 * h)
+                fd = (coupled_potential(up, *ctx) - coupled_potential(down, *ctx)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_vanishes_at_window_fixed_point(self):
         # window 15 of a run, swept 500 times: the engine's fixed point
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
-        sched = WindowSchedule(W=8, T=500)
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15)
+        sched = WindowSchedule(W=8, T=500, variant="literal")
+        ctx = Config(spec, sched, 15)
         final, _ = run_wd(spec, sched, validate=False, stop=lambda c, x: c == 15)
         assert final.c == 15
         assert np.linalg.norm(gradient(final.x, ctx)) < 1e-8
@@ -234,8 +250,8 @@ class TestDeltaU1:
         # y the engine's next sweep of x: the first-order term collapses to
         # -sum rho'(1-x_z) (y_z - x_z)^2 over the window
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
-        sched = WindowSchedule(W=8, T=6)
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=15)
+        sched = WindowSchedule(W=8, T=6, variant="literal")
+        ctx = Config(spec, sched, 15)
         _, blocks = recorded_run(spec, sched, record_windows=[15])
         x, y = blocks[15][:2]
         got = delta_u1(y, x, ctx)
@@ -257,17 +273,17 @@ class TestAlphaInequality:
         # alpha = 1 is violated by a few percent on the relaxation sweeps
         # (the trail coordinates sit in the convex basin of the potential)
         spec = CoupledSpec(ens=ENS36, N=60, w=3, epsilon=0.42)
-        sched = WindowSchedule(W=11, T=6)
+        sched = WindowSchedule(W=11, T=6, variant="literal")
         _, blocks = recorded_run(spec, sched)
         saw_alpha1_violation = False
         for c in (30, 35, 40):
-            ctx = CoupledPotentialContext(spec=spec, sched=sched, c=c)
+            ctx = Config(spec, sched, c)
             block = blocks[c]
             for t in range(block.shape[0] - 1):
                 y, x = block[t + 1], block[t]
                 lhs, d1, holds = alpha_check(y, x, ctx, alpha=2.0)
                 assert holds, (c, t, lhs, d1)
-                drop = coupled_potential(y, ctx) - coupled_potential(x, ctx)
+                drop = coupled_potential(y, *ctx) - coupled_potential(x, *ctx)
                 if drop < 0:
                     needed = d1 / drop
                     assert needed <= 2.0 + 1e-9, (c, t, needed)
@@ -277,9 +293,9 @@ class TestAlphaInequality:
 
     def test_alpha_two_diagnostic_runs(self):
         spec = CoupledSpec(ens=ENS36, N=60, w=3, epsilon=0.42)
-        sched = WindowSchedule(W=11, T=6)
+        sched = WindowSchedule(W=11, T=6, variant="literal")
         _, blocks = recorded_run(spec, sched)
-        ctx = CoupledPotentialContext(spec=spec, sched=sched, c=35)
+        ctx = Config(spec, sched, 35)
         block = blocks[35]
         outcomes = [
             alpha_check(block[t + 1], block[t], ctx, alpha=2.0)[2]

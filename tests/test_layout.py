@@ -1,6 +1,7 @@
 """Module layout: no scwde module imports another scwde module's private
-names, every public function or class has a caller in the package, and no
-module makes a BLAS call.
+names, every public function or class has a caller in the package, every
+parameter default of a public function is overridden by some package call,
+and no module makes a BLAS call.
 
 A private helper (leading underscore) belongs to the module that defines it;
 a module that needs it should go through that module's public functions. A
@@ -44,6 +45,35 @@ def unreferenced_public_names(paths: list[Path]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
             and not any(node.name in names for other, names in used if other is not node)]
+
+
+def unset_defaults(paths: list[Path]) -> list[str]:
+    """``module.function(parameter)`` for every parameter with a default, of
+    every public top-level function in ``paths``, that no call among
+    ``paths`` to that function's name (as a name or an attribute) passes, by
+    keyword or by position."""
+    trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path, tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            defaulted = [(i, arg) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(None, arg) for arg, default in
+                          zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+            found += [f"{path.stem}.{node.name}({arg.arg})" for i, arg in defaulted
+                      if not any(any(k.arg == arg.arg for k in call.keywords)
+                                 or (i is not None and i < len(call.args))
+                                 for call in calls.get(node.name, []))]
+    return found
 
 
 # numpy names whose work goes to BLAS or LAPACK
@@ -102,6 +132,24 @@ def test_unreferenced_public_names_detected(tmp_path):
     # Lonely and check name themselves only inside their own definitions
     assert unreferenced_public_names(sorted(tmp_path.glob("*.py"))) == [
         "a.Lonely", "b.check"]
+
+
+def test_every_default_is_passed_by_the_package():
+    # a default no package call overrides is a knob only tests turn; the
+    # console script calls main() with no arguments
+    found = unset_defaults([p for p in SOURCES if p.name != "__init__.py"])
+    assert [name for name in found if name != "cli.main(argv)"] == []
+
+
+def test_unset_defaults_detected(tmp_path):
+    (tmp_path / "a.py").write_text("def run(x, y=1, z=2, *, k=3, m=4):\n    return x\n\n"
+                                   "def lonely(q=1):\n    return run(q, z=q)\n\n"
+                                   "def _private(p=1):\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import lonely, run\n\n"
+                                   "run(0, 1)\nmod.run(0, k=5)\nlonely()\n")
+    # y is passed by position, z and k by keyword, m and q never
+    assert unset_defaults(sorted(tmp_path.glob("*.py"))) == [
+        "a.run(m)", "a.lonely(q)"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import recorded_run, scan_of, slope_margins, steady_state_by_backward_scan
+from scwde.config import config_from_mapping
 from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, potential_d1
 from scwde.speed import (
     STEADY_TOL,
@@ -28,7 +29,7 @@ ENS36 = UncoupledEnsemble.regular(3, 6)
 @pytest.fixture(scope="module")
 def fig3_run():
     spec = CoupledSpec(ens=ENS36, N=100, w=3, epsilon=0.42)
-    sched = WindowSchedule(W=11, T=6)
+    sched = WindowSchedule(W=11, T=6, variant="literal")
     _, blocks = recorded_run(spec, sched)
     return spec, sched, blocks
 
@@ -84,7 +85,7 @@ class TestSteadyStateScan:
         # profile translates exactly; the trajectory bound is then
         # rejected for having a flat in-window profile
         spec = CoupledSpec(ens=ENS36, N=30, w=3, epsilon=0.0)
-        sched = WindowSchedule(W=8, T=2)
+        sched = WindowSchedule(W=8, T=2, variant="literal")
         _, blocks = recorded_run(spec, sched)
         scan = scan_of(blocks, spec, sched.W)
         assert scan.c_prime is not None
@@ -259,7 +260,7 @@ class TestSlopeMargin:
 class TestMeasureSpeed:
     def test_fast_channel_reports_minimum(self):
         spec = CoupledSpec(ens=ENS36, N=30, w=2, epsilon=0.30)
-        rep = measure_speed(spec, W=8, T_max=30, schedule_variant="extended")
+        rep = measure_speed(spec, WindowSchedule(W=8, T=1, variant="extended"), T_max=30)
         assert rep.T_min is not None
         assert rep.v == 1.0 / rep.T_min
         # a minimum: the budget just below it fails when run in full
@@ -269,29 +270,49 @@ class TestMeasureSpeed:
             assert not decode_success(final, spec).success
 
     def test_default_schedule_decodes(self):
-        # the default schedule sweeps the termination tail, so the final
-        # average reaches the threshold; literal finds no T up to 200 here
+        # a config that names no schedule sweeps the termination tail, so the
+        # final average reaches the threshold; literal finds no T up to 200 here
+        cfg = config_from_mapping({"ensemble": {"L": "x^3", "R": "x^6"}, "N": 100, "w": 4,
+                                   "epsilon": 0.45, "W": 12})
         spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.45)
-        assert measure_speed(spec, W=12, compute_bounds=False, validate=False).T_min == 22
+        rep = measure_speed(spec, cfg.window_schedule(12), compute_bounds=False, validate=False)
+        assert rep.T_min == 22
+
+    def test_schedule_variant_has_no_default(self):
+        with pytest.raises(TypeError, match="variant"):
+            WindowSchedule(12, 1)
+
+    def test_first_T_above_T_max_rejected_before_any_run(self, monkeypatch):
+        calls = []
+
+        def counting_run_wd(*args, **kwargs):
+            calls.append(args)
+            return run_wd(*args, **kwargs)
+
+        monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
+        spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
+        with pytest.raises(ValueError, match="T range 25..24 is empty"):
+            measure_speed(spec, WindowSchedule(W=10, T=25, variant="extended"), T_max=24)
+        assert calls == []
 
     def test_budget_exhaustion_reports_best_average(self):
         # with no decoding T there is no c' or A1, and best_avg is the
         # average of the full run at T_max
         spec = CoupledSpec(ens=ENS36, N=40, w=4, epsilon=0.487)
-        rep = measure_speed(spec, W=12, T_max=3, schedule_variant="extended")
+        rep = measure_speed(spec, WindowSchedule(W=12, T=1, variant="extended"), T_max=3)
         assert rep.T_min is None and rep.v is None
         assert (rep.c_prime, rep.A1) == (None, None)
         assert rep.best_avg is not None and rep.best_avg > 1e-6
         final, _ = run_wd(spec, WindowSchedule(W=12, T=3, variant="extended"))
         assert rep.best_avg == decode_success(final, spec).avg
 
-    @pytest.mark.parametrize("T_lo", [1, 24], ids=["search", "fixed"])
-    def test_decoding_T_max_runs_once(self, monkeypatch, T_lo):
+    @pytest.mark.parametrize("T", [1, 24], ids=["search", "fixed"])
+    def test_decoding_T_max_runs_once(self, monkeypatch, T):
         # T_min = T_max = 24: the search and the fixed T each run 24 once, in
         # full and scanned as it runs, and nothing after it. c' and A1 are
         # those of a search whose T_max lies above T_min
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
-        wide = measure_speed(spec, W=10, T_max=60, schedule_variant="extended")
+        wide = measure_speed(spec, WindowSchedule(W=10, T=1, variant="extended"), T_max=60)
         assert wide.T_min == 24 and wide.c_prime is not None and wide.A1 is not None
         runs = []
 
@@ -300,7 +321,7 @@ class TestMeasureSpeed:
             return run_wd(spec, sched, **kwargs)
 
         monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
-        rep = measure_speed(spec, W=10, T_lo=T_lo, T_max=24, schedule_variant="extended")
+        rep = measure_speed(spec, WindowSchedule(W=10, T=T, variant="extended"), T_max=24)
         assert (rep.T_min, rep.c_prime, rep.A1, rep.best_avg) == (
             wide.T_min, wide.c_prime, wide.A1, wide.best_avg)
         assert runs[-1] == (24, None, True)
@@ -309,7 +330,8 @@ class TestMeasureSpeed:
     def test_report_carries_bounds_when_landscape_given(self):
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
         land = landscape(0.45, ENS36)
-        rep = measure_speed(spec, W=10, T_max=60, schedule_variant="extended", land=land)
+        rep = measure_speed(spec, WindowSchedule(W=10, T=1, variant="extended"), T_max=60,
+                            land=land)
         assert rep.T_min is not None
         assert rep.th2_infinite is not None
         if rep.c_prime is not None:
@@ -384,9 +406,8 @@ def test_search_matches_linear_scan(
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     T_max = T_lo + span
     rep = measure_speed(
-        spec, W, T_lo=T_lo, T_max=T_max, success=SuccessRule(policy=policy),
-        schedule_variant=variant,
-        T_first=T_first, compute_bounds=compute_bounds, validate=False,
+        spec, WindowSchedule(W=W, T=T_lo, variant=variant, T_first=T_first), T_max=T_max,
+        success=SuccessRule(policy=policy), compute_bounds=compute_bounds, validate=False,
     )
     for T in range(T_lo, T_max + 1):
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
@@ -421,7 +442,7 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
 
     monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.480)
-    rep = measure_speed(spec, W=15, schedule_variant="extended", validate=False)
+    rep = measure_speed(spec, WindowSchedule(W=15, T=1, variant="extended"), validate=False)
     whole = [call for call in calls if call[1].c == call[0].c_max(spec)]
     assert rep.T_min == 75 and rep.c_prime is not None
     assert len(whole) == 1
@@ -436,7 +457,8 @@ def test_memory_holds_a_window_not_the_run():
     spec = CoupledSpec(ens=ENS36, N=400, w=4, epsilon=0.465)
     tracemalloc.start()
     try:
-        rep = measure_speed(spec, W=12, T_max=60, validate=False)
+        rep = measure_speed(spec, WindowSchedule(W=12, T=1, variant="extended"), T_max=60,
+                            validate=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -449,8 +471,8 @@ def test_memory_holds_a_window_not_the_run():
     [(0.0, "average", "positive"), (-1e-6, "max", "positive"), (1e-6, "median", "policy"),
      (float("nan"), "average", "positive")],
 )
-@pytest.mark.parametrize("T_lo", [1, 200], ids=["search", "fixed"])
-def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy, match, T_lo):
+@pytest.mark.parametrize("T", [1, 200], ids=["search", "fixed"])
+def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy, match, T):
     calls = []
 
     def counting_run_wd(*args, **kwargs):
@@ -460,8 +482,8 @@ def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy
     monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.465)
     with pytest.raises(ValueError, match=match):
-        measure_speed(spec, W=12, T_lo=T_lo, success=SuccessRule(threshold, policy),
-                      schedule_variant="extended")
+        measure_speed(spec, WindowSchedule(W=12, T=T, variant="extended"),
+                      success=SuccessRule(threshold, policy))
     assert calls == []
 
 
@@ -475,7 +497,7 @@ def test_landscape_at_another_epsilon_rejected_before_any_run(monkeypatch):
     monkeypatch.setattr("scwde.speed.run_wd", counting_run_wd)
     spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
     with pytest.raises(ValueError, match="does not match"):
-        measure_speed(spec, W=10, T_max=60, schedule_variant="extended",
+        measure_speed(spec, WindowSchedule(W=10, T=1, variant="extended"), T_max=60,
                       land=landscape(0.47, ENS36))
     assert calls == []
 
@@ -483,7 +505,7 @@ def test_landscape_at_another_epsilon_rejected_before_any_run(monkeypatch):
 def test_landscape_without_critical_points_leaves_th2_empty():
     # below the BP threshold U' has no nontrivial zero: x_b and x_d are absent
     spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.3)
-    rep = measure_speed(spec, W=10, T_max=60, schedule_variant="extended",
+    rep = measure_speed(spec, WindowSchedule(W=10, T=1, variant="extended"), T_max=60,
                         land=landscape(0.3, ENS36))
     assert rep.T_min is not None
     assert (rep.th2_finite, rep.th2_infinite) == (None,) * 2

@@ -37,12 +37,12 @@ def first_window(spec, sched):
 
 class TestInitState:
     def test_standard_shape(self):
-        st0 = first_window(spec36(), WindowSchedule(W=11, T=1))[0]
+        st0 = first_window(spec36(), WindowSchedule(W=11, T=1, variant="literal"))[0]
         assert st0.shape == (102,)
         assert np.all(st0 == 1.0)
 
     def test_smallest_spec(self):
-        st0 = first_window(spec36(N=1, w=1), WindowSchedule(W=1, T=1))[0]
+        st0 = first_window(spec36(N=1, w=1), WindowSchedule(W=1, T=1, variant="literal"))[0]
         assert st0.shape == (1,)
         assert st0[0] == 1.0
 
@@ -129,7 +129,7 @@ def test_run_rows_match_definition(ens, N, w, eps, T, T_first, variant, data):
 
 class TestSweepAndSlide:
     def test_first_sweep_pattern(self):
-        after = first_window(spec36(w=3), WindowSchedule(W=11, T=6))[1]
+        after = first_window(spec36(w=3), WindowSchedule(W=11, T=6, variant="literal"))[1]
         for z in range(3, 12):  # interior in-window positions
             assert after[z - 1] == pytest.approx(0.42, rel=1e-14)
         assert after[0] == pytest.approx(0.42 / 3, rel=1e-14)
@@ -137,7 +137,7 @@ class TestSweepAndSlide:
         assert np.all(after[11:] == 1.0)
 
     def test_zero_channel_first_sweep_erases_window(self):
-        after = first_window(spec36(eps=0.0), WindowSchedule(W=11, T=1))[1]
+        after = first_window(spec36(eps=0.0), WindowSchedule(W=11, T=1, variant="literal"))[1]
         assert np.all(after[:11] == 0.0) and np.all(after[11:] == 1.0)
 
     def test_outside_window_bit_identical(self):
@@ -153,14 +153,14 @@ class TestSweepAndSlide:
 
     def test_monotone_in_iteration(self):
         spec = spec36()
-        _, blocks = recorded_run(spec, WindowSchedule(W=11, T=6),
+        _, blocks = recorded_run(spec, WindowSchedule(W=11, T=6, variant="literal"),
                          validate=False)
         for c in sorted(blocks):
             assert np.all(np.diff(blocks[c], axis=0) <= 1e-12)
 
     def test_slide_keeps_vector_and_resets_t(self):
         spec = spec36()
-        sched = WindowSchedule(W=11, T=2, T_first=5)
+        sched = WindowSchedule(W=11, T=2, variant="literal", T_first=5)
         _, blocks = recorded_run(spec, sched, record_windows=[1, 2])
         assert blocks[1].shape[0] == 6
         assert blocks[2].shape[0] == 3
@@ -170,7 +170,7 @@ class TestSweepAndSlide:
 class TestRunWd:
     def test_zero_channel_clears_covered_positions(self):
         spec = spec36(eps=0.0)
-        sched = WindowSchedule(W=11, T=1)
+        sched = WindowSchedule(W=11, T=1, variant="literal")
         final, _ = run_wd(spec, sched)
         assert np.all(final.x[: spec.N] <= 1e-12)
 
@@ -195,17 +195,17 @@ class TestRunWd:
 
         monkeypatch.setattr("scwde.window._window_kernel", broken_kernel)
         with pytest.raises(ChainCheckError, match=message):
-            run_wd(spec36(N=30), WindowSchedule(W=8, T=2))
+            run_wd(spec36(N=30), WindowSchedule(W=8, T=2, variant="literal"))
 
     def test_window_larger_than_chain_rejected(self):
         spec = spec36(N=5)
-        sched = WindowSchedule(W=11, T=1)
+        sched = WindowSchedule(W=11, T=1, variant="literal")
         with pytest.raises(ValueError, match="exceeds"):
             run_wd(spec, sched)
 
     def test_deterministic_replay(self):
         spec = spec36()
-        sched = WindowSchedule(W=11, T=6)
+        sched = WindowSchedule(W=11, T=6, variant="literal")
         a, _ = run_wd(spec, sched)
         b, _ = run_wd(spec, sched)
         assert np.array_equal(a.x, b.x)
@@ -226,7 +226,7 @@ class TestRunWd:
 
     def test_trajectory_layout(self):
         spec = spec36(N=20)
-        sched = WindowSchedule(W=8, T=3)
+        sched = WindowSchedule(W=8, T=3, variant="literal")
         final, blocks = recorded_run(spec, sched)
         assert sorted(blocks) == list(range(1, 14))
         assert blocks[5].shape == (4, spec.chain_len)
@@ -237,7 +237,7 @@ class TestRunWd:
 
     def test_stop_sees_each_window_and_ends_at_first_true(self):
         spec = spec36(N=20)
-        sched = WindowSchedule(W=8, T=3)
+        sched = WindowSchedule(W=8, T=3, variant="literal")
         _, full = recorded_run(spec, sched)
 
         def run_with(stop_at):
@@ -265,7 +265,7 @@ class TestRunWd:
         # on_block gets each selected window's read-only block, in order and
         # before stop; the run's second item is always None
         spec = spec36(N=20)
-        sched = WindowSchedule(W=8, T=3, T_first=5)
+        sched = WindowSchedule(W=8, T=3, variant="literal", T_first=5)
         _, full = recorded_run(spec, sched, record_windows=[7, 2, 5, 6])
         events = []
 
@@ -288,13 +288,13 @@ class TestRunWd:
 
     def test_trajectory_window_filter(self):
         spec = spec36(N=20)
-        sched = WindowSchedule(W=8, T=3)
+        sched = WindowSchedule(W=8, T=3, variant="literal")
         _, blocks = recorded_run(spec, sched, record_windows=[4, 5])
         assert sorted(blocks) == [4, 5]
 
     def test_monotone_across_configurations(self):
         spec = spec36(N=30)
-        sched = WindowSchedule(W=8, T=4)
+        sched = WindowSchedule(W=8, T=4, variant="literal")
         _, blocks = recorded_run(spec, sched)
         for c in range(1, 23):
             cur, nxt = blocks[c], blocks[c + 1]
@@ -303,7 +303,7 @@ class TestRunWd:
 
     def test_first_window_warm_start(self):
         spec = spec36(N=30)
-        sched = WindowSchedule(W=8, T=3, T_first=20)
+        sched = WindowSchedule(W=8, T=3, variant="literal", T_first=20)
         _, blocks = recorded_run(spec, sched)
         assert blocks[1].shape[0] == 21
         assert blocks[2].shape[0] == 4
@@ -347,7 +347,7 @@ class TestDecodeSuccess:
 def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=ENS36, N=N, w=w, epsilon=eps)
-    sched = WindowSchedule(W=W, T=T)
+    sched = WindowSchedule(W=W, T=T, variant="literal")
     final, blocks = recorded_run(spec, sched)
     assert np.all(final.x >= 0.0) and np.all(final.x <= 1.0)
     for c in sorted(blocks):
