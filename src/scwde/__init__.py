@@ -30,17 +30,20 @@ from .speed import (
 )
 from .window import (
     ChainCheckError,
+    Column,
     CoupledSpec,
     DEState,
     SuccessReport,
     SuccessRule,
     WindowSchedule,
     decode_success,
+    run_columns,
     run_wd,
 )
 
 __all__ = [
     "ChainCheckError",
+    "Column",
     "CoupledSpec",
     "DEState",
     "DegreePolynomial",
@@ -67,6 +70,7 @@ __all__ = [
     "potential",
     "potential_d1",
     "potential_d2",
+    "run_columns",
     "run_wd",
 ]
 

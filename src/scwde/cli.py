@@ -8,7 +8,7 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import islice, product
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,8 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
                                      enumerate(coupled_potential(block, spec, sched, c).tolist()))
                 scan.add(c, block)
 
-            final, _ = run_wd(spec, sched, record_windows=windows, on_block=on_block)
+            final, _ = run_wd(spec, sched, validate=True, record_windows=windows,
+                              on_block=on_block)
     except BaseException:  # a run that fails partway leaves no partial CSV
         for path in paths:
             path.unlink(missing_ok=True)
@@ -141,24 +142,24 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _speed_task(cfg: RunConfig, point) -> SpeedReport:
-    """One grid point (ensemble, epsilon, W): the T search over 1..T_max, or
-    over [T, T] for a fixed T.
+def _speed_task(cfg: RunConfig, group) -> list[SpeedReport]:
+    """One (ensemble, W) group of the grid, its epsilons the columns of one T
+    search over 1..T_max, or over [T, T] for a fixed T: a report per epsilon.
 
     Fixed-T runs keep the per-sweep checks; the search runs without them.
     """
-    ens, eps, W = point
-    spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps)
-    land = landscape(eps, ens, grid_n=cfg.grid_n) if cfg.bounds else None
+    ens, epsilons, W = group
+    specs = [CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps) for eps in epsilons]
+    lands = (landscape(eps, ens, grid_n=cfg.grid_n) for eps in epsilons) if cfg.bounds else None
     fixed = cfg.T is not None
     return measure_speed(
-        spec,
+        specs,
         cfg.window_schedule(W),
         T_max=cfg.T if fixed else cfg.T_max,
         alpha=cfg.alpha,
         success=cfg.success,
         steady_tol=cfg.steady_tol,
-        land=land,
+        lands=lands,
         compute_bounds=cfg.bounds,
         validate=fixed,
     )
@@ -167,30 +168,31 @@ def _speed_task(cfg: RunConfig, point) -> SpeedReport:
 def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
-    points = [(ens, eps, W) for ens in cfg.ensembles
-              for eps, W in product(cfg.epsilons(ens), cfg.W)]
+    groups = [(ens, cfg.epsilons(ens), W) for ens in cfg.ensembles for W in cfg.W]
     out.mkdir(parents=True, exist_ok=True)
-    # Costliest first: the wave slows as epsilon nears the MAP threshold,
-    # and a larger W runs fewer windows. Rows keep the grid order.
-    order = sorted(range(len(points)), key=lambda i: (-points[i][1], points[i][2]))
-    dispatched = [points[i] for i in order]
+    # Costliest first: a group's run lasts as long as its largest epsilon's,
+    # the wave slows as epsilon nears the MAP threshold, and a larger W runs
+    # fewer windows. Rows keep the grid order.
+    order = sorted(range(len(groups)), key=lambda i: (-max(groups[i][1]), groups[i][2]))
+    dispatched = [groups[i] for i in order]
     task = partial(_speed_task, cfg)
-    if workers > 1 and len(points) > 1:
+    if workers > 1 and len(groups) > 1:
         # imported here: the other commands never start multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
                 done = list(pool.map(task, dispatched))
         except BrokenProcessPool as exc:
             print(f"worker failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
     else:
         done = list(map(task, dispatched))
-    reports = [report for _, report in sorted(zip(order, done))]
-    multi, ordered = len(cfg.ensembles) > 1, iter(reports)
+    by_group = iter(reports for _, reports in sorted(zip(order, done)))
+    multi = len(cfg.ensembles) > 1
     for ens in cfg.ensembles:
-        ens_reports = list(islice(ordered, len(cfg.epsilons(ens)) * len(cfg.W)))
+        ens_groups = list(islice(by_group, len(cfg.W)))  # one per W, a report per epsilon
+        ens_reports = [r for row in zip(*ens_groups) for r in row]  # the grid's order
         name = f"speed_{ens.label()}.csv" if multi else "speed.csv"
         _write_csv(
             out / name,
@@ -250,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=default_workers(),
-                help="parallel grid points (default: the CPUs this process may use)",
+                help="worker processes, each running one (ensemble, W) group of the grid "
+                     "at a time (default: the CPUs this process may use)",
             )
     return parser
 

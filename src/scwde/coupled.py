@@ -25,8 +25,9 @@ def coupled_potential(
         raise ValueError(f"window configuration {c} outside 1..{sched.c_max(spec)}")
     ens = spec.ens
     reads, rho_vals, eps, s = window_check_stage(x, c, sched.W, spec)
-    xs, rho_xs = reads[..., : len(eps)], rho_vals[..., : len(eps)]  # z = c-(w-1)..c+W-1
+    xs, rho_xs = reads[: len(eps)], rho_vals[: len(eps)]  # z = c-(w-1)..c+W-1
     free = (1.0 - ens.R(1.0 - xs)) / ens.R_prime_1 - xs * rho_xs
     channel = (eps / ens.L_prime_1) * ens.L(1.0 - s)
-    total = np.sum(free - channel, axis=-1)
-    return float(total) if total.ndim == 0 else total
+    # one state per row, each summed over a contiguous row (pairwise, as np.sum does)
+    total = np.sum(np.ascontiguousarray((free - channel).T), axis=-1)
+    return float(total[0]) if np.ndim(x) == 1 else total

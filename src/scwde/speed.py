@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Generator, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .coupled import coupled_potential
 from .scalar import PotentialLandscape, potential, potential_d1
 from .window import (
+    Column,
     CoupledSpec,
+    DEState,
     SuccessRule,
     WindowSchedule,
     decode_success,
-    run_wd,
+    run_columns,
     slope_segment,
 )
 
@@ -29,7 +31,7 @@ ABORT_SLACK = 1e-9
 class SteadyStateScan:
     """Locate the first c' from which the profile shifts one position per
     window slide, one recorded window at a time: ``add`` each block in
-    ascending c, as ``run_wd`` hands them over, then read ``c_prime``,
+    ascending c, as a run hands them over, then read ``c_prime``,
     ``residual`` and ``tol``.
 
     For each pair (c, c+1) of recorded windows inside the uniform-channel
@@ -204,7 +206,7 @@ class SpeedReport:
 
 
 class _FrozenPrefixStop:
-    """``run_wd`` stop hook of the T search, one per run. It ends the run
+    """Stop hook of one run of the T search (``Column.stop``). It ends the run
     after window ``c_stop`` (None: the last), or at the first window c after
     which ``decode_success`` is sure to judge the run failed; ``failed_at``
     is then c.
@@ -232,25 +234,72 @@ class _FrozenPrefixStop:
         return self.failed_at is not None or c == self.c_stop
 
 
-def measure_speed(
+def _search(
     spec: CoupledSpec,
+    sched: WindowSchedule,
+    T_max: int,
+    success: SuccessRule,
+    steady_tol: Optional[float],
+) -> Generator[tuple[Column, bool], DEState, tuple]:
+    """One point's T search (``measure_speed``) as a generator: it yields
+    each run it needs as ``(column, full)``, where ``full`` marks a run of the
+    whole schedule, is sent that run's final state, and returns
+    (T, the verdict of the run at T, that run's ``SteadyStateScan``, or None
+    when ``steady_tol`` is None)."""
+    c_last = sched.c_max(spec)
+
+    def survives(T: int, c_stop: int):
+        if T == T_max:
+            return True
+        stop = _FrozenPrefixStop(spec, success, c_stop)
+        final = yield Column(spec, replace(sched, T=T), stop), False
+        return stop.failed_at is None and (
+            c_stop < c_last or decode_success(final, spec, success).success
+        )
+
+    lo, c_stop = sched.T, 1
+    while True:
+        failed, T = lo - 1, lo
+        while not (yield from survives(T, c_stop)):
+            failed, T = T, min(2 * T - lo + 1, T_max)
+        while T - failed > 1:
+            mid = (failed + T) // 2
+            if (yield from survives(mid, c_stop)):
+                T = mid
+            else:
+                failed = mid
+        stop = None if T == T_max else _FrozenPrefixStop(spec, success)
+        scan = None if steady_tol is None else SteadyStateScan(spec, sched.W, steady_tol)
+        final = yield Column(spec, replace(sched, T=T), stop,
+                             None if scan is None else scan.add), True
+        if stop is None or stop.failed_at is None:
+            report = decode_success(final, spec, success)
+            if report.success or T == T_max:
+                return T, report, scan
+        lo, c_stop = T + 1, final.c
+
+
+def measure_speed(
+    specs: Sequence[CoupledSpec],
     sched: WindowSchedule,
     T_max: int = T_MAX_DEFAULT,
     alpha: float = 1.0,
     success: SuccessRule = SuccessRule(),
     steady_tol: float = STEADY_TOL,
-    land: Optional[PotentialLandscape] = None,
+    lands: Optional[Iterable[PotentialLandscape]] = None,
     compute_bounds: bool = True,
     validate: bool = True,
-) -> SpeedReport:
-    """Find the smallest iterations-per-window count T from ``sched.T`` up
-    to T_max that decodes; every run uses ``sched`` with T replaced.
+) -> list[SpeedReport]:
+    """For each point of ``specs``, which differ only in epsilon, find the
+    smallest iterations-per-window count T from ``sched.T`` up to T_max that
+    decodes; every run uses ``sched`` with T replaced. One report per point,
+    in the order given.
 
     A run "survives prefix c" when ``_FrozenPrefixStop`` has not failed it
     by the end of window c; on the whole schedule it must also decode. A
     decoding run survives every prefix, and survival of a prefix is
-    monotone in T (property-tested in ``tests/test_window.py``). So the
-    search goes in rounds, from prefix 1 and lo = ``sched.T``:
+    monotone in T (property-tested in ``tests/test_window.py``). So each
+    point's search goes in rounds, from prefix 1 and lo = ``sched.T``:
 
     - gallop through lo, lo+1, lo+3, lo+7, ... (clipped to T_max) until a T
       survives the prefix, then bisect below it. Probes run only the
@@ -267,74 +316,70 @@ def measure_speed(
     run's scan gives c' and the start states the trajectory bound reads.
     ``sched.T`` = T_max tests one fixed budget with one full run.
 
+    The points' searches run in lockstep as the columns of ``run_columns``:
+    the pending probes of every search still going run as one batch, and
+    full runs wait until every such search asks for one and then run as one
+    batch. The searches are independent, so each point's report is the one a
+    group of that point alone gives.
+
     ``best_avg`` is the success policy's metric of the run at T_min when a
     T decodes, and of the full run at T_max when none does. The landscape
-    bounds are attached when a landscape is supplied; one taken at another
-    epsilon raises ValueError before any run, as does ``sched.T`` > T_max.
+    bounds are attached when ``lands``, one landscape per point, is
+    supplied; each is read before any run, and one taken at another epsilon
+    raises ValueError then, as does ``sched.T`` > T_max. Only the bounds are
+    kept, so ``lands`` may make each landscape as it is read.
     """
     if sched.T > T_max:
         raise ValueError(f"T range {sched.T}..{T_max} is empty")
-    if land is not None and compute_bounds:
-        _check_landscape_epsilon(spec, land)
-    c_last = sched.c_max(spec)
-
-    def survives(T: int, c_stop: int) -> bool:
-        if T == T_max:
-            return True
-        stop = _FrozenPrefixStop(spec, success, c_stop)
-        final, _ = run_wd(spec, replace(sched, T=T), validate=validate, stop=stop)
-        return stop.failed_at is None and (
-            c_stop < c_last or decode_success(final, spec, success).success
-        )
-
-    lo, c_stop = sched.T, 1
-    while True:
-        failed, T = lo - 1, lo
-        while not survives(T, c_stop):
-            failed, T = T, min(2 * T - lo + 1, T_max)
-        while T - failed > 1:
-            mid = (failed + T) // 2
-            if survives(mid, c_stop):
-                T = mid
-            else:
-                failed = mid
-        stop = None if T == T_max else _FrozenPrefixStop(spec, success)
-        scan = SteadyStateScan(spec, sched.W, steady_tol)
-        final, _ = run_wd(spec, replace(sched, T=T), validate=validate, stop=stop,
-                          on_block=scan.add if compute_bounds else None)
-        if stop is None or stop.failed_at is None:
-            report = decode_success(final, spec, success)
-            if report.success or T == T_max:
-                break
-        lo, c_stop = T + 1, final.c
-    t_min = T if report.success else None
-
-    c_prime = a1 = None
-    if t_min is not None and compute_bounds:
-        c_prime = scan.c_prime
-        if c_prime is not None:
+    th2s = [None] * len(specs)
+    if lands is not None and compute_bounds:
+        lands = iter(lands)
+        for i, spec in enumerate(specs):
+            land = next(lands)
+            _check_landscape_epsilon(spec, land)
             try:
-                a1 = bound_a1(spec, sched, c_prime, *scan.starts, alpha=alpha)  # T is not read
-            except ZeroDivisionError:  # flat steady profile: A1 is undefined
+                th2s[i] = bound_th2(spec, sched.W, land, alpha=alpha)
+            except ValueError:  # the landscape lacks a critical point
                 pass
+            del land  # a landscape's grid arrays go before the next one is made
+    searches = [_search(spec, sched, T_max, success, steady_tol if compute_bounds else None)
+                for spec in specs]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    found = {}
+    while pending:
+        batch = [i for i, (_, full) in pending.items() if not full] or list(pending)
+        finals = run_columns([pending[i][0] for i in batch], validate)
+        for i, final in zip(batch, finals):
+            try:
+                pending[i] = searches[i].send(final)
+            except StopIteration as done:
+                found[i] = done.value
+                del pending[i]
+    reports = []
+    for i, (spec, th2) in enumerate(zip(specs, th2s)):
+        T, verdict, scan = found[i]
+        t_min = T if verdict.success else None
 
-    th2 = None
-    if land is not None and compute_bounds:
-        try:
-            th2 = bound_th2(spec, sched.W, land, alpha=alpha)
-        except ValueError:  # the landscape lacks a critical point
-            pass
+        c_prime = a1 = None
+        if t_min is not None and scan is not None:
+            c_prime = scan.c_prime
+            if c_prime is not None:
+                try:
+                    a1 = bound_a1(spec, sched, c_prime, *scan.starts, alpha=alpha)  # T is not read
+                except ZeroDivisionError:  # flat steady profile: A1 is undefined
+                    pass
 
-    return SpeedReport(
-        epsilon=spec.epsilon,
-        W=sched.W,
-        T_min=t_min,
-        c_prime=c_prime,
-        A1=a1,
-        th2_finite=th2.finite_w if th2 else None,
-        th2_infinite=th2.infinite_w if th2 else None,
-        alpha=alpha,
-        success_policy=success.policy,
-        T_max=T_max,
-        best_avg=report.metric,
-    )
+        reports.append(SpeedReport(
+            epsilon=spec.epsilon,
+            W=sched.W,
+            T_min=t_min,
+            c_prime=c_prime,
+            A1=a1,
+            th2_finite=th2.finite_w if th2 else None,
+            th2_infinite=th2.infinite_w if th2 else None,
+            alpha=alpha,
+            success_policy=success.policy,
+            T_max=T_max,
+            best_avg=verdict.metric,
+        ))
+    return reports

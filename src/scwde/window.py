@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Optional
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -103,21 +103,24 @@ class DEState:
 
 
 def _padded(x: np.ndarray, w: int) -> np.ndarray:
-    """Values at positions 1-w..n+w along the last axis (n = its length):
+    """Values at positions 1-w..n+w along the first axis (n = its length):
     position p sits at index p+w-1.
 
     The w zero ghost positions on each side cover every read of the window
     kernel (w-1 beyond the chain) and the x_{c-1} read of ``slope_segment``.
     """
     shape = np.shape(x)
-    buf = np.zeros(shape[:-1] + (shape[-1] + 2 * w,))
-    buf[..., w : w + shape[-1]] = x
+    buf = np.zeros((shape[0] + 2 * w,) + shape[1:])
+    buf[w : w + shape[0]] = x
     return buf
 
 
-def _channel_profile(spec: CoupledSpec) -> np.ndarray:
-    """Erasure probability in the padded layout: eps on positions 1..N only."""
-    return _padded(np.full(spec.N, spec.epsilon), spec.w)
+def _channel_profile(spec: CoupledSpec, epsilons: Sequence[float]) -> np.ndarray:
+    """Erasure probability in the padded layout, one column per value of
+    ``epsilons``: that value on positions 1..N only."""
+    eps = np.zeros((spec.N + 2 * spec.w, len(epsilons)))
+    eps[spec.w : spec.w + spec.N] = epsilons
+    return eps
 
 
 def slope_segment(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> np.ndarray:
@@ -128,35 +131,40 @@ def slope_segment(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> np.ndarra
 def window_check_stage(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
     """Window c's reads and channel (``_window_views``) of a chain vector, or
     of a block of them along the last axis (zero outside 1..N+w-1), with
-    ``_check_stage`` between them: (reads, rho(1-x), channel, S_u)."""
-    reads, eps_u = _window_views(_padded(x, spec.w), _channel_profile(spec), c, W, spec.w)
-    ws = _Workspace(spec, W, reads.shape[:-1])
+    ``_check_stage`` between them: (reads, rho(1-x), channel, S_u), each
+    positions-major with one column per state."""
+    states = np.reshape(x, (-1, np.shape(x)[-1])).T
+    reads, eps_u = _window_views(_padded(states, spec.w), _channel_profile(spec, [spec.epsilon]),
+                                 c, W, spec.w)
+    ws = _Workspace(spec, W, reads.shape[1:])
     _check_stage(ws, reads)
     return reads, ws.rho_vals, eps_u, ws.s
 
 
 def _window_views(buf: np.ndarray, eps: np.ndarray, c: int, W: int, w: int) -> tuple:
-    """Views of window c on the padded layout (last axis) and channel
-    profile: the erasures at positions c-w+1..c+W+w-2, and the channel at
-    the check positions u = c-w+1..c+W-1."""
-    return buf[..., c : c + W + 2 * w - 2], eps[c : c + W + w - 1]
+    """Views of window c on the padded layout and channel profile (first
+    axis): the erasures at positions c-w+1..c+W+w-2, and the channel at the
+    check positions u = c-w+1..c+W-1."""
+    return buf[c : c + W + 2 * w - 2], eps[c : c + W + w - 1]
 
 
 class _Workspace:
     """The buffers every step of a sweep writes, for reads of shape
-    ``lead + (W+2w-2,)``. A moving mean sums into ``cs`` after its leading 0
+    ``(W+2w-2,) + cols``. A moving mean sums into ``cs`` after its leading 0
     and divides differences of two views of it: x - 0.0 == x, so the means
-    round as a cumulative sum's differences (the first one a copy) did."""
+    round as a cumulative sum's differences (the first one a copy) did.
+    Each column is summed on its own, in position order, so a column rounds
+    as the same chain run alone does."""
 
-    def __init__(self, spec: CoupledSpec, W: int, lead: tuple = ()) -> None:
+    def __init__(self, spec: CoupledSpec, W: int, cols: tuple = ()) -> None:
         w, n = spec.w, W + 2 * spec.w - 2
         self.rho, self.lam = spec.ens.rho, spec.ens.lam
         self.one, self.width = np.ones(()), np.array(float(w))
-        self.one_minus_x, self.rho_vals = np.empty(lead + (n,)), np.empty(lead + (n,))
-        self.s, self.one_minus_s, self.f = (np.empty(lead + (n - w + 1,)) for _ in range(3))
-        cs = np.zeros(lead + (n + 1,))
-        self.check_sums = cs[..., 1:], cs[..., w:], cs[..., :-w]
-        self.var_sums = cs[..., 1 : n - w + 2], cs[..., w : n - w + 2], cs[..., : n - 2 * w + 2]
+        self.one_minus_x, self.rho_vals = np.empty((n,) + cols), np.empty((n,) + cols)
+        self.s, self.one_minus_s, self.f = (np.empty((n - w + 1,) + cols) for _ in range(3))
+        cs = np.zeros((n + 1,) + cols)
+        self.check_sums = cs[1:], cs[w:], cs[:-w]
+        self.var_sums = cs[1 : n - w + 2], cs[w : n - w + 2], cs[: n - 2 * w + 2]
 
 
 def _check_stage(ws: _Workspace, reads: np.ndarray) -> None:
@@ -166,7 +174,7 @@ def _check_stage(ws: _Workspace, reads: np.ndarray) -> None:
     np.subtract(ws.one, reads, ws.one_minus_x)
     ws.rho(ws.one_minus_x, ws.rho_vals)
     acc, hi, lo = ws.check_sums
-    np.add.accumulate(ws.rho_vals, -1, None, acc)
+    np.add.accumulate(ws.rho_vals, 0, None, acc)
     np.subtract(hi, lo, ws.s)
     np.divide(ws.s, ws.width, ws.s)
 
@@ -181,7 +189,7 @@ def _window_kernel(ws: _Workspace, reads: np.ndarray, eps_u: np.ndarray, out: np
     ws.lam(ws.one_minus_s, ws.f)
     np.multiply(ws.f, eps_u, ws.f)  # rounds as eps_u * f
     acc, hi, lo = ws.var_sums
-    np.add.accumulate(ws.f, -1, None, acc)
+    np.add.accumulate(ws.f, 0, None, acc)
     np.subtract(hi, lo, out)
     np.divide(out, ws.width, out)
 
@@ -223,62 +231,138 @@ def decode_success(
     return SuccessReport(success=bool(metric < rule.threshold), avg=avg, max=mx, metric=metric)
 
 
+class Column(NamedTuple):
+    """One chain of ``run_columns``: its ensemble and channel, its schedule,
+    and the hooks ``run_columns`` calls for this chain alone."""
+
+    spec: CoupledSpec
+    sched: WindowSchedule
+    stop: Optional[Callable[[int, np.ndarray], bool]] = None
+    on_block: Optional[Callable[[int, np.ndarray], None]] = None
+
+
 def run_wd(
     spec: CoupledSpec,
     sched: WindowSchedule,
+    validate: bool,
     record_windows: Optional[Iterable[int]] = None,
-    validate: bool = True,
-    stop: Optional[Callable[[int, np.ndarray], bool]] = None,
     on_block: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> tuple[DEState, None]:
-    """Run the window schedule: T_c sweeps at each configuration c.
+    """Run the window schedule on one chain: the one column of
+    ``run_columns``, whose hooks and checks it documents.
 
-    One erasure vector, a view into the padded layout, is updated in place by
-    sweeps that write into buffers made once per run; sliding the window is the
-    step to the next c. ``on_block(c, block)`` is called after each selected
-    window c (every window when ``record_windows`` is None) with a new read-only
-    (T_c+1, N+w-1) array of its iterations t = 0..T_c; it is the only way blocks
-    leave a run. ``stop(c, x)`` is called once after each window c, after
-    ``on_block``, with the live erasure vector, which it must not write to; a
-    true result ends the run there. The returned pair holds the vector after the
-    last window run, as a ``DEState`` whose ``c`` is that window, and None, kept
-    for callers that unpack two items.
+    The returned pair holds the vector after the last window, as a
+    ``DEState``, and None, kept for callers that unpack two items.
     """
-    sched.validate(spec)
+    (final,) = run_columns([Column(spec, sched, on_block=on_block)], validate, record_windows)
+    return final, None
+
+
+def run_columns(
+    columns: Sequence[Column],
+    validate: bool,
+    record_windows: Optional[Iterable[int]] = None,
+) -> list[DEState]:
+    """Run chains that share ens, N, w, W, the variant and ``T_first``, and
+    differ in epsilon and T, as the columns of one windowed run: T_c sweeps
+    at each configuration c. Return each chain's final ``DEState``, in the
+    order given: the vector after the last window it ran, that window's c
+    and T_c.
+
+    The padded layout holds a column per chain, positions-major, so window c
+    of every chain is one contiguous ``(W+2w-2, k)`` block, updated in place
+    by sweeps that write into buffers made once per run. Each column rounds
+    as its chain run alone does. The columns are kept in descending T, so
+    sweep t writes the leading columns, those with T_c >= t.
+
+    Each column's hooks see that chain alone. ``on_block(c, block)`` is
+    called after each selected window c (every window when
+    ``record_windows`` is None) with a new read-only (T_c+1, N+w-1) array of
+    its iterations t = 0..T_c; it is the only way blocks leave a run.
+    ``stop(c, x)`` is called once after each window c, after ``on_block``,
+    with the chain's live erasure vector, which it must not write to; a true
+    result takes the chain out of the run there, with a copy of its vector.
+    The run ends when no chain is left or the schedule is done.
+
+    With ``validate`` every sweep is checked against the exact recursion: a
+    rise, a value outside [0, 1] or a change outside the window, in any
+    column, raises ``ChainCheckError`` at the first sweep that shows it.
+    """
+    spec, sched = columns[0].spec, columns[0].sched
+    shared = (spec.ens, spec.N, spec.w, sched.W, sched.variant, sched.T_first)
+    for col in columns:
+        col.sched.validate(col.spec)
+        if (col.spec.ens, col.spec.N, col.spec.w,
+                col.sched.W, col.sched.variant, col.sched.T_first) != shared:
+            raise ValueError("columns must differ only in epsilon and T")
     wanted = None if record_windows is None else set(record_windows)
-    W, w = sched.W, spec.w
-    buf = _padded(np.ones(spec.chain_len), w)
-    x = buf[w : w + spec.chain_len]
-    eps = _channel_profile(spec)
-    ws, new_vals = _Workspace(spec, W), np.empty(W)
-    for c in range(1, sched.c_max(spec) + 1):
+    W, w, L = sched.W, spec.w, spec.chain_len
+    order = sorted(range(len(columns)), key=lambda j: -columns[j].sched.T)
+    live = [columns[j] for j in order]
+    buf = _padded(np.ones((L, len(live))), w)
+    eps = _channel_profile(spec, [col.spec.epsilon for col in live])
+    finals: list[Optional[DEState]] = [None] * len(columns)
+    workspaces: dict[int, tuple] = {}  # by the number of columns a sweep writes
+    c_last = sched.c_max(spec)
+    for c in range(1, c_last + 1):
+        if c == 1 or len(keep) < len(live):  # the live columns' views, new after one leaves
+            if c > 1:
+                buf, eps = buf[:, keep].copy(), eps[:, keep].copy()
+                live, order = [live[j] for j in keep], [order[j] for j in keep]
+            x = buf[w : w + L]
+            x_cols = [x[:, j] for j in range(len(live))]
+            leading: dict[int, tuple] = {}
+            Ts = [col.sched.T for col in live]
+            hooked = [j for j, col in enumerate(live) if col.on_block is not None]
         lo, hi = c - 1, c - 1 + W
-        target = x[lo:hi]
-        reads, eps_u = _window_views(buf, eps, c, W, w)
-        T_c = sched.iterations_for(c)
-        rows = None
-        if on_block is not None and (wanted is None or c in wanted):
-            rows = np.empty((T_c + 1, spec.chain_len))
-            rows[0] = x
+        T_c = Ts if c > 1 else [col.sched.iterations_for(1) for col in live]
+        rows = {j: np.empty((T_c[j] + 1, L)) for j in hooked} if (
+            hooked and (wanted is None or c in wanted)) else {}
+        for j, block in rows.items():
+            block[0] = x_cols[j]
         prev = x.copy() if validate else None
-        out = new_vals if validate else target  # x is read before out is written
-        for t in range(1, T_c + 1):
-            _window_kernel(ws, reads, eps_u, out)
-            if validate:
-                if (new_vals > target + MONOTONE_SLACK).any():
-                    raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
-                if (new_vals < -MONOTONE_SLACK).any() or (new_vals > 1.0 + MONOTONE_SLACK).any():
-                    raise ChainCheckError("erasure left [0, 1]")
-                target[...] = new_vals
-            if rows is not None:
-                rows[t] = x
+        t = 0
+        for m in range(len(live), 0, -1):  # sweeps t..T_c[m-1] write columns :m
+            if T_c[m - 1] == t:
+                continue
+            if m not in leading:
+                # one column sweeps as a 1-D view: numpy accumulates a 1-D array
+                # faster than one axis of a 2-D one, and rounds it the same
+                pick = np.s_[:m] if m > 1 else 0
+                leading[m] = x[:, pick], buf[:, pick], eps[:, pick]
+                if m not in workspaces:
+                    cols = (m,) if m > 1 else ()
+                    workspaces[m] = _Workspace(spec, W, cols), np.empty((W,) + cols)
+            x_m, buf_m, eps_m = leading[m]
+            ws, new_vals = workspaces[m]
+            target = x_m[lo:hi]
+            reads, eps_u = _window_views(buf_m, eps_m, c, W, w)
+            out = new_vals if validate else target  # x is read before out is written
+            recording = [(x_cols[j], block) for j, block in rows.items() if j < m]
+            for t in range(t + 1, T_c[m - 1] + 1):
+                _window_kernel(ws, reads, eps_u, out)
+                if validate:
+                    if (new_vals > target + MONOTONE_SLACK).any():
+                        raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
+                    if (new_vals < -MONOTONE_SLACK).any() or (
+                            new_vals > 1.0 + MONOTONE_SLACK).any():
+                        raise ChainCheckError("erasure left [0, 1]")
+                    target[...] = new_vals
+                for col_x, block in recording:
+                    block[t] = col_x
         if validate and not (
             np.array_equal(x[:lo], prev[:lo]) and np.array_equal(x[hi:], prev[hi:])
         ):
             raise ChainCheckError("out-of-window positions changed during sweeps")
-        if rows is not None:
-            rows.flags.writeable = False
-            on_block(c, rows)
-        if stop is not None and stop(c, x):
+        keep = []
+        for j, col in enumerate(live):
+            if j in rows:
+                rows[j].flags.writeable = False
+                col.on_block(c, rows[j])
+            if (col.stop is not None and col.stop(c, x_cols[j])) or c == c_last:
+                finals[order[j]] = DEState(x=x_cols[j].copy(), c=c, t=T_c[j])
+            else:
+                keep.append(j)
+        if not keep:
             break
-    return DEState(x=x, c=c, t=T_c), None
+    return finals

@@ -25,7 +25,7 @@ import numpy as np
 from scwde.poly import from_pairs
 from scwde.scalar import UncoupledEnsemble, de_step, potential
 from scwde.speed import STEADY_TOL, SteadyStateScan
-from scwde.window import run_wd
+from scwde.window import Column, run_columns
 
 SWEEP_ENSEMBLES = [
     UncoupledEnsemble.regular(3, 6),
@@ -81,11 +81,12 @@ def map_by_de_bisection(ens):
     return _bisect_channel(non_negative)
 
 
-def recorded_run(spec, sched, **kw):
-    """(final state, {c: block}) of ``run_wd``, each selected window's
+def recorded_run(spec, sched, validate=True, stop=None, record_windows=None):
+    """(final state, {c: block}) of a one-column run, each selected window's
     read-only (T_c+1, N+w-1) block collected from ``on_block``."""
     blocks = {}
-    final, _ = run_wd(spec, sched, on_block=blocks.__setitem__, **kw)
+    [final] = run_columns([Column(spec, sched, stop, blocks.__setitem__)], validate,
+                          record_windows)
     return final, blocks
 
 

@@ -53,9 +53,10 @@ def fig3_run():
 def _table1_point(args):
     N, W, eps = args
     spec = CoupledSpec(ens=ENS36, N=N, w=4, epsilon=eps)
-    return measure_speed(
-        spec, WindowSchedule(W, 1, "extended"), T_max=200, validate=False
+    [rep] = measure_speed(
+        [spec], WindowSchedule(W, 1, "extended"), T_max=200, validate=False
     )
+    return rep
 
 
 def test_criterion_1_speed_and_bound_table():
@@ -138,11 +139,11 @@ def _fig4_point(args):
     ens = UncoupledEnsemble(from_pairs(ens_pairs[0]), from_pairs(ens_pairs[1]))
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
     land = landscape(eps, ens)
-    rep = measure_speed(
-        spec,
+    [rep] = measure_speed(
+        [spec],
         WindowSchedule(W, 1, "extended"),
         T_max=200,
-        land=land,
+        lands=[land],
         validate=False,
     )
     return eps, rep.T_min, rep.A1, rep.c_prime
@@ -369,8 +370,8 @@ def test_criterion_8_landscape_speed_bound():
     ok_identity = abs(th2.B1 - (th2.B2 - land.D * land.x_d / spec.w)) <= 1e-12
     if th2.B1 > 0:
         ok_bound = th2.finite_w is not None and th2.finite_w > 0
-        rep = measure_speed(
-            spec, WindowSchedule(15, 1, "extended"), T_max=200, validate=False
+        [rep] = measure_speed(
+            [spec], WindowSchedule(15, 1, "extended"), T_max=200, validate=False
         )
         ok_dominates = rep.v is not None and rep.v <= th2.finite_w + 1e-9
         status = f"B1={th2.B1:.6f} > 0, bound={th2.finite_w}, v={rep.v}"

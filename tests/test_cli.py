@@ -610,9 +610,9 @@ def test_grid_n_capped():
 @pytest.fixture
 def inline_pool(monkeypatch) -> SimpleNamespace:
     """Replace the process pool by one that runs the tasks inline and
-    records its size and the (epsilon, W) of each point, in the order
-    ``map`` receives them."""
-    seen = SimpleNamespace(sizes=[], points=[])
+    records its size and the (epsilons, W) of each task, an (ensemble, W)
+    group of the grid, in the order ``map`` receives them."""
+    seen = SimpleNamespace(sizes=[], groups=[])
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -624,9 +624,9 @@ def inline_pool(monkeypatch) -> SimpleNamespace:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, points):
-            seen.points.extend((eps, W) for _, eps, W in points)
-            return map(fn, points)
+        def map(self, fn, groups):
+            seen.groups.extend((epsilons, W) for _, epsilons, W in groups)
+            return map(fn, groups)
 
     # cmd_speed imports the pool class from here when it makes a pool
     monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", InlinePool)
@@ -635,12 +635,14 @@ def inline_pool(monkeypatch) -> SimpleNamespace:
 
 def test_worker_pool_capped_at_grid_points(tmp_path, inline_pool):
     # a process pool starts all of its workers at the first task, so the
-    # pool must not ask for more than there are points
-    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
+    # pool must not ask for more than there are tasks: here 2 (ensemble, W)
+    # groups of 2 points each
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02},
+                               "W": [8, 10]})
     assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "100000"]) == 0
     assert inline_pool.sizes == [2]
-    assert len(read_csv(tmp_path / "out" / "speed.csv")) == 3
+    assert len(read_csv(tmp_path / "out" / "speed.csv")) == 5
 
 
 TWO_ENSEMBLES = {
@@ -665,66 +667,95 @@ def test_all_ensembles_share_one_pool(tmp_path, capfd, inline_pool):
     assert outputs[0][1].splitlines()[0].startswith("x4_x8 epsilon=0.3 W=8")
 
 
-GRID_2X2 = {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02}, "W": [8, 10]}
+# Groups of unequal cost: (4,8) has the larger MAP threshold, so its epsilon
+# grid reaches 0.495 where that of (3,6) stops at 0.485.
+STAIRS = {**TWO_ENSEMBLES, "ensembles": TWO_ENSEMBLES["ensembles"][::-1],
+          "epsilon": {"start": 0.475, "stop": "map_threshold", "step": 0.01}, "W": [10, 8]}
 
 
 def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
-    # the wave slows as epsilon rises and a larger W runs fewer windows, so
-    # the pool gets the largest epsilon first, then ascending W; the rows
-    # and stdout keep the grid order of a one-process run
-    cfg = write_cfg(tmp_path, GRID_2X2)
+    # a task is an (ensemble, W) group, its epsilons the columns of one run.
+    # The wave slows as epsilon rises and a larger W runs fewer windows, so
+    # the pool gets the group with the largest epsilon first, then ascending
+    # W; the rows and stdout keep the grid order of a one-process run
+    cfg = write_cfg(tmp_path, STAIRS)
     outputs = []
     for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "pool")):
         assert main(["speed", "--config", str(cfg), "--out", str(out),
                      "--workers", workers]) == 0
-        outputs.append(((out / "speed.csv").read_bytes(), capfd.readouterr().out))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((files, capfd.readouterr().out))
     assert inline_pool.sizes == [4]
-    assert inline_pool.points == [(0.30, 8), (0.30, 10), (0.28, 8), (0.28, 10)]
+    assert inline_pool.groups == [((0.475, 0.485, 0.495), 8), ((0.475, 0.485, 0.495), 10),
+                                  ((0.475, 0.485), 8), ((0.475, 0.485), 10)]
     assert outputs[0] == outputs[1]
     assert [line.split(":")[0] for line in outputs[0][1].splitlines()] == [
-        "x3_x6 epsilon=0.28 W=8", "x3_x6 epsilon=0.28 W=10",
-        "x3_x6 epsilon=0.3 W=8", "x3_x6 epsilon=0.3 W=10",
+        "x3_x6 epsilon=0.475 W=8", "x3_x6 epsilon=0.475 W=10",
+        "x3_x6 epsilon=0.485 W=8", "x3_x6 epsilon=0.485 W=10",
+        "x4_x8 epsilon=0.475 W=8", "x4_x8 epsilon=0.475 W=10",
+        "x4_x8 epsilon=0.485 W=8", "x4_x8 epsilon=0.485 W=10",
+        "x4_x8 epsilon=0.495 W=8", "x4_x8 epsilon=0.495 W=10",
     ]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_first_failure_in_dispatch_order_surfaces(tmp_path, capfd, monkeypatch, workers):
-    # every point fails; the pool forks after the patch, so its workers fail too
-    def failing_point(spec, sched, **kwargs):
-        raise ValueError(f"point epsilon={spec.epsilon} W={sched.W}")
+    # every group fails; the pool forks after the patch, so its workers fail too
+    def failing_group(specs, sched, **kwargs):
+        raise ValueError(f"group {specs[0].ens.label()} W={sched.W}")
 
-    monkeypatch.setattr("scwde.cli.measure_speed", failing_point)
-    cfg = write_cfg(tmp_path, GRID_2X2)
+    monkeypatch.setattr("scwde.cli.measure_speed", failing_group)
+    cfg = write_cfg(tmp_path, STAIRS)
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", workers])
-    one_line_exit(capfd, code, 1, "configuration error: point epsilon=0.3 W=8\n")
+    one_line_exit(capfd, code, 1, "configuration error: group x4_x8 W=8\n")
 
 
-GRID_3X4 = {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01},
-            "W": [5, 6, 7, 8]}
+GRID_3X12 = {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01},
+             "W": list(range(5, 17))}
 
 
 def test_first_failure_cancels_the_queued_points(tmp_path, capfd, monkeypatch):
-    # every point leaves a marker; the first one dispatched (largest epsilon,
-    # smallest W) fails at once and the rest sleep. pool.map cancels the
-    # futures it has not yet yielded when one raises, so the points still
-    # queued then never run (only those the workers had taken do)
+    # every group (one per W, three epsilons each) leaves a marker; the first
+    # one dispatched (smallest W) fails at once and the rest sleep. pool.map
+    # cancels the futures it has not yet yielded when one raises, so the
+    # groups still queued then never run (only those the workers had taken do)
     markers = tmp_path / "markers"
     markers.mkdir()
 
-    def marking_point(spec, sched, **kwargs):
-        (markers / f"{spec.epsilon}_{sched.W}").touch()
-        if (spec.epsilon, sched.W) == (0.30, 5):
-            raise ValueError("first point fails")
+    def marking_group(specs, sched, **kwargs):
+        assert [spec.epsilon for spec in specs] == [0.28, 0.29, 0.30]
+        (markers / str(sched.W)).touch()
+        if sched.W == 5:
+            raise ValueError("first group fails")
         time.sleep(0.5)
 
-    monkeypatch.setattr("scwde.cli.measure_speed", marking_point)
-    cfg = write_cfg(tmp_path, GRID_3X4)
+    monkeypatch.setattr("scwde.cli.measure_speed", marking_group)
+    cfg = write_cfg(tmp_path, GRID_3X12)
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "2"])
-    one_line_exit(capfd, code, 1, "configuration error: first point fails\n")
-    assert (markers / "0.3_5").exists()
+    one_line_exit(capfd, code, 1, "configuration error: first group fails\n")
+    assert (markers / "5").exists()
     assert len(list(markers.iterdir())) < 12
+
+
+def test_one_group_runs_without_a_pool(tmp_path):
+    # a grid of one (ensemble, W) group is one task: more workers start no
+    # pool and import no multiprocessing, and write what one worker writes
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01}})
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        stdout = python_c(
+            "import sys; from scwde.cli import main; "
+            f"code = main(['speed', '--config', {str(cfg)!r}, '--out', {str(out)!r}, "
+            f"'--workers', '{workers}']); "
+            "print(code, sorted({'concurrent.futures.process', 'multiprocessing'} "
+            "& set(sys.modules)))")
+        runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, stdout))
+    assert runs[0] == runs[1]
+    assert runs[1][1].splitlines()[-1] == "0 []"
+    assert len(runs[1][1].splitlines()) == 4  # a line per epsilon, then the check
 
 
 def one_line_exit(capfd, code, expected, prefix) -> str:
@@ -810,8 +841,8 @@ def test_config_directory_exits_with_one_line(tmp_path, capfd):
 @pytest.mark.parametrize(("command", "payload", "workers"), [
     ("wave", BASE_RUN, []),
     ("speed", BASE_RUN, ["--workers", "1"]),
-    ("speed", {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02}},
-     ["--workers", "2"]),
+    ("speed", {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02},
+               "W": [8, 10]}, ["--workers", "2"]),
 ], ids=["wave", "speed-1-worker", "speed-2-workers"])
 def test_run_too_large_for_memory_exits_with_one_line(tmp_path, capfd, command, payload,
                                                       workers):

@@ -16,7 +16,7 @@ from oracles import (
 )
 from scwde.coupled import coupled_potential
 from scwde.scalar import UncoupledEnsemble, potential
-from scwde.window import CoupledSpec, WindowSchedule, run_wd
+from scwde.window import Column, CoupledSpec, WindowSchedule, run_columns
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 
@@ -225,7 +225,7 @@ class TestCoupledGradient:
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
         sched = WindowSchedule(W=8, T=500, variant="literal")
         ctx = Config(spec, sched, 15)
-        final, _ = run_wd(spec, sched, validate=False, stop=lambda c, x: c == 15)
+        [final] = run_columns([Column(spec, sched, stop=lambda c, x: c == 15)], validate=False)
         assert final.c == 15
         assert np.linalg.norm(gradient(final.x, ctx)) < 1e-8
 

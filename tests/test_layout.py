@@ -1,7 +1,7 @@
 """Module layout: no scwde module imports another scwde module's private
 names, every public function or class has a caller in the package, every
 parameter default of a public function is overridden by some package call,
-and no module makes a BLAS call.
+no module makes a BLAS call, and one driver calls the window kernel.
 
 A private helper (leading underscore) belongs to the module that defines it;
 a module that needs it should go through that module's public functions. A
@@ -74,6 +74,15 @@ def unset_defaults(paths: list[Path]) -> list[str]:
                                  or (i is not None and i < len(call.args))
                                  for call in calls.get(node.name, []))]
     return found
+
+
+def call_sites(paths: list[Path], name: str) -> list[str]:
+    """``module:line`` of every call in ``paths`` to ``name``, as a name or
+    an attribute."""
+    return [f"{path.stem}:{node.lineno}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 # numpy names whose work goes to BLAS or LAPACK
@@ -150,6 +159,20 @@ def test_unset_defaults_detected(tmp_path):
     # y is passed by position, z and k by keyword, m and q never
     assert unset_defaults(sorted(tmp_path.glob("*.py"))) == [
         "a.run(m)", "a.lonely(q)"]
+
+
+def test_one_driver_calls_the_window_kernel():
+    # a single chain is the one-column case of run_columns: a second caller
+    # of the kernel would be a second driver beside it
+    assert [site.split(":")[0] for site in call_sites(SOURCES, "_window_kernel")] == ["window"]
+
+
+def test_call_sites_detected(tmp_path):
+    (tmp_path / "a.py").write_text("def _kernel():\n    pass\n\n"
+                                   "def run():\n    _kernel()\n    return _kernel\n")
+    (tmp_path / "b.py").write_text("import a\n\n\ndef other():\n    a._kernel()\n")
+    # a reference that is not a call does not count
+    assert call_sites(sorted(tmp_path.glob("*.py")), "_kernel") == ["a:5", "b:5"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -14,11 +14,13 @@ from scwde.speed import _FrozenPrefixStop
 from scwde.window import (
     MONOTONE_SLACK,
     ChainCheckError,
+    Column,
     CoupledSpec,
     DEState,
     SuccessRule,
     WindowSchedule,
     decode_success,
+    run_columns,
     run_wd,
 )
 
@@ -127,6 +129,124 @@ def test_run_rows_match_definition(ens, N, w, eps, T, T_first, variant, data):
                                        rtol=0, atol=1e-13)
 
 
+def logged_column(spec, sched, stop_at, log):
+    """A ``Column`` whose hooks append (c, bytes) of each block and of each
+    vector the stop hook sees to ``log``; it stops after window ``stop_at``."""
+    blocks, stops = log
+
+    def stop(c, x):
+        stops.append((c, x.tobytes()))
+        return c == stop_at
+
+    return Column(spec, sched, stop, lambda c, block: blocks.append((c, block.tobytes())))
+
+
+# a chain of a batched run: (epsilon, T, the window its stop hook fires after)
+chains = st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                            st.integers(min_value=1, max_value=5),
+                            st.none() | st.integers(min_value=1, max_value=20)),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ens=st.sampled_from(SWEEP_ENSEMBLES),
+    NW=chain_and_window,
+    w=st.integers(min_value=1, max_value=4),
+    chains=chains,
+    T_first=st.none() | st.integers(min_value=1, max_value=8),
+    variant=st.sampled_from(["literal", "extended"]),
+    validate=st.booleans(),
+    record=st.none() | st.lists(st.integers(min_value=1, max_value=20), max_size=4),
+)
+@example(ens=ENS36, NW=(12, 5), w=3, chains=[(0.42, 2, None), (0.47, 5, 3), (0.3, 3, 6)],
+         T_first=7, variant="extended", validate=True, record=None)
+def test_columns_run_as_their_chains_run_alone(ens, NW, w, chains, T_first, variant, validate,
+                                              record):
+    # each column of a batched run is its chain run alone, bit for bit: the
+    # final vector, the window it ended at, and every block and stop-hook
+    # vector its hooks saw, whatever the other columns' T and stop windows
+    N, W = NW
+    columns, alone = [], []
+    for eps, T, stop_at in chains:
+        spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
+        sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
+        log = [], []
+        [final] = run_columns([logged_column(spec, sched, stop_at, log)], validate, record)
+        alone.append((final.x.tobytes(), final.c, final.t, log))
+        columns.append((spec, sched, stop_at))
+    logs = [([], []) for _ in chains]
+    finals = run_columns([logged_column(*col, log) for col, log in zip(columns, logs)],
+                         validate, record)
+    assert [(f.x.tobytes(), f.c, f.t, log) for f, log in zip(finals, logs)] == alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    NW=chain_and_window,
+    w=st.integers(min_value=1, max_value=4),
+    T=st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=4),
+    T_first=st.none() | st.integers(min_value=1, max_value=8),
+    variant=st.sampled_from(["literal", "extended"]),
+    data=st.data(),
+)
+def test_rise_in_one_column_raises_its_lone_message(NW, w, T, T_first, variant, data):
+    # a rise injected into one chain's n-th sweep raises, in a batched run,
+    # the ChainCheckError that chain raises alone: the same window and sweep
+    N, W = NW
+    eps = [0.30 + 0.01 * j for j in range(len(T))]  # the channel tells the columns apart
+    columns = [Column(CoupledSpec(ens=ENS36, N=N, w=w, epsilon=e),
+                      WindowSchedule(W=W, T=T_j, variant=variant, T_first=T_first))
+               for e, T_j in zip(eps, T)]
+    target = data.draw(st.integers(min_value=0, max_value=len(T) - 1))
+    sched, spec = columns[target].sched, columns[target].spec
+    sweeps = sum(sched.iterations_for(c) for c in range(1, sched.c_max(spec) + 1))
+    at = data.draw(st.integers(min_value=1, max_value=sweeps))
+    kernel = scwde.window._window_kernel
+
+    def message(batch):
+        calls = []
+
+        def rising_kernel(ws, reads, eps_u, out):
+            kernel(ws, reads, eps_u, out)
+            # a sweep of one column passes 1-D views
+            channel, new = (eps_u, out) if out.ndim == 2 else (eps_u[:, None], out[:, None])
+            hit = np.flatnonzero(channel.max(axis=0) == eps[target])
+            if hit.size:
+                calls.append(None)
+                if len(calls) == at:
+                    new[:, hit[0]] += 2.0
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("scwde.window._window_kernel", rising_kernel)
+            with pytest.raises(ChainCheckError) as exc:
+                run_columns(batch, validate=True)
+        return str(exc.value)
+
+    lone = message([columns[target]])
+    assert lone.startswith("erasure increased within window")
+    assert message(columns) == lone
+
+
+@pytest.mark.parametrize("other", [
+    {"spec": CoupledSpec(ens=UncoupledEnsemble.regular(4, 8), N=20, w=3, epsilon=0.4)},
+    {"spec": CoupledSpec(ens=ENS36, N=21, w=3, epsilon=0.4)},
+    {"spec": CoupledSpec(ens=ENS36, N=20, w=2, epsilon=0.4)},
+    {"sched": WindowSchedule(W=9, T=3, variant="literal")},
+    {"sched": WindowSchedule(W=8, T=3, variant="extended")},
+    {"sched": WindowSchedule(W=8, T=3, variant="literal", T_first=5)},
+], ids=["ensemble", "N", "w", "W", "variant", "T_first"])
+def test_columns_differ_only_in_epsilon_and_T(other):
+    base = Column(CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=20, w=3, epsilon=0.3),
+                  WindowSchedule(W=8, T=2, variant="literal"))
+    # epsilon and T may differ, and an equal ensemble need not be the same object
+    assert len(run_columns([base, base._replace(spec=spec36(N=20, eps=0.4),
+                                                sched=WindowSchedule(8, 5, "literal"))],
+                           validate=True)) == 2
+    with pytest.raises(ValueError, match="columns must differ only in epsilon and T"):
+        run_columns([base, base._replace(**other)], validate=True)
+
+
 class TestSweepAndSlide:
     def test_first_sweep_pattern(self):
         after = first_window(spec36(w=3), WindowSchedule(W=11, T=6, variant="literal"))[1]
@@ -171,7 +291,7 @@ class TestRunWd:
     def test_zero_channel_clears_covered_positions(self):
         spec = spec36(eps=0.0)
         sched = WindowSchedule(W=11, T=1, variant="literal")
-        final, _ = run_wd(spec, sched)
+        final, _ = run_wd(spec, sched, validate=True)
         assert np.all(final.x[: spec.N] <= 1e-12)
 
     @pytest.mark.parametrize(
@@ -195,25 +315,25 @@ class TestRunWd:
 
         monkeypatch.setattr("scwde.window._window_kernel", broken_kernel)
         with pytest.raises(ChainCheckError, match=message):
-            run_wd(spec36(N=30), WindowSchedule(W=8, T=2, variant="literal"))
+            run_wd(spec36(N=30), WindowSchedule(W=8, T=2, variant="literal"), validate=True)
 
     def test_window_larger_than_chain_rejected(self):
         spec = spec36(N=5)
         sched = WindowSchedule(W=11, T=1, variant="literal")
         with pytest.raises(ValueError, match="exceeds"):
-            run_wd(spec, sched)
+            run_wd(spec, sched, validate=True)
 
     def test_deterministic_replay(self):
         spec = spec36()
         sched = WindowSchedule(W=11, T=6, variant="literal")
-        a, _ = run_wd(spec, sched)
-        b, _ = run_wd(spec, sched)
+        a, _ = run_wd(spec, sched, validate=True)
+        b, _ = run_wd(spec, sched, validate=True)
         assert np.array_equal(a.x, b.x)
 
     def test_extended_schedule_updates_tail(self):
         spec = spec36(N=30)
-        lit, _ = run_wd(spec, WindowSchedule(W=8, T=20, variant="literal"))
-        ext, _ = run_wd(spec, WindowSchedule(W=8, T=20, variant="extended"))
+        lit, _ = run_wd(spec, WindowSchedule(W=8, T=20, variant="literal"), validate=True)
+        ext, _ = run_wd(spec, WindowSchedule(W=8, T=20, variant="extended"), validate=True)
         # tail checks stay at the initial value under the literal rule only
         assert np.all(lit.x[spec.N :] == 1.0)
         assert np.all(ext.x[spec.N :] < 1.0)
@@ -221,7 +341,7 @@ class TestRunWd:
     def test_generous_iterations_decode_successfully(self):
         spec = spec36()
         sched = WindowSchedule(W=11, T=50, variant="extended")
-        final, _ = run_wd(spec, sched)
+        final, _ = run_wd(spec, sched, validate=True)
         assert decode_success(final, spec).success
 
     def test_trajectory_layout(self):
@@ -263,7 +383,7 @@ class TestRunWd:
 
     def test_blocks_handed_over_as_each_window_ends(self):
         # on_block gets each selected window's read-only block, in order and
-        # before stop; the run's second item is always None
+        # before stop; run_wd's second item is always None
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3, variant="literal", T_first=5)
         _, full = recorded_run(spec, sched, record_windows=[7, 2, 5, 6])
@@ -277,9 +397,9 @@ class TestRunWd:
             events.append(("stop", c, None))
             return c == 6
 
-        final, rest = run_wd(spec, sched, record_windows=[7, 2, 5, 6], stop=stop,
-                             on_block=on_block)
-        assert rest is None and final.c == 6
+        [final] = run_columns([Column(spec, sched, stop, on_block)], True, [7, 2, 5, 6])
+        assert final.c == 6
+        assert run_wd(spec, sched, validate=True, record_windows=[2])[1] is None
         assert [e[:2] for e in events if e[0] == "block" or e[1] in (2, 5, 6)] == [
             ("block", 2), ("stop", 2), ("block", 5), ("stop", 5), ("block", 6), ("stop", 6)]
         for kind, c, block in events:
@@ -359,7 +479,7 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
 def abort_window(spec, sched, rule):
     """The window where the search's stop rule failed the run; inf when it never did."""
     stop = _FrozenPrefixStop(spec, rule)
-    final, _ = run_wd(spec, sched, validate=False, stop=stop)
+    [final] = run_columns([Column(spec, sched, stop)], validate=False)
     assert final.c == (sched.c_max(spec) if stop.failed_at is None else stop.failed_at)
     return math.inf if stop.failed_at is None else stop.failed_at
 
@@ -439,7 +559,7 @@ def test_abort_stops_only_failing_runs(
     # a run stopped after window c_stop survives it unless the rule failed it by then
     c_stop = data.draw(st.integers(min_value=1, max_value=sched.c_max(spec)))
     prefix_stop = _FrozenPrefixStop(spec, rule, c_stop)
-    prefix, _ = run_wd(spec, sched, validate=False, stop=prefix_stop)
+    [prefix] = run_columns([Column(spec, sched, prefix_stop)], validate=False)
     assert prefix_stop.failed_at == (stop.failed_at if stopped.c <= c_stop else None)
     assert prefix.c == min(c_stop, stopped.c)
 
