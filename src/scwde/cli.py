@@ -8,7 +8,7 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import islice
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -143,18 +143,21 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
 
 
 def _speed_task(cfg: RunConfig, group) -> list[SpeedReport]:
-    """One (ensemble, W) group of the grid, its epsilons the columns of one T
-    search over 1..T_max, or over [T, T] for a fixed T: a report per epsilon.
+    """One ensemble of the grid, its (epsilon, W) points the columns of one T
+    search over 1..T_max, or over [T, T] for a fixed T: a report per point,
+    in the grid's order (epsilon outer, W inner).
 
     Fixed-T runs keep the per-sweep checks; the search runs without them.
     """
-    ens, epsilons, W = group
-    specs = [CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps) for eps in epsilons]
-    lands = (landscape(eps, ens, grid_n=cfg.grid_n) for eps in epsilons) if cfg.bounds else None
+    ens, epsilons = group
+    points = [(CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps), cfg.window_schedule(W))
+              for eps in epsilons for W in cfg.W]
+    # a landscape depends on epsilon alone: one per epsilon, for each of its W
+    lands = chain.from_iterable(repeat(landscape(eps, ens, grid_n=cfg.grid_n), len(cfg.W))
+                                for eps in epsilons) if cfg.bounds else None
     fixed = cfg.T is not None
     return measure_speed(
-        specs,
-        cfg.window_schedule(W),
+        points,
         T_max=cfg.T if fixed else cfg.T_max,
         alpha=cfg.alpha,
         success=cfg.success,
@@ -168,12 +171,12 @@ def _speed_task(cfg: RunConfig, group) -> list[SpeedReport]:
 def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
-    groups = [(ens, cfg.epsilons(ens), W) for ens in cfg.ensembles for W in cfg.W]
+    groups = [(ens, cfg.epsilons(ens)) for ens in cfg.ensembles]
     out.mkdir(parents=True, exist_ok=True)
     # Costliest first: a group's run lasts as long as its largest epsilon's,
-    # the wave slows as epsilon nears the MAP threshold, and a larger W runs
-    # fewer windows. Rows keep the grid order.
-    order = sorted(range(len(groups)), key=lambda i: (-max(groups[i][1]), groups[i][2]))
+    # and the wave slows as epsilon nears the MAP threshold. Files and stdout
+    # keep the grid order.
+    order = sorted(range(len(groups)), key=lambda i: -max(groups[i][1]))
     dispatched = [groups[i] for i in order]
     task = partial(_speed_task, cfg)
     if workers > 1 and len(groups) > 1:
@@ -188,11 +191,9 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
             return EXIT_NUMERICAL
     else:
         done = list(map(task, dispatched))
-    by_group = iter(reports for _, reports in sorted(zip(order, done)))
-    multi = len(cfg.ensembles) > 1
-    for ens in cfg.ensembles:
-        ens_groups = list(islice(by_group, len(cfg.W)))  # one per W, a report per epsilon
-        ens_reports = [r for row in zip(*ens_groups) for r in row]  # the grid's order
+    multi = len(groups) > 1
+    for i, ens_reports in sorted(zip(order, done)):
+        ens = groups[i][0]
         name = f"speed_{ens.label()}.csv" if multi else "speed.csv"
         _write_csv(
             out / name,
@@ -252,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=default_workers(),
-                help="worker processes, each running one (ensemble, W) group of the grid "
-                     "at a time (default: the CPUs this process may use)",
+                help="worker processes, each running one ensemble's grid at a time "
+                     "(default: the CPUs this process may use)",
             )
     return parser
 

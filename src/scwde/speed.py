@@ -280,8 +280,7 @@ def _search(
 
 
 def measure_speed(
-    specs: Sequence[CoupledSpec],
-    sched: WindowSchedule,
+    points: Sequence[tuple[CoupledSpec, WindowSchedule]],
     T_max: int = T_MAX_DEFAULT,
     alpha: float = 1.0,
     success: SuccessRule = SuccessRule(),
@@ -290,10 +289,11 @@ def measure_speed(
     compute_bounds: bool = True,
     validate: bool = True,
 ) -> list[SpeedReport]:
-    """For each point of ``specs``, which differ only in epsilon, find the
-    smallest iterations-per-window count T from ``sched.T`` up to T_max that
-    decodes; every run uses ``sched`` with T replaced. One report per point,
-    in the order given.
+    """For each point ``(spec, sched)`` of ``points``, which differ only in
+    epsilon, W and T (``run_columns``), find the smallest iterations-per-window
+    count T from ``sched.T`` up to T_max that decodes; every run of the point
+    uses its ``sched`` with T replaced. One report per point, in the order
+    given.
 
     A run "survives prefix c" when ``_FrozenPrefixStop`` has not failed it
     by the end of window c; on the whole schedule it must also decode. A
@@ -326,15 +326,17 @@ def measure_speed(
     T decodes, and of the full run at T_max when none does. The landscape
     bounds are attached when ``lands``, one landscape per point, is
     supplied; each is read before any run, and one taken at another epsilon
-    raises ValueError then, as does ``sched.T`` > T_max. Only the bounds are
-    kept, so ``lands`` may make each landscape as it is read.
+    raises ValueError then, as does a ``sched.T`` > T_max. Only the bounds are
+    kept, so ``lands`` may make each landscape as it is read, and hand one
+    object to the points of its epsilon.
     """
-    if sched.T > T_max:
-        raise ValueError(f"T range {sched.T}..{T_max} is empty")
-    th2s = [None] * len(specs)
+    for _, sched in points:
+        if sched.T > T_max:
+            raise ValueError(f"T range {sched.T}..{T_max} is empty")
+    th2s = [None] * len(points)
     if lands is not None and compute_bounds:
         lands = iter(lands)
-        for i, spec in enumerate(specs):
+        for i, (spec, sched) in enumerate(points):
             land = next(lands)
             _check_landscape_epsilon(spec, land)
             try:
@@ -342,8 +344,9 @@ def measure_speed(
             except ValueError:  # the landscape lacks a critical point
                 pass
             del land  # a landscape's grid arrays go before the next one is made
+        next(lands, None)  # lets an iterator that serves several points drop its last one
     searches = [_search(spec, sched, T_max, success, steady_tol if compute_bounds else None)
-                for spec in specs]
+                for spec, sched in points]
     pending = {i: next(search) for i, search in enumerate(searches)}
     found = {}
     while pending:
@@ -356,7 +359,7 @@ def measure_speed(
                 found[i] = done.value
                 del pending[i]
     reports = []
-    for i, (spec, th2) in enumerate(zip(specs, th2s)):
+    for i, ((spec, sched), th2) in enumerate(zip(points, th2s)):
         T, verdict, scan = found[i]
         t_min = T if verdict.success else None
 

@@ -263,17 +263,19 @@ def run_columns(
     validate: bool,
     record_windows: Optional[Iterable[int]] = None,
 ) -> list[DEState]:
-    """Run chains that share ens, N, w, W, the variant and ``T_first``, and
-    differ in epsilon and T, as the columns of one windowed run: T_c sweeps
-    at each configuration c. Return each chain's final ``DEState``, in the
-    order given: the vector after the last window it ran, that window's c
-    and T_c.
+    """Run chains that share ens, N, w, the variant and ``T_first``, and
+    differ in epsilon, W and T, as the columns of one windowed run: T_c
+    sweeps at each configuration c, up to the chain's own last one. Return
+    each chain's final ``DEState``, in the order given: the vector after the
+    last window it ran, that window's c and T_c.
 
     The padded layout holds a column per chain, positions-major, so window c
-    of every chain is one contiguous ``(W+2w-2, k)`` block, updated in place
-    by sweeps that write into buffers made once per run. Each column rounds
-    as its chain run alone does. The columns are kept in descending T, so
-    sweep t writes the leading columns, those with T_c >= t.
+    of every chain starts at position c-w+1 of one contiguous block, as wide
+    as the widest column it sweeps, updated by sweeps that write into buffers
+    made once per run. Each column rounds as its chain run alone does: its
+    first W rows of a wider block are summed as its own, and it is written
+    only there. The columns are kept in descending T, so sweep t writes the
+    leading columns, those with T_c >= t.
 
     Each column's hooks see that chain alone. ``on_block(c, block)`` is
     called after each selected window c (every window when
@@ -282,29 +284,27 @@ def run_columns(
     ``stop(c, x)`` is called once after each window c, after ``on_block``,
     with the chain's live erasure vector, which it must not write to; a true
     result takes the chain out of the run there, with a copy of its vector.
-    The run ends when no chain is left or the schedule is done.
+    The run ends when no chain is left.
 
     With ``validate`` every sweep is checked against the exact recursion: a
-    rise, a value outside [0, 1] or a change outside the window, in any
-    column, raises ``ChainCheckError`` at the first sweep that shows it.
+    rise, a value outside [0, 1] or a change outside the chain's window, in
+    any column, raises ``ChainCheckError`` at the first sweep that shows it.
     """
     spec, sched = columns[0].spec, columns[0].sched
-    shared = (spec.ens, spec.N, spec.w, sched.W, sched.variant, sched.T_first)
+    shared = (spec.ens, spec.N, spec.w, sched.variant, sched.T_first)
     for col in columns:
         col.sched.validate(col.spec)
-        if (col.spec.ens, col.spec.N, col.spec.w,
-                col.sched.W, col.sched.variant, col.sched.T_first) != shared:
-            raise ValueError("columns must differ only in epsilon and T")
+        if (col.spec.ens, col.spec.N, col.spec.w, col.sched.variant, col.sched.T_first) != shared:
+            raise ValueError("columns must differ only in epsilon, W and T")
     wanted = None if record_windows is None else set(record_windows)
-    W, w, L = sched.W, spec.w, spec.chain_len
+    w, L = spec.w, spec.chain_len
     order = sorted(range(len(columns)), key=lambda j: -columns[j].sched.T)
     live = [columns[j] for j in order]
     buf = _padded(np.ones((L, len(live))), w)
     eps = _channel_profile(spec, [col.spec.epsilon for col in live])
     finals: list[Optional[DEState]] = [None] * len(columns)
-    workspaces: dict[int, tuple] = {}  # by the number of columns a sweep writes
-    c_last = sched.c_max(spec)
-    for c in range(1, c_last + 1):
+    workspaces: dict[tuple, tuple] = {}  # by block width and the number of columns a sweep writes
+    for c in range(1, max(col.sched.c_max(spec) for col in columns) + 1):
         if c == 1 or len(keep) < len(live):  # the live columns' views, new after one leaves
             if c > 1:
                 buf, eps = buf[:, keep].copy(), eps[:, keep].copy()
@@ -312,9 +312,9 @@ def run_columns(
             x = buf[w : w + L]
             x_cols = [x[:, j] for j in range(len(live))]
             leading: dict[int, tuple] = {}
-            Ts = [col.sched.T for col in live]
+            Ts, Ws = [col.sched.T for col in live], [col.sched.W for col in live]
             hooked = [j for j, col in enumerate(live) if col.on_block is not None]
-        lo, hi = c - 1, c - 1 + W
+        lo = c - 1
         T_c = Ts if c > 1 else [col.sched.iterations_for(1) for col in live]
         rows = {j: np.empty((T_c[j] + 1, L)) for j in hooked} if (
             hooked and (wanted is None or c in wanted)) else {}
@@ -328,38 +328,46 @@ def run_columns(
             if m not in leading:
                 # one column sweeps as a 1-D view: numpy accumulates a 1-D array
                 # faster than one axis of a 2-D one, and rounds it the same
-                pick = np.s_[:m] if m > 1 else 0
-                leading[m] = x[:, pick], buf[:, pick], eps[:, pick]
-                if m not in workspaces:
+                pick, W = (np.s_[:m] if m > 1 else 0), max(Ws[:m])
+                # where a narrower column's rows of the block are its own
+                mask = np.arange(W)[:, None] < Ws[:m] if min(Ws[:m]) < W else None
+                leading[m] = W, mask, x[:, pick], buf[:, pick], eps[:, pick]
+                if (W, m) not in workspaces:
                     cols = (m,) if m > 1 else ()
-                    workspaces[m] = _Workspace(spec, W, cols), np.empty((W,) + cols)
-            x_m, buf_m, eps_m = leading[m]
-            ws, new_vals = workspaces[m]
-            target = x_m[lo:hi]
+                    workspaces[W, m] = _Workspace(spec, W, cols), np.empty((W,) + cols)
+            W, mask, x_m, buf_m, eps_m = leading[m]
+            ws, new_vals = workspaces[W, m]
+            target = x_m[lo : lo + W]
             reads, eps_u = _window_views(buf_m, eps_m, c, W, w)
-            out = new_vals if validate else target  # x is read before out is written
+            # x is read before out is written
+            out = new_vals if validate or mask is not None else target
             recording = [(x_cols[j], block) for j, block in rows.items() if j < m]
             for t in range(t + 1, T_c[m - 1] + 1):
                 _window_kernel(ws, reads, eps_u, out)
                 if validate:
+                    if mask is not None:
+                        np.copyto(new_vals, target, where=~mask)
                     if (new_vals > target + MONOTONE_SLACK).any():
                         raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
                     if (new_vals < -MONOTONE_SLACK).any() or (
                             new_vals > 1.0 + MONOTONE_SLACK).any():
                         raise ChainCheckError("erasure left [0, 1]")
                     target[...] = new_vals
+                elif mask is not None:
+                    np.copyto(target, new_vals, where=mask)
                 for col_x, block in recording:
                     block[t] = col_x
-        if validate and not (
-            np.array_equal(x[:lo], prev[:lo]) and np.array_equal(x[hi:], prev[hi:])
-        ):
-            raise ChainCheckError("out-of-window positions changed during sweeps")
+        if validate:
+            outside = np.arange(L)[:, None] - lo >= Ws  # right of each column's window
+            outside[:lo] = True
+            if not np.array_equal(x[outside], prev[outside]):
+                raise ChainCheckError("out-of-window positions changed during sweeps")
         keep = []
         for j, col in enumerate(live):
             if j in rows:
                 rows[j].flags.writeable = False
                 col.on_block(c, rows[j])
-            if (col.stop is not None and col.stop(c, x_cols[j])) or c == c_last:
+            if (col.stop is not None and col.stop(c, x_cols[j])) or c == col.sched.c_max(spec):
                 finals[order[j]] = DEState(x=x_cols[j].copy(), c=c, t=T_c[j])
             else:
                 keep.append(j)

@@ -54,7 +54,7 @@ def _table1_point(args):
     N, W, eps = args
     spec = CoupledSpec(ens=ENS36, N=N, w=4, epsilon=eps)
     [rep] = measure_speed(
-        [spec], WindowSchedule(W, 1, "extended"), T_max=200, validate=False
+        [(spec, WindowSchedule(W, 1, "extended"))], T_max=200, validate=False
     )
     return rep
 
@@ -140,8 +140,7 @@ def _fig4_point(args):
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
     land = landscape(eps, ens)
     [rep] = measure_speed(
-        [spec],
-        WindowSchedule(W, 1, "extended"),
+        [(spec, WindowSchedule(W, 1, "extended"))],
         T_max=200,
         lands=[land],
         validate=False,
@@ -371,7 +370,7 @@ def test_criterion_8_landscape_speed_bound():
     if th2.B1 > 0:
         ok_bound = th2.finite_w is not None and th2.finite_w > 0
         [rep] = measure_speed(
-            [spec], WindowSchedule(15, 1, "extended"), T_max=200, validate=False
+            [(spec, WindowSchedule(15, 1, "extended"))], T_max=200, validate=False
         )
         ok_dominates = rep.v is not None and rep.v <= th2.finite_w + 1e-9
         status = f"B1={th2.B1:.6f} > 0, bound={th2.finite_w}, v={rep.v}"

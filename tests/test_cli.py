@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,8 +30,8 @@ from scwde.config import (
     load_config,
     load_preset,
 )
-from scwde.scalar import NonConvergence, UncoupledEnsemble
-from scwde.window import ChainCheckError, CoupledSpec, WindowSchedule
+from scwde.scalar import NonConvergence, UncoupledEnsemble, landscape
+from scwde.window import ChainCheckError, CoupledSpec, WindowSchedule, run_columns
 
 
 def write_cfg(tmp_path: Path, payload: dict, name="run.yaml") -> Path:
@@ -610,8 +611,8 @@ def test_grid_n_capped():
 @pytest.fixture
 def inline_pool(monkeypatch) -> SimpleNamespace:
     """Replace the process pool by one that runs the tasks inline and
-    records its size and the (epsilons, W) of each task, an (ensemble, W)
-    group of the grid, in the order ``map`` receives them."""
+    records its size and the (ensemble label, epsilons) of each task, an
+    ensemble of the grid, in the order ``map`` receives them."""
     seen = SimpleNamespace(sizes=[], groups=[])
 
     class InlinePool:
@@ -625,7 +626,7 @@ def inline_pool(monkeypatch) -> SimpleNamespace:
             return False
 
         def map(self, fn, groups):
-            seen.groups.extend((epsilons, W) for _, epsilons, W in groups)
+            seen.groups.extend((ens.label(), epsilons) for ens, epsilons in groups)
             return map(fn, groups)
 
     # cmd_speed imports the pool class from here when it makes a pool
@@ -635,14 +636,15 @@ def inline_pool(monkeypatch) -> SimpleNamespace:
 
 def test_worker_pool_capped_at_grid_points(tmp_path, inline_pool):
     # a process pool starts all of its workers at the first task, so the
-    # pool must not ask for more than there are tasks: here 2 (ensemble, W)
-    # groups of 2 points each
-    cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02},
-                               "W": [8, 10]})
+    # pool must not ask for more than there are tasks: here 2 ensembles of
+    # 2 epsilons by 2 W each
+    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10],
+                               "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02}})
     assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "100000"]) == 0
     assert inline_pool.sizes == [2]
-    assert len(read_csv(tmp_path / "out" / "speed.csv")) == 5
+    for name in ("speed_x3_x6.csv", "speed_x4_x8.csv"):
+        assert len(read_csv(tmp_path / "out" / name)) == 5
 
 
 TWO_ENSEMBLES = {
@@ -674,10 +676,10 @@ STAIRS = {**TWO_ENSEMBLES, "ensembles": TWO_ENSEMBLES["ensembles"][::-1],
 
 
 def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
-    # a task is an (ensemble, W) group, its epsilons the columns of one run.
-    # The wave slows as epsilon rises and a larger W runs fewer windows, so
-    # the pool gets the group with the largest epsilon first, then ascending
-    # W; the rows and stdout keep the grid order of a one-process run
+    # a task is an ensemble, its (epsilon, W) points the columns of one run.
+    # The wave slows as epsilon rises, so the pool gets the ensemble with the
+    # largest epsilon first; the rows and stdout keep the grid order of a
+    # one-process run
     cfg = write_cfg(tmp_path, STAIRS)
     outputs = []
     for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "pool")):
@@ -685,9 +687,8 @@ def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
                      "--workers", workers]) == 0
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         outputs.append((files, capfd.readouterr().out))
-    assert inline_pool.sizes == [4]
-    assert inline_pool.groups == [((0.475, 0.485, 0.495), 8), ((0.475, 0.485, 0.495), 10),
-                                  ((0.475, 0.485), 8), ((0.475, 0.485), 10)]
+    assert inline_pool.sizes == [2]
+    assert inline_pool.groups == [("x4_x8", (0.475, 0.485, 0.495)), ("x3_x6", (0.475, 0.485))]
     assert outputs[0] == outputs[1]
     assert [line.split(":")[0] for line in outputs[0][1].splitlines()] == [
         "x3_x6 epsilon=0.475 W=8", "x3_x6 epsilon=0.475 W=10",
@@ -701,48 +702,53 @@ def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_first_failure_in_dispatch_order_surfaces(tmp_path, capfd, monkeypatch, workers):
     # every group fails; the pool forks after the patch, so its workers fail too
-    def failing_group(specs, sched, **kwargs):
-        raise ValueError(f"group {specs[0].ens.label()} W={sched.W}")
+    def failing_group(points, **kwargs):
+        raise ValueError(f"group {points[0][0].ens.label()}")
 
     monkeypatch.setattr("scwde.cli.measure_speed", failing_group)
     cfg = write_cfg(tmp_path, STAIRS)
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", workers])
-    one_line_exit(capfd, code, 1, "configuration error: group x4_x8 W=8\n")
+    one_line_exit(capfd, code, 1, "configuration error: group x4_x8\n")
 
 
-GRID_3X12 = {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01},
-             "W": list(range(5, 17))}
+# twelve ensembles (3, 4) .. (3, 15), each three epsilons by two W
+GRID_12X3X2 = {**TWO_ENSEMBLES, "ensembles": [{"L": "x^3", "R": f"x^{r}"} for r in range(4, 16)],
+               "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01}, "W": [8, 10]}
 
 
 def test_first_failure_cancels_the_queued_points(tmp_path, capfd, monkeypatch):
-    # every group (one per W, three epsilons each) leaves a marker; the first
-    # one dispatched (smallest W) fails at once and the rest sleep. pool.map
-    # cancels the futures it has not yet yielded when one raises, so the
-    # groups still queued then never run (only those the workers had taken do)
+    # every group (one per ensemble, its points three epsilons by two W)
+    # leaves a marker; the first one dispatched, (3, 4), fails at once and the
+    # rest sleep. pool.map cancels the futures it has not yet yielded when one
+    # raises, so the groups still queued then never run (only those the
+    # workers had taken do)
     markers = tmp_path / "markers"
     markers.mkdir()
 
-    def marking_group(specs, sched, **kwargs):
-        assert [spec.epsilon for spec in specs] == [0.28, 0.29, 0.30]
-        (markers / str(sched.W)).touch()
-        if sched.W == 5:
+    def marking_group(points, **kwargs):
+        assert [(spec.epsilon, sched.W) for spec, sched in points] == [
+            (0.28, 8), (0.28, 10), (0.29, 8), (0.29, 10), (0.30, 8), (0.30, 10)]
+        label = points[0][0].ens.label()
+        (markers / label).touch()
+        if label == "x3_x4":
             raise ValueError("first group fails")
         time.sleep(0.5)
 
     monkeypatch.setattr("scwde.cli.measure_speed", marking_group)
-    cfg = write_cfg(tmp_path, GRID_3X12)
+    cfg = write_cfg(tmp_path, GRID_12X3X2)
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "2"])
     one_line_exit(capfd, code, 1, "configuration error: first group fails\n")
-    assert (markers / "5").exists()
+    assert (markers / "x3_x4").exists()
     assert len(list(markers.iterdir())) < 12
 
 
 def test_one_group_runs_without_a_pool(tmp_path):
-    # a grid of one (ensemble, W) group is one task: more workers start no
-    # pool and import no multiprocessing, and write what one worker writes
-    cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01}})
+    # a grid of one ensemble is one task, whatever its W: more workers start
+    # no pool and import no multiprocessing, and write what one worker writes
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01},
+                               "W": [8, 10]})
     runs = []
     for workers in ("1", "2"):
         out = tmp_path / f"out{workers}"
@@ -755,7 +761,31 @@ def test_one_group_runs_without_a_pool(tmp_path):
         runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, stdout))
     assert runs[0] == runs[1]
     assert runs[1][1].splitlines()[-1] == "0 []"
-    assert len(runs[1][1].splitlines()) == 4  # a line per epsilon, then the check
+    assert len(runs[1][1].splitlines()) == 7  # a line per (epsilon, W), then the check
+
+
+def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
+    # table1 is one epsilon by four W: its one landscape serves all four
+    # points and is let go before the runs, and the rows are the benchmark's
+    # reference for that grid
+    made, held = [], []
+
+    def counting_landscape(eps, *args, **kwargs):
+        land = landscape(eps, *args, **kwargs)
+        made.append((eps, weakref.ref(land)))
+        return land
+
+    def checking_run_columns(columns, validate):
+        held.extend(eps for eps, ref in made if ref() is not None)
+        return run_columns(columns, validate)
+
+    monkeypatch.setattr("scwde.cli.landscape", counting_landscape)
+    monkeypatch.setattr("scwde.speed.run_columns", checking_run_columns)
+    out = tmp_path / "out"
+    assert main(["speed", "--preset", "table1", "--out", str(out), "--workers", "1"]) == 0
+    assert [eps for eps, _ in made] == [0.465] and held == []
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "speed-table.csv"
+    assert (out / "speed.csv").read_bytes() == reference.read_bytes()
 
 
 def one_line_exit(capfd, code, expected, prefix) -> str:
@@ -841,7 +871,7 @@ def test_config_directory_exits_with_one_line(tmp_path, capfd):
 @pytest.mark.parametrize(("command", "payload", "workers"), [
     ("wave", BASE_RUN, []),
     ("speed", BASE_RUN, ["--workers", "1"]),
-    ("speed", {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02},
+    ("speed", {**TWO_ENSEMBLES, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02},
                "W": [8, 10]}, ["--workers", "2"]),
 ], ids=["wave", "speed-1-worker", "speed-2-workers"])
 def test_run_too_large_for_memory_exits_with_one_line(tmp_path, capfd, command, payload,
@@ -864,7 +894,8 @@ def test_out_path_on_a_file_exits_with_one_line(tmp_path, capfd):
 
 @pytest.fixture
 def speed_calls(monkeypatch) -> list:
-    """Record every grid point that reaches ``measure_speed``, and fail it."""
+    """Record every group of grid points that reaches ``measure_speed``, and
+    fail it."""
     calls = []
 
     def count(*args, **kwargs):
@@ -974,14 +1005,15 @@ def test_any_failure_partway_leaves_no_csv(tmp_path, monkeypatch, failure, expec
 )
 def test_worker_failure_exits_with_one_line(tmp_path, capfd, monkeypatch, failure,
                                             expected, prefix):
-    # the pool forks its two workers after the patch, so they run the stand-in
-    def failing_point(*args, **kwargs):
+    # the pool forks its two workers after the patch, so they run the
+    # stand-in; a grid of two ensembles makes two tasks, so a pool is made
+    def failing_group(*args, **kwargs):
         if failure == "exit":
             os._exit(3)
         raise failure
 
-    monkeypatch.setattr("scwde.cli.measure_speed", failing_point)
-    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
+    monkeypatch.setattr("scwde.cli.measure_speed", failing_group)
+    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10]})
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "2"])
     one_line_exit(capfd, code, expected, prefix)
@@ -1024,7 +1056,8 @@ def test_cli_import_starts_no_blas_threads(user_value, expected):
 
 
 def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):
-    # a fixed T runs validated, inside the two forked workers
+    # a fixed T runs validated, inside the two forked workers, one for each
+    # ensemble
     kernel = scwde.window._window_kernel
 
     def kernel_negating(*args):  # args: (workspace, reads, channel, out)
@@ -1032,7 +1065,7 @@ def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):
         args[-1][...] = -args[-1] - 1e-6
 
     monkeypatch.setattr("scwde.window._window_kernel", kernel_negating)
-    cfg = write_cfg(tmp_path, {**BASE_RUN, "W": [8, 10]})
+    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10]})
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "2"])
     one_line_exit(capfd, code, 2, "numerical failure: erasure left [0, 1]")

@@ -262,7 +262,7 @@ class TestSlopeMargin:
 class TestMeasureSpeed:
     def test_fast_channel_reports_minimum(self):
         spec = CoupledSpec(ens=ENS36, N=30, w=2, epsilon=0.30)
-        [rep] = measure_speed([spec], WindowSchedule(W=8, T=1, variant="extended"), T_max=30)
+        [rep] = measure_speed([(spec, WindowSchedule(W=8, T=1, variant="extended"))], T_max=30)
         assert rep.T_min is not None
         assert rep.v == 1.0 / rep.T_min
         # a minimum: the budget just below it fails when run in full
@@ -277,7 +277,7 @@ class TestMeasureSpeed:
         cfg = config_from_mapping({"ensemble": {"L": "x^3", "R": "x^6"}, "N": 100, "w": 4,
                                    "epsilon": 0.45, "W": 12})
         spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.45)
-        [rep] = measure_speed([spec], cfg.window_schedule(12), compute_bounds=False,
+        [rep] = measure_speed([(spec, cfg.window_schedule(12))], compute_bounds=False,
                               validate=False)
         assert rep.T_min == 22
 
@@ -295,14 +295,14 @@ class TestMeasureSpeed:
         monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
         with pytest.raises(ValueError, match="T range 25..24 is empty"):
-            measure_speed([spec], WindowSchedule(W=10, T=25, variant="extended"), T_max=24)
+            measure_speed([(spec, WindowSchedule(W=10, T=25, variant="extended"))], T_max=24)
         assert calls == []
 
     def test_budget_exhaustion_reports_best_average(self):
         # with no decoding T there is no c' or A1, and best_avg is the
         # average of the full run at T_max
         spec = CoupledSpec(ens=ENS36, N=40, w=4, epsilon=0.487)
-        [rep] = measure_speed([spec], WindowSchedule(W=12, T=1, variant="extended"), T_max=3)
+        [rep] = measure_speed([(spec, WindowSchedule(W=12, T=1, variant="extended"))], T_max=3)
         assert rep.T_min is None and rep.v is None
         assert (rep.c_prime, rep.A1) == (None, None)
         assert rep.best_avg is not None and rep.best_avg > 1e-6
@@ -315,7 +315,7 @@ class TestMeasureSpeed:
         # full and scanned as it runs, and nothing after it. c' and A1 are
         # those of a search whose T_max lies above T_min
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
-        [wide] = measure_speed([spec], WindowSchedule(W=10, T=1, variant="extended"), T_max=60)
+        [wide] = measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60)
         assert wide.T_min == 24 and wide.c_prime is not None and wide.A1 is not None
         runs = []
 
@@ -325,7 +325,7 @@ class TestMeasureSpeed:
             return run_columns(columns, validate)
 
         monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
-        [rep] = measure_speed([spec], WindowSchedule(W=10, T=T, variant="extended"), T_max=24)
+        [rep] = measure_speed([(spec, WindowSchedule(W=10, T=T, variant="extended"))], T_max=24)
         assert (rep.T_min, rep.c_prime, rep.A1, rep.best_avg) == (
             wide.T_min, wide.c_prime, wide.A1, wide.best_avg)
         assert runs[-1] == (24, None, True)
@@ -334,7 +334,7 @@ class TestMeasureSpeed:
     def test_report_carries_bounds_when_landscape_given(self):
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
         land = landscape(0.45, ENS36)
-        [rep] = measure_speed([spec], WindowSchedule(W=10, T=1, variant="extended"), T_max=60,
+        [rep] = measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60,
                               lands=[land])
         assert rep.T_min is not None
         assert rep.th2_infinite is not None
@@ -410,7 +410,7 @@ def test_search_matches_linear_scan(
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     T_max = T_lo + span
     [rep] = measure_speed(
-        [spec], WindowSchedule(W=W, T=T_lo, variant=variant, T_first=T_first), T_max=T_max,
+        [(spec, WindowSchedule(W=W, T=T_lo, variant=variant, T_first=T_first))], T_max=T_max,
         success=SuccessRule(policy=policy), compute_bounds=compute_bounds, validate=False,
     )
     for T in range(T_lo, T_max + 1):
@@ -435,35 +435,43 @@ def report_bits(report):
 @pytest.mark.parametrize(("T", "T_max", "validate"), [(1, 40, False), (20, 20, True)],
                          ids=["search", "fixed"])
 def test_group_reports_equal_one_point_groups(monkeypatch, T_first, T, T_max, validate):
-    # the points of a group run as the columns of one run, their searches in
-    # lockstep but apart: each report, bit for bit, is the one a group of that
-    # point alone gives. The search decodes at 0.30 and finds no T up to
-    # T_max at 0.47; with T_first = 30 a full run fails past the prefix its
-    # probes ran, and the search deepens it (six full runs at 0.44). A fixed
-    # T runs once per point, validated
-    sched = WindowSchedule(W=8, T=T, variant="extended", T_first=T_first)
-    specs = [CoupledSpec(ens=ENS36, N=40, w=3, epsilon=eps) for eps in (0.30, 0.44, 0.47)]
-    lands = [landscape(spec.epsilon, ENS36) for spec in specs]
+    # the (epsilon, W) points of a group run as the columns of one run, their
+    # searches in lockstep but apart: each report, bit for bit, is the one a
+    # group of that point alone gives. The search decodes at 0.30 and finds no
+    # T up to T_max at 0.47; with T_first = 30 a full run fails past the
+    # prefix its probes ran, and the search deepens it (six full runs at 0.44
+    # and W = 8). A fixed T runs once per point, validated. Each epsilon's
+    # landscape is one object, read by both of its W
+    points, lands = [], []
+    for eps in (0.30, 0.44, 0.47):
+        land = landscape(eps, ENS36)
+        for W in (8, 12):
+            points.append((CoupledSpec(ens=ENS36, N=40, w=3, epsilon=eps),
+                           WindowSchedule(W=W, T=T, variant="extended", T_first=T_first)))
+            lands.append(land)
     batches = []
 
     def counting_run_columns(columns, validate):
-        batches.append([(col.spec.epsilon, col.stop is None or col.stop.c_stop is None)
-                        for col in columns])
+        batches.append([(col.spec.epsilon, col.sched.W,
+                         col.stop is None or col.stop.c_stop is None) for col in columns])
         return run_columns(columns, validate)
 
     monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
-    alone = [measure_speed([spec], sched, T_max=T_max, lands=[land], validate=validate)[0]
-             for spec, land in zip(specs, lands)]
-    full_runs = {eps: sum(full for batch in batches for e, full in batch if e == eps)
-                 for eps in (0.30, 0.44, 0.47)}
+    alone = [measure_speed([point], T_max=T_max, lands=[land], validate=validate)[0]
+             for point, land in zip(points, lands)]
+    full_runs = {(spec.epsilon, sched.W): sum(full for batch in batches for e, W, full in batch
+                                              if (e, W) == (spec.epsilon, sched.W))
+                 for spec, sched in points}
     batches.clear()
-    group = measure_speed(specs, sched, T_max=T_max, lands=lands, validate=validate)
+    group = measure_speed(points, T_max=T_max, lands=lands, validate=validate)
     assert [report_bits(r) for r in group] == [report_bits(r) for r in alone]
+    assert [(r.epsilon, r.W) for r in group] == [(s.epsilon, d.W) for s, d in points]
     assert alone[0].T_min is not None and alone[0].A1 is not None
-    assert alone[2].T_min is None
-    assert max(len(batch) for batch in batches) == 3
+    assert alone[4].T_min is None and alone[5].T_min is None
+    assert max(len(batch) for batch in batches) == 6
     if T_first is not None and not validate:
-        assert full_runs == {0.30: 3, 0.44: 6, 0.47: 1}
+        assert full_runs == {(0.30, 8): 3, (0.30, 12): 2, (0.44, 8): 6, (0.44, 12): 5,
+                             (0.47, 8): 1, (0.47, 12): 1}
 
 
 def test_search_runs_the_whole_schedule_once(monkeypatch):
@@ -487,7 +495,7 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
 
     monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.480)
-    [rep] = measure_speed([spec], WindowSchedule(W=15, T=1, variant="extended"), validate=False)
+    [rep] = measure_speed([(spec, WindowSchedule(W=15, T=1, variant="extended"))], validate=False)
     whole = [call for call in calls if call[1].c == call[0].c_max(spec)]
     assert rep.T_min == 75 and rep.c_prime is not None
     assert len(whole) == 1
@@ -502,7 +510,7 @@ def test_memory_holds_a_window_not_the_run():
     spec = CoupledSpec(ens=ENS36, N=400, w=4, epsilon=0.465)
     tracemalloc.start()
     try:
-        [rep] = measure_speed([spec], WindowSchedule(W=12, T=1, variant="extended"), T_max=60,
+        [rep] = measure_speed([(spec, WindowSchedule(W=12, T=1, variant="extended"))], T_max=60,
                               validate=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -527,7 +535,7 @@ def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy
     monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.465)
     with pytest.raises(ValueError, match=match):
-        measure_speed([spec], WindowSchedule(W=12, T=T, variant="extended"),
+        measure_speed([(spec, WindowSchedule(W=12, T=T, variant="extended"))],
                       success=SuccessRule(threshold, policy))
     assert calls == []
 
@@ -542,7 +550,7 @@ def test_landscape_at_another_epsilon_rejected_before_any_run(monkeypatch):
     monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
     spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
     with pytest.raises(ValueError, match="does not match"):
-        measure_speed([spec], WindowSchedule(W=10, T=1, variant="extended"), T_max=60,
+        measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60,
                       lands=[landscape(0.47, ENS36)])
     assert calls == []
 
@@ -550,7 +558,7 @@ def test_landscape_at_another_epsilon_rejected_before_any_run(monkeypatch):
 def test_landscape_without_critical_points_leaves_th2_empty():
     # below the BP threshold U' has no nontrivial zero: x_b and x_d are absent
     spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.3)
-    [rep] = measure_speed([spec], WindowSchedule(W=10, T=1, variant="extended"), T_max=60,
+    [rep] = measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60,
                           lands=[landscape(0.3, ENS36)])
     assert rep.T_min is not None
     assert (rep.th2_finite, rep.th2_infinite) == (None,) * 2

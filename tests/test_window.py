@@ -141,34 +141,40 @@ def logged_column(spec, sched, stop_at, log):
     return Column(spec, sched, stop, lambda c, block: blocks.append((c, block.tobytes())))
 
 
-# a chain of a batched run: (epsilon, T, the window its stop hook fires after)
-chains = st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
-                            st.integers(min_value=1, max_value=5),
-                            st.none() | st.integers(min_value=1, max_value=20)),
-                  min_size=1, max_size=4)
+# a chain length N and 1-4 chains of a batched run on it: (epsilon, W in
+# 1..N, T, the window its stop hook fires after)
+chains_on_N = st.integers(min_value=1, max_value=16).flatmap(lambda N: st.tuples(
+    st.just(N), st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                   st.integers(min_value=1, max_value=N),
+                                   st.integers(min_value=1, max_value=5),
+                                   st.none() | st.integers(min_value=1, max_value=20)),
+                         min_size=1, max_size=4)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     ens=st.sampled_from(SWEEP_ENSEMBLES),
-    NW=chain_and_window,
+    N_chains=chains_on_N,
     w=st.integers(min_value=1, max_value=4),
-    chains=chains,
     T_first=st.none() | st.integers(min_value=1, max_value=8),
     variant=st.sampled_from(["literal", "extended"]),
     validate=st.booleans(),
     record=st.none() | st.lists(st.integers(min_value=1, max_value=20), max_size=4),
 )
-@example(ens=ENS36, NW=(12, 5), w=3, chains=[(0.42, 2, None), (0.47, 5, 3), (0.3, 3, 6)],
+@example(ens=ENS36, N_chains=(12, [(0.42, 5, 2, None), (0.47, 5, 5, 3), (0.3, 5, 3, 6)]), w=3,
          T_first=7, variant="extended", validate=True, record=None)
-def test_columns_run_as_their_chains_run_alone(ens, NW, w, chains, T_first, variant, validate,
+# the widest window possible and the narrowest: the W = N column ends after
+# w windows, and until then the W = 1 column is written through the mask
+@example(ens=ENS36, N_chains=(9, [(0.42, 1, 3, None), (0.47, 9, 2, None), (0.3, 4, 5, 7)]),
+         w=3, T_first=None, variant="extended", validate=False, record=[1, 3, 4])
+def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, variant, validate,
                                               record):
     # each column of a batched run is its chain run alone, bit for bit: the
     # final vector, the window it ended at, and every block and stop-hook
-    # vector its hooks saw, whatever the other columns' T and stop windows
-    N, W = NW
+    # vector its hooks saw, whatever the other columns' W, T and stop windows
+    N, chains = N_chains
     columns, alone = [], []
-    for eps, T, stop_at in chains:
+    for eps, W, T, stop_at in chains:
         spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
         log = [], []
@@ -183,22 +189,23 @@ def test_columns_run_as_their_chains_run_alone(ens, NW, w, chains, T_first, vari
 
 @settings(max_examples=40, deadline=None)
 @given(
-    NW=chain_and_window,
+    N=st.integers(min_value=1, max_value=16),
     w=st.integers(min_value=1, max_value=4),
-    T=st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=4),
     T_first=st.none() | st.integers(min_value=1, max_value=8),
     variant=st.sampled_from(["literal", "extended"]),
     data=st.data(),
 )
-def test_rise_in_one_column_raises_its_lone_message(NW, w, T, T_first, variant, data):
+def test_rise_in_one_column_raises_its_lone_message(N, w, T_first, variant, data):
     # a rise injected into one chain's n-th sweep raises, in a batched run,
     # the ChainCheckError that chain raises alone: the same window and sweep
-    N, W = NW
-    eps = [0.30 + 0.01 * j for j in range(len(T))]  # the channel tells the columns apart
+    chains = data.draw(st.lists(st.tuples(st.integers(min_value=1, max_value=5),
+                                          st.integers(min_value=1, max_value=N)),
+                                min_size=2, max_size=4))  # (T, W) of each chain
+    eps = [0.30 + 0.01 * j for j in range(len(chains))]  # the channel tells the columns apart
     columns = [Column(CoupledSpec(ens=ENS36, N=N, w=w, epsilon=e),
-                      WindowSchedule(W=W, T=T_j, variant=variant, T_first=T_first))
-               for e, T_j in zip(eps, T)]
-    target = data.draw(st.integers(min_value=0, max_value=len(T) - 1))
+                      WindowSchedule(W=W, T=T, variant=variant, T_first=T_first))
+               for e, (T, W) in zip(eps, chains)]
+    target = data.draw(st.integers(min_value=0, max_value=len(chains) - 1))
     sched, spec = columns[target].sched, columns[target].spec
     sweeps = sum(sched.iterations_for(c) for c in range(1, sched.c_max(spec) + 1))
     at = data.draw(st.integers(min_value=1, max_value=sweeps))
@@ -228,22 +235,40 @@ def test_rise_in_one_column_raises_its_lone_message(NW, w, T, T_first, variant, 
     assert message(columns) == lone
 
 
+def test_write_beside_a_narrower_window_is_out_of_window():
+    # the block of a W = 8 and a W = 5 column spans 8 positions; a write to
+    # the narrow column's read at position c+5, inside the block but right of
+    # its window, is caught by that column's own out-of-window check
+    kernel = scwde.window._window_kernel
+    columns = [Column(spec36(N=30, eps=e), WindowSchedule(W=W, T=2, variant="literal"))
+               for e, W in ((0.40, 8), (0.42, 5))]
+
+    def writing_kernel(ws, reads, eps_u, out):
+        kernel(ws, reads, eps_u, out)
+        if out.ndim == 2:  # both columns: reads[0] is position c-w+1
+            reads[5 + 3 - 1, 1] = 0.5
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("scwde.window._window_kernel", writing_kernel)
+        with pytest.raises(ChainCheckError, match="out-of-window positions changed"):
+            run_columns(columns, validate=True)
+
+
 @pytest.mark.parametrize("other", [
     {"spec": CoupledSpec(ens=UncoupledEnsemble.regular(4, 8), N=20, w=3, epsilon=0.4)},
     {"spec": CoupledSpec(ens=ENS36, N=21, w=3, epsilon=0.4)},
     {"spec": CoupledSpec(ens=ENS36, N=20, w=2, epsilon=0.4)},
-    {"sched": WindowSchedule(W=9, T=3, variant="literal")},
     {"sched": WindowSchedule(W=8, T=3, variant="extended")},
     {"sched": WindowSchedule(W=8, T=3, variant="literal", T_first=5)},
-], ids=["ensemble", "N", "w", "W", "variant", "T_first"])
-def test_columns_differ_only_in_epsilon_and_T(other):
+], ids=["ensemble", "N", "w", "variant", "T_first"])
+def test_columns_differ_only_in_epsilon_W_and_T(other):
     base = Column(CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=20, w=3, epsilon=0.3),
                   WindowSchedule(W=8, T=2, variant="literal"))
-    # epsilon and T may differ, and an equal ensemble need not be the same object
+    # epsilon, W and T may differ, and an equal ensemble need not be the same object
     assert len(run_columns([base, base._replace(spec=spec36(N=20, eps=0.4),
-                                                sched=WindowSchedule(8, 5, "literal"))],
+                                                sched=WindowSchedule(9, 5, "literal"))],
                            validate=True)) == 2
-    with pytest.raises(ValueError, match="columns must differ only in epsilon and T"):
+    with pytest.raises(ValueError, match="columns must differ only in epsilon, W and T"):
         run_columns([base, base._replace(**other)], validate=True)
 
 
