@@ -8,14 +8,13 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_preset
 from .coupled import coupled_potential
-from .scalar import NonConvergence, bp_threshold, landscape, map_threshold
+from .scalar import NonConvergence, UncoupledEnsemble, bp_threshold, landscape, map_threshold
 from .speed import SpeedReport, SteadyStateScan, measure_speed
 from .window import CoupledSpec, decode_success, run_wd
 
@@ -65,14 +64,20 @@ def _trajectory_writer(fh, chain_len: int):
     return write
 
 
-def cmd_landscape(cfg: RunConfig, out: Path) -> int:
-    if cfg.epsilon is None:
-        raise ConfigError("the landscape command needs a single epsilon")
+def _one_point(cfg: RunConfig, command: str) -> tuple[UncoupledEnsemble, float]:
+    """The one ensemble and the one ε the command runs; an ε grid of one point
+    is that point."""
+    if any(len(epsilons) != 1 for epsilons in cfg.epsilon):
+        raise ConfigError(f"the {command} command needs a single epsilon")
     if len(cfg.ensembles) != 1:
-        raise ConfigError("the landscape command needs a single ensemble")
+        raise ConfigError(f"the {command} command needs a single ensemble")
+    return cfg.ensembles[0], cfg.epsilon[0][0]
+
+
+def cmd_landscape(cfg: RunConfig, out: Path) -> int:
+    ens, eps = _one_point(cfg, "landscape")
     out.mkdir(parents=True, exist_ok=True)
-    ens = cfg.ensembles[0]
-    land = landscape(cfg.epsilon, ens, grid_n=cfg.grid_n)
+    land = landscape(eps, ens, grid_n=cfg.grid_n)
     _write_csv(
         out / "landscape.csv",
         ("x", "U", "U_prime", "U_double_prime"),
@@ -84,7 +89,7 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
         [(land.x_a, land.x_b, land.x_c0, land.x_d, land.x_e, land.D)],
     )
     missing = land.missing()
-    print(f"landscape: epsilon={cfg.epsilon} ensemble={ens.label()}")
+    print(f"landscape: epsilon={eps} ensemble={ens.label()}")
     if missing:
         print("absent critical points: " + ", ".join(missing))
     return EXIT_OK
@@ -93,21 +98,18 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
 def cmd_wave(cfg: RunConfig, out: Path) -> int:
     if cfg.T is None:
         raise ConfigError("the wave command needs an explicit T")
-    if cfg.epsilon is None:
-        raise ConfigError("the wave command needs a single epsilon")
-    if len(cfg.ensembles) != 1:
-        raise ConfigError("the wave command needs a single ensemble")
+    ens, eps = _one_point(cfg, "wave")
     if len(cfg.W) != 1:
         raise ConfigError("the wave command needs a single window size")
-    ens = cfg.ensembles[0]
-    spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=cfg.epsilon)
+    spec = CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps)
     sched = cfg.window_schedule(cfg.W[0])
     c_max, windows = sched.c_max(spec), cfg.record_windows
     if windows is not None and (not windows or not all(1 <= c <= c_max for c in windows)):
         raise ConfigError(f"record.windows must name windows in 1..{c_max}, this run's windows")
     out.mkdir(parents=True, exist_ok=True)
-    # Each recorded window's block is written, traced and scanned as the run
-    # hands it over, then dropped: memory holds a window, not the run.
+    # The run hands over every window's block; each one that record.windows
+    # names is written, traced and scanned, and every block is then dropped:
+    # memory holds a window, not the run.
     paths = out / "trajectory.csv", out / "potential_trace.csv"
     scan = SteadyStateScan(spec, sched.W, cfg.steady_tol)
     try:
@@ -117,13 +119,14 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
             potentials.writerow(("c", "t", "U"))
 
             def on_block(c: int, block: np.ndarray) -> None:
+                if windows is not None and c not in windows:
+                    return
                 write_states(c, block)
                 potentials.writerows((c, t, _fmt(u)) for t, u in
                                      enumerate(coupled_potential(block, spec, sched, c).tolist()))
                 scan.add(c, block)
 
-            final, _ = run_wd(spec, sched, validate=True, record_windows=windows,
-                              on_block=on_block)
+            final, _ = run_wd(spec, sched, validate=True, on_block=on_block)
     except BaseException:  # a run that fails partway leaves no partial CSV
         for path in paths:
             path.unlink(missing_ok=True)
@@ -145,39 +148,26 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
 def _speed_task(cfg: RunConfig, group) -> list[SpeedReport]:
     """One ensemble of the grid, its (epsilon, W) points the columns of one T
     search over 1..T_max, or over [T, T] for a fixed T: a report per point,
-    in the grid's order (epsilon outer, W inner).
-
-    Fixed-T runs keep the per-sweep checks; the search runs without them.
-    """
+    in the grid's order (epsilon outer, W inner)."""
     ens, epsilons = group
     points = [(CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps), cfg.window_schedule(W))
               for eps in epsilons for W in cfg.W]
-    # a landscape depends on epsilon alone: one per epsilon, for each of its W
-    lands = chain.from_iterable(repeat(landscape(eps, ens, grid_n=cfg.grid_n), len(cfg.W))
-                                for eps in epsilons) if cfg.bounds else None
-    fixed = cfg.T is not None
     return measure_speed(
         points,
-        T_max=cfg.T if fixed else cfg.T_max,
+        T_max=cfg.T_max if cfg.T is None else cfg.T,
         alpha=cfg.alpha,
         success=cfg.success,
         steady_tol=cfg.steady_tol,
-        lands=lands,
+        grid_n=cfg.grid_n,
         compute_bounds=cfg.bounds,
-        validate=fixed,
     )
 
 
 def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
-    groups = [(ens, cfg.epsilons(ens)) for ens in cfg.ensembles]
+    groups = list(zip(cfg.ensembles, cfg.epsilon))
     out.mkdir(parents=True, exist_ok=True)
-    # Costliest first: a group's run lasts as long as its largest epsilon's,
-    # and the wave slows as epsilon nears the MAP threshold. Files and stdout
-    # keep the grid order.
-    order = sorted(range(len(groups)), key=lambda i: -max(groups[i][1]))
-    dispatched = [groups[i] for i in order]
     task = partial(_speed_task, cfg)
     if workers > 1 and len(groups) > 1:
         # imported here: the other commands never start multiprocessing
@@ -185,15 +175,14 @@ def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
 
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-                done = list(pool.map(task, dispatched))
+                done = list(pool.map(task, groups))
         except BrokenProcessPool as exc:
             print(f"worker failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
     else:
-        done = list(map(task, dispatched))
+        done = list(map(task, groups))
     multi = len(groups) > 1
-    for i, ens_reports in sorted(zip(order, done)):
-        ens = groups[i][0]
+    for ens, ens_reports in zip(cfg.ensembles, done):
         name = f"speed_{ens.label()}.csv" if multi else "speed.csv"
         _write_csv(
             out / name,

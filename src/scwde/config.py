@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """One run request: ensembles, coupling, channel grid, window grid.
 
-    ``epsilon_grid`` holds each ensemble's ε values, in the order of
+    ``epsilon`` holds each ensemble's ε values, in the order of
     ``ensembles``, as the config expands them at load. The coupling, ε and
     window values are checked by building the engine's types from them: a
     ``CoupledSpec`` per ε and a ``WindowSchedule`` per window size. These
@@ -47,8 +47,7 @@ class RunConfig:
     ensembles: tuple[UncoupledEnsemble, ...] = ()
     N: int = 100
     w: int = 1
-    epsilon: Optional[float] = None
-    epsilon_grid: Optional[tuple[tuple[float, ...], ...]] = None
+    epsilon: tuple[tuple[float, ...], ...] = ()
     W: tuple[int, ...] = ()
     T: Optional[int] = None  # None means "auto" (search for the minimum)
     T_max: int = T_MAX_DEFAULT
@@ -64,13 +63,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.ensembles:
             raise ConfigError("at least one ensemble is required")
-        if self.epsilon is None and self.epsilon_grid is None:
+        if len(self.epsilon) != len(self.ensembles) or not all(self.epsilon):
             raise ConfigError("epsilon (or an epsilon grid) is required")
         labels = [ens.label() for ens in self.ensembles]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"ensembles must have distinct labels, got {labels}")
         specs = [CoupledSpec(ens, self.N, self.w, eps)
-                 for ens in self.ensembles for eps in self.epsilons(ens)]
+                 for ens, epsilons in zip(self.ensembles, self.epsilon) for eps in epsilons]
         for W in self.W or (1,):
             self.window_schedule(W).validate(specs[0])
         if not 1.0 <= self.alpha <= 2.0:
@@ -90,12 +89,6 @@ class RunConfig:
         """The schedule of window size W that every run of this config uses;
         under ``T: auto`` its T is 1, where the T search starts."""
         return WindowSchedule(W, 1 if self.T is None else self.T, self.schedule, self.T_first)
-
-    def epsilons(self, ens: UncoupledEnsemble) -> tuple[float, ...]:
-        """The ε values of one of ``ensembles``."""
-        if self.epsilon_grid is None:
-            return (self.epsilon,)
-        return self.epsilon_grid[self.ensembles.index(ens)]
 
 
 _GRID_KEYS = ("start", "stop", "step")
@@ -156,12 +149,12 @@ def _ensembles(key: str, value: Any, *_) -> tuple[UncoupledEnsemble, ...]:
     return tuple(_ensemble(item) for item in value)
 
 
-def _epsilon(key: str, value: Any, parsed: dict) -> tuple[Optional[float], Optional[tuple]]:
-    """(epsilon, None) for a value; (None, each parsed ensemble's ε values)
-    for a grid. A grid ascends from ``start`` by ``step`` and ends at ``stop``
-    or, for ``stop: map_threshold``, just below the ensemble's MAP threshold."""
+def _epsilon(key: str, value: Any, parsed: dict) -> tuple[tuple[float, ...], ...]:
+    """Each parsed ensemble's ε values: a value alone, or a grid's points. A
+    grid ascends from ``start`` by ``step`` and ends at ``stop`` or, for
+    ``stop: map_threshold``, just below the ensemble's MAP threshold."""
     if _is_number(value):
-        return float(value), None
+        return tuple((float(value),) for _ in parsed.get("ensembles", ()))
     if not isinstance(value, dict):
         raise ConfigError(f"cannot parse epsilon from {value!r}")
     grid = _mapping(value, "epsilon grid", _GRID_KEYS, required=_GRID_KEYS)
@@ -186,7 +179,7 @@ def _epsilon(key: str, value: Any, parsed: dict) -> tuple[Optional[float], Optio
         values.append(tuple(round(v, 12) for v in points))
         if len(set(values[-1])) < len(points):
             raise ConfigError("epsilon grid step repeats values at 12 decimals")
-    return None, tuple(values)
+    return tuple(values)
 
 
 def _window_sizes(key: str, value: Any, parsed: dict) -> tuple[int, ...]:
@@ -230,16 +223,16 @@ def _record(key: str, value: Any, *_) -> Optional[tuple[int, ...]]:
     return tuple(_integer("record.windows", c) for c in windows)
 
 
-# Every YAML key: the RunConfig field(s) it sets and its converter, called as
+# Every YAML key: the RunConfig field it sets and its converter, called as
 # convert(key, value, parsed) where ``parsed`` holds the fields set by the
 # keys above it (epsilon reads the ensembles there, W reads N). A key the YAML
 # does not give sets nothing, so RunConfig's field defaults are the only defaults.
-_KEYS: dict[str, tuple[str | tuple[str, ...], Callable[[str, Any, dict], Any]]] = {
+_KEYS: dict[str, tuple[str, Callable[[str, Any, dict], Any]]] = {
     "ensemble": ("ensembles", lambda key, value, _: (_ensemble(value),)),
     "ensembles": ("ensembles", _ensembles),
     "N": ("N", _integer),
     "w": ("w", _integer),
-    "epsilon": (("epsilon", "epsilon_grid"), _epsilon),
+    "epsilon": ("epsilon", _epsilon),
     "W": ("W", _window_sizes),
     "T": ("T", lambda key, value, _: None if value in (None, "auto") else _integer(key, value)),
     "T_max": ("T_max", _integer),
@@ -258,14 +251,13 @@ def config_from_mapping(raw: Any) -> RunConfig:
     parsed: dict[str, Any] = {}
     try:
         _mapping(raw, "configuration", _KEYS)
-        for key, (names, convert) in _KEYS.items():
+        for key, (name, convert) in _KEYS.items():
             if key not in raw:
                 continue
-            if names in parsed:
-                given = " or ".join(repr(k) for k in raw if _KEYS[k][0] == names)
+            if name in parsed:
+                given = " or ".join(repr(k) for k in raw if _KEYS[k][0] == name)
                 raise ConfigError(f"give either {given}, not both")
-            value = convert(key, raw[key], parsed)
-            parsed.update(zip(names, value) if isinstance(names, tuple) else [(names, value)])
+            parsed[name] = convert(key, raw[key], parsed)
         return RunConfig(**parsed)
     except (TypeError, ValueError) as exc:  # a ConfigError keeps its message
         raise ConfigError(str(exc))

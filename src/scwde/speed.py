@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Generator, Iterable, Optional, Sequence
+from itertools import groupby
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from .coupled import coupled_potential
-from .scalar import PotentialLandscape, potential, potential_d1
+from .scalar import GRID_N_DEFAULT, PotentialLandscape, landscape, potential, potential_d1
 from .window import (
     Column,
     CoupledSpec,
@@ -119,13 +120,6 @@ class LandscapeBounds:
     numerator: float
 
 
-def _check_landscape_epsilon(spec: CoupledSpec, land: PotentialLandscape) -> None:
-    if abs(land.epsilon - spec.epsilon) > 1e-15:
-        raise ValueError(
-            f"landscape epsilon {land.epsilon} does not match spec epsilon {spec.epsilon}"
-        )
-
-
 def bound_th2(
     spec: CoupledSpec,
     W: int,
@@ -134,9 +128,13 @@ def bound_th2(
 ) -> LandscapeBounds:
     """Evaluate the landscape-only speed bounds for window size W.
 
-    Requires the landscape to provide x_a, x_b, x_c0, x_d and D.
+    Requires the landscape to be taken at the spec's epsilon and to provide
+    x_a, x_b, x_c0, x_d and D.
     """
-    _check_landscape_epsilon(spec, land)
+    if abs(land.epsilon - spec.epsilon) > 1e-15:
+        raise ValueError(
+            f"landscape epsilon {land.epsilon} does not match spec epsilon {spec.epsilon}"
+        )
     needed = {"x_a": land.x_a, "x_b": land.x_b, "x_c0": land.x_c0, "x_d": land.x_d}
     missing = [k for k, v in needed.items() if v is None]
     if missing or land.D is None:
@@ -279,15 +277,26 @@ def _search(
         lo, c_stop = T + 1, final.c
 
 
+def _th2_bounds(land: PotentialLandscape, points, alpha: float) -> list[Optional[LandscapeBounds]]:
+    """``bound_th2`` of each point ``(spec, sched)`` on ``land``, or None where
+    the landscape lacks a critical point."""
+    bounds = []
+    for spec, sched in points:
+        try:
+            bounds.append(bound_th2(spec, sched.W, land, alpha=alpha))
+        except ValueError:  # the landscape lacks a critical point
+            bounds.append(None)
+    return bounds
+
+
 def measure_speed(
     points: Sequence[tuple[CoupledSpec, WindowSchedule]],
     T_max: int = T_MAX_DEFAULT,
     alpha: float = 1.0,
     success: SuccessRule = SuccessRule(),
     steady_tol: float = STEADY_TOL,
-    lands: Optional[Iterable[PotentialLandscape]] = None,
+    grid_n: int = GRID_N_DEFAULT,
     compute_bounds: bool = True,
-    validate: bool = True,
 ) -> list[SpeedReport]:
     """For each point ``(spec, sched)`` of ``points``, which differ only in
     epsilon, W and T (``run_columns``), find the smallest iterations-per-window
@@ -314,7 +323,9 @@ def measure_speed(
     prefix: the prefix grows every round. Each round makes one full run,
     T_max included, and nothing is run again after the search: the T_min
     run's scan gives c' and the start states the trajectory bound reads.
-    ``sched.T`` = T_max tests one fixed budget with one full run.
+    ``sched.T`` = T_max tests one fixed budget with one full run. A call in
+    which every point does so searches nothing, and its runs are validated
+    (``run_columns``); a call with a search runs unvalidated.
 
     The points' searches run in lockstep as the columns of ``run_columns``:
     the pending probes of every search still going run as one batch, and
@@ -323,28 +334,20 @@ def measure_speed(
     group of that point alone gives.
 
     ``best_avg`` is the success policy's metric of the run at T_min when a
-    T decodes, and of the full run at T_max when none does. The landscape
-    bounds are attached when ``lands``, one landscape per point, is
-    supplied; each is read before any run, and one taken at another epsilon
-    raises ValueError then, as does a ``sched.T`` > T_max. Only the bounds are
-    kept, so ``lands`` may make each landscape as it is read, and hand one
-    object to the points of its epsilon.
+    T decodes, and of the full run at T_max when none does. With
+    ``compute_bounds`` the landscape bounds are attached too: before any
+    run, each run of consecutive points that share ensemble and epsilon
+    reads them from one landscape of ``grid_n`` samples, dropped before the
+    next is made. A ``sched.T`` > T_max raises ValueError before that.
     """
     for _, sched in points:
         if sched.T > T_max:
             raise ValueError(f"T range {sched.T}..{T_max} is empty")
     th2s = [None] * len(points)
-    if lands is not None and compute_bounds:
-        lands = iter(lands)
-        for i, (spec, sched) in enumerate(points):
-            land = next(lands)
-            _check_landscape_epsilon(spec, land)
-            try:
-                th2s[i] = bound_th2(spec, sched.W, land, alpha=alpha)
-            except ValueError:  # the landscape lacks a critical point
-                pass
-            del land  # a landscape's grid arrays go before the next one is made
-        next(lands, None)  # lets an iterator that serves several points drop its last one
+    if compute_bounds:
+        th2s = [th2 for (ens, eps), run in groupby(points, lambda p: (p[0].ens, p[0].epsilon))
+                for th2 in _th2_bounds(landscape(eps, ens, grid_n=grid_n), run, alpha)]
+    validate = all(sched.T == T_max for _, sched in points)
     searches = [_search(spec, sched, T_max, success, steady_tol if compute_bounds else None)
                 for spec, sched in points]
     pending = {i: next(search) for i, search in enumerate(searches)}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence
+from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,11 +95,10 @@ class ChainCheckError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DEState:
-    """Erasure vector over check positions 1..N+w-1 at (window c, iteration t)."""
+    """Erasure vector over check positions 1..N+w-1 after window c."""
 
     x: np.ndarray
     c: int
-    t: int
 
 
 def _padded(x: np.ndarray, w: int) -> np.ndarray:
@@ -245,7 +244,6 @@ def run_wd(
     spec: CoupledSpec,
     sched: WindowSchedule,
     validate: bool,
-    record_windows: Optional[Iterable[int]] = None,
     on_block: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> tuple[DEState, None]:
     """Run the window schedule on one chain: the one column of
@@ -254,20 +252,16 @@ def run_wd(
     The returned pair holds the vector after the last window, as a
     ``DEState``, and None, kept for callers that unpack two items.
     """
-    (final,) = run_columns([Column(spec, sched, on_block=on_block)], validate, record_windows)
+    (final,) = run_columns([Column(spec, sched, on_block=on_block)], validate)
     return final, None
 
 
-def run_columns(
-    columns: Sequence[Column],
-    validate: bool,
-    record_windows: Optional[Iterable[int]] = None,
-) -> list[DEState]:
+def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
     """Run chains that share ens, N, w, the variant and ``T_first``, and
     differ in epsilon, W and T, as the columns of one windowed run: T_c
     sweeps at each configuration c, up to the chain's own last one. Return
     each chain's final ``DEState``, in the order given: the vector after the
-    last window it ran, that window's c and T_c.
+    last window it ran, and that window's c.
 
     The padded layout holds a column per chain, positions-major, so window c
     of every chain starts at position c-w+1 of one contiguous block, as wide
@@ -278,8 +272,7 @@ def run_columns(
     leading columns, those with T_c >= t.
 
     Each column's hooks see that chain alone. ``on_block(c, block)`` is
-    called after each selected window c (every window when
-    ``record_windows`` is None) with a new read-only (T_c+1, N+w-1) array of
+    called after every window c with a new read-only (T_c+1, N+w-1) array of
     its iterations t = 0..T_c; it is the only way blocks leave a run.
     ``stop(c, x)`` is called once after each window c, after ``on_block``,
     with the chain's live erasure vector, which it must not write to; a true
@@ -296,7 +289,6 @@ def run_columns(
         col.sched.validate(col.spec)
         if (col.spec.ens, col.spec.N, col.spec.w, col.sched.variant, col.sched.T_first) != shared:
             raise ValueError("columns must differ only in epsilon, W and T")
-    wanted = None if record_windows is None else set(record_windows)
     w, L = spec.w, spec.chain_len
     order = sorted(range(len(columns)), key=lambda j: -columns[j].sched.T)
     live = [columns[j] for j in order]
@@ -316,8 +308,7 @@ def run_columns(
             hooked = [j for j, col in enumerate(live) if col.on_block is not None]
         lo = c - 1
         T_c = Ts if c > 1 else [col.sched.iterations_for(1) for col in live]
-        rows = {j: np.empty((T_c[j] + 1, L)) for j in hooked} if (
-            hooked and (wanted is None or c in wanted)) else {}
+        rows = {j: np.empty((T_c[j] + 1, L)) for j in hooked}
         for j, block in rows.items():
             block[0] = x_cols[j]
         prev = x.copy() if validate else None
@@ -368,7 +359,7 @@ def run_columns(
                 rows[j].flags.writeable = False
                 col.on_block(c, rows[j])
             if (col.stop is not None and col.stop(c, x_cols[j])) or c == col.sched.c_max(spec):
-                finals[order[j]] = DEState(x=x_cols[j].copy(), c=c, t=T_c[j])
+                finals[order[j]] = DEState(x=x_cols[j].copy(), c=c)
             else:
                 keep.append(j)
         if not keep:

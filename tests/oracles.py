@@ -82,11 +82,16 @@ def map_by_de_bisection(ens):
 
 
 def recorded_run(spec, sched, validate=True, stop=None, record_windows=None):
-    """(final state, {c: block}) of a one-column run, each selected window's
-    read-only (T_c+1, N+w-1) block collected from ``on_block``."""
+    """(final state, {c: block}) of a one-column run: the read-only
+    (T_c+1, N+w-1) block ``on_block`` gets for each window c among
+    ``record_windows`` (every window when None)."""
     blocks = {}
-    [final] = run_columns([Column(spec, sched, stop, blocks.__setitem__)], validate,
-                          record_windows)
+
+    def collect(c, block):
+        if record_windows is None or c in record_windows:
+            blocks[c] = block
+
+    [final] = run_columns([Column(spec, sched, stop, collect)], validate)
     return final, blocks
 
 

@@ -44,7 +44,7 @@ def report(criterion: int, name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def fig3_run():
     cfg = load_preset("fig3")
-    spec = CoupledSpec(ens=cfg.ensembles[0], N=cfg.N, w=cfg.w, epsilon=cfg.epsilon)
+    spec = CoupledSpec(ens=cfg.ensembles[0], N=cfg.N, w=cfg.w, epsilon=cfg.epsilon[0][0])
     sched = WindowSchedule(W=cfg.W[0], T=cfg.T, variant=cfg.schedule)
     final, blocks = recorded_run(spec, sched)
     return spec, sched, final, blocks
@@ -53,9 +53,7 @@ def fig3_run():
 def _table1_point(args):
     N, W, eps = args
     spec = CoupledSpec(ens=ENS36, N=N, w=4, epsilon=eps)
-    [rep] = measure_speed(
-        [(spec, WindowSchedule(W, 1, "extended"))], T_max=200, validate=False
-    )
+    [rep] = measure_speed([(spec, WindowSchedule(W, 1, "extended"))], T_max=200)
     return rep
 
 
@@ -66,7 +64,7 @@ def test_criterion_1_speed_and_bound_table():
     candidate_Ns = [cfg.N] + [n for n in (50, 200) if n != cfg.N]
     outcomes = {}
     for N in candidate_Ns:
-        rows = [_table1_point((N, W, cfg.epsilon)) for W in sorted(expected_T)]
+        rows = [_table1_point((N, W, cfg.epsilon[0][0])) for W in sorted(expected_T)]
         ok_v = all(r.T_min == expected_T[r.W] for r in rows)
         ok_a1 = all(
             r.A1 is not None and abs(r.A1 - expected_a1[r.W]) <= 0.005 for r in rows
@@ -138,13 +136,7 @@ def _fig4_point(args):
     ens_pairs, N, w, eps, W = args
     ens = UncoupledEnsemble(from_pairs(ens_pairs[0]), from_pairs(ens_pairs[1]))
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
-    land = landscape(eps, ens)
-    [rep] = measure_speed(
-        [(spec, WindowSchedule(W, 1, "extended"))],
-        T_max=200,
-        lands=[land],
-        validate=False,
-    )
+    [rep] = measure_speed([(spec, WindowSchedule(W, 1, "extended"))], T_max=200)
     return eps, rep.T_min, rep.A1, rep.c_prime
 
 
@@ -153,8 +145,7 @@ def test_criterion_3_speed_staircase():
     W = cfg.W[0]
     overall_ok = True
     details = []
-    for ens in cfg.ensembles:
-        eps_grid = cfg.epsilons(ens)
+    for ens, eps_grid in zip(cfg.ensembles, cfg.epsilon):
         eps_map = map_threshold(ens)
         pairs = (
             tuple((i, c) for i, c in enumerate(ens.L.coeffs) if c),
@@ -369,9 +360,7 @@ def test_criterion_8_landscape_speed_bound():
     ok_identity = abs(th2.B1 - (th2.B2 - land.D * land.x_d / spec.w)) <= 1e-12
     if th2.B1 > 0:
         ok_bound = th2.finite_w is not None and th2.finite_w > 0
-        [rep] = measure_speed(
-            [(spec, WindowSchedule(15, 1, "extended"))], T_max=200, validate=False
-        )
+        [rep] = measure_speed([(spec, WindowSchedule(15, 1, "extended"))], T_max=200)
         ok_dominates = rep.v is not None and rep.v <= th2.finite_w + 1e-9
         status = f"B1={th2.B1:.6f} > 0, bound={th2.finite_w}, v={rep.v}"
     else:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import scwde.cli
 import scwde.window
-from oracles import recorded_run
+from oracles import recorded_run, scan_of
 from scwde.cli import _trajectory_writer, build_parser, main
 from scwde.config import (
     _KEYS,
@@ -67,8 +67,7 @@ class TestConfig:
             "epsilon": {"start": 0.40, "stop": 0.42, "step": 0.005},
         })
         cfg = load_config(path)
-        eps = cfg.epsilons(cfg.ensembles[0])
-        assert eps == (0.40, 0.405, 0.41, 0.415, 0.42)
+        assert cfg.epsilon == ((0.40, 0.405, 0.41, 0.415, 0.42),)
 
     def test_epsilon_grid_map_stop(self, tmp_path):
         path = write_cfg(tmp_path, {
@@ -76,7 +75,7 @@ class TestConfig:
             "epsilon": {"start": 0.47, "stop": "map_threshold", "step": 0.005},
         })
         cfg = load_config(path)
-        eps = cfg.epsilons(cfg.ensembles[0])
+        [eps] = cfg.epsilon
         assert eps[-1] == 0.485  # largest grid point below the MAP threshold
         assert all(e < 0.4882 for e in eps)
 
@@ -215,6 +214,33 @@ def test_trajectory_bytes_match_csv_writer(tmp_path, run):
                            T_first=run.get("T_first"))
     _, blocks = recorded_run(spec, sched, record_windows=run.get("record", {}).get("windows"))
     assert (out / "trajectory.csv").read_bytes() == trajectory_oracle(blocks)
+
+
+def test_record_windows_filter_a_full_recording(tmp_path):
+    # the run hands over every window, and the wave command writes and scans
+    # those record.windows names, in any order and with gaps and repeats:
+    # each file holds what a full recording gives when filtered to them
+    run = {"ensemble": {"L": "x^3", "R": "x^6"}, "N": 40, "w": 3, "epsilon": 0.42, "W": 11,
+           "T": 6, "schedule": "literal"}
+    windows = [29, 3, 28, 4, 12, 29]
+    full, some = tmp_path / "full", tmp_path / "some"
+    for out, payload in ((full, run), (some, {**run, "record": {"windows": windows}})):
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["wave", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def kept_rows(path):
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        return header + b"".join(row for row in rows if int(row.split(b",")[0]) in windows)
+
+    for name in ("trajectory.csv", "potential_trace.csv"):
+        assert (some / name).read_bytes() == kept_rows(full / name)
+    spec = CoupledSpec(ens=UncoupledEnsemble.regular(3, 6), N=40, w=3, epsilon=0.42)
+    _, blocks = recorded_run(spec, WindowSchedule(W=11, T=6, variant="literal"))
+    scan = scan_of({c: blocks[c] for c in windows}, spec, 11)
+    expected = {**json.loads((full / "steady_state.json").read_text()),
+                "c_prime": scan.c_prime, "shift_residual": scan.residual}
+    assert json.loads((some / "steady_state.json").read_text()) == expected
+    assert scan.c_prime == 28
 
 
 # recorded windows with gaps between them, and their block heights
@@ -512,7 +538,7 @@ def test_parser_adds_no_defaults():
     # a key the YAML leaves out takes RunConfig's own default
     ens = UncoupledEnsemble.regular(3, 6)
     cfg = config_from_mapping({"ensemble": {"L": "x^3", "R": "x^6"}, "epsilon": 0.4})
-    assert cfg == RunConfig(ensembles=(ens,), epsilon=0.4)
+    assert cfg == RunConfig(ensembles=(ens,), epsilon=((0.4,),))
     assert cfg.schedule == "extended"
 
 
@@ -675,11 +701,10 @@ STAIRS = {**TWO_ENSEMBLES, "ensembles": TWO_ENSEMBLES["ensembles"][::-1],
           "epsilon": {"start": 0.475, "stop": "map_threshold", "step": 0.01}, "W": [10, 8]}
 
 
-def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
+def test_speed_dispatches_in_grid_order(tmp_path, capfd, inline_pool):
     # a task is an ensemble, its (epsilon, W) points the columns of one run.
-    # The wave slows as epsilon rises, so the pool gets the ensemble with the
-    # largest epsilon first; the rows and stdout keep the grid order of a
-    # one-process run
+    # The pool gets the ensembles in the grid's order, and the rows and
+    # stdout are those of a one-process run
     cfg = write_cfg(tmp_path, STAIRS)
     outputs = []
     for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "pool")):
@@ -688,7 +713,7 @@ def test_speed_dispatches_costliest_first(tmp_path, capfd, inline_pool):
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         outputs.append((files, capfd.readouterr().out))
     assert inline_pool.sizes == [2]
-    assert inline_pool.groups == [("x4_x8", (0.475, 0.485, 0.495)), ("x3_x6", (0.475, 0.485))]
+    assert inline_pool.groups == [("x3_x6", (0.475, 0.485)), ("x4_x8", (0.475, 0.485, 0.495))]
     assert outputs[0] == outputs[1]
     assert [line.split(":")[0] for line in outputs[0][1].splitlines()] == [
         "x3_x6 epsilon=0.475 W=8", "x3_x6 epsilon=0.475 W=10",
@@ -709,7 +734,7 @@ def test_first_failure_in_dispatch_order_surfaces(tmp_path, capfd, monkeypatch, 
     cfg = write_cfg(tmp_path, STAIRS)
     code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", workers])
-    one_line_exit(capfd, code, 1, "configuration error: group x4_x8\n")
+    one_line_exit(capfd, code, 1, "configuration error: group x3_x6\n")
 
 
 # twelve ensembles (3, 4) .. (3, 15), each three epsilons by two W
@@ -765,9 +790,9 @@ def test_one_group_runs_without_a_pool(tmp_path):
 
 
 def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
-    # table1 is one epsilon by four W: its one landscape serves all four
-    # points and is let go before the runs, and the rows are the benchmark's
-    # reference for that grid
+    # table1 is one epsilon by four W: measure_speed makes one landscape for
+    # all four points and lets it go before the runs, and the rows are the
+    # benchmark's reference for that grid
     made, held = [], []
 
     def counting_landscape(eps, *args, **kwargs):
@@ -779,7 +804,7 @@ def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
         held.extend(eps for eps, ref in made if ref() is not None)
         return run_columns(columns, validate)
 
-    monkeypatch.setattr("scwde.cli.landscape", counting_landscape)
+    monkeypatch.setattr("scwde.speed.landscape", counting_landscape)
     monkeypatch.setattr("scwde.speed.run_columns", checking_run_columns)
     out = tmp_path / "out"
     assert main(["speed", "--preset", "table1", "--out", str(out), "--workers", "1"]) == 0
@@ -800,6 +825,7 @@ def one_line_exit(capfd, code, expected, prefix) -> str:
 SAME_LABEL = {**TWO_ENSEMBLES, "ensembles": [{"L": [[2, 0.5], [3, 0.5]], "R": "x^6"},
                                              {"L": [[2, 0.3], [3, 0.7]], "R": "x^6"}]}
 SAME_LABEL_ERROR = "ensembles must have distinct labels, got ['irr23_x6', 'irr23_x6']"
+TWO_POINT_GRID = {**TWO_ENSEMBLES, "epsilon": {"start": 0.3, "stop": 0.31, "step": 0.01}}
 
 
 @pytest.mark.parametrize(
@@ -810,14 +836,32 @@ SAME_LABEL_ERROR = "ensembles must have distinct labels, got ['irr23_x6', 'irr23
         (SAME_LABEL, "thresholds", SAME_LABEL_ERROR),
         (TWO_ENSEMBLES, "wave", "the wave command needs a single ensemble"),
         (TWO_ENSEMBLES, "landscape", "the landscape command needs a single ensemble"),
+        # two grid points are no single epsilon, said before the two ensembles
+        (TWO_POINT_GRID, "wave", "the wave command needs a single epsilon"),
+        (TWO_POINT_GRID, "landscape", "the landscape command needs a single epsilon"),
     ],
-    ids=["same-label-speed", "same-label-thresholds", "wave", "landscape"],
+    ids=["same-label-speed", "same-label-thresholds", "wave", "landscape", "wave-grid",
+         "landscape-grid"],
 )
 def test_ensembles_rejected_before_out(tmp_path, capfd, payload, command, message):
     cfg = write_cfg(tmp_path, payload)
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 1, f"configuration error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["wave", "landscape"])
+def test_one_point_epsilon_grid_is_its_value(tmp_path, capfd, command):
+    # a grid whose stop is its start runs that epsilon: the same files and
+    # stdout, byte for byte
+    outputs = []
+    for i, epsilon in enumerate((0.3, {"start": 0.3, "stop": 0.3, "step": 0.01})):
+        cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": epsilon, "grid_n": 2001})
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())},
+                        capfd.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -277,8 +277,7 @@ class TestMeasureSpeed:
         cfg = config_from_mapping({"ensemble": {"L": "x^3", "R": "x^6"}, "N": 100, "w": 4,
                                    "epsilon": 0.45, "W": 12})
         spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.45)
-        [rep] = measure_speed([(spec, cfg.window_schedule(12))], compute_bounds=False,
-                              validate=False)
+        [rep] = measure_speed([(spec, cfg.window_schedule(12))], compute_bounds=False)
         assert rep.T_min == 22
 
     def test_schedule_variant_has_no_default(self):
@@ -331,13 +330,14 @@ class TestMeasureSpeed:
         assert runs[-1] == (24, None, True)
         assert [T for T, _, _ in runs].count(24) == 1
 
-    def test_report_carries_bounds_when_landscape_given(self):
+    def test_report_carries_bounds_of_a_landscape_of_grid_n(self):
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
-        land = landscape(0.45, ENS36)
         [rep] = measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60,
-                              lands=[land])
+                              grid_n=2001)
+        th2 = bound_th2(spec, 10, landscape(0.45, ENS36, grid_n=2001))
         assert rep.T_min is not None
         assert rep.th2_infinite is not None
+        assert (rep.th2_finite, rep.th2_infinite) == (th2.finite_w, th2.infinite_w)
         if rep.c_prime is not None:
             assert rep.A1 is not None
             assert rep.v <= rep.A1 + 1e-9
@@ -411,7 +411,7 @@ def test_search_matches_linear_scan(
     T_max = T_lo + span
     [rep] = measure_speed(
         [(spec, WindowSchedule(W=W, T=T_lo, variant=variant, T_first=T_first))], T_max=T_max,
-        success=SuccessRule(policy=policy), compute_bounds=compute_bounds, validate=False,
+        success=SuccessRule(policy=policy), compute_bounds=compute_bounds,
     )
     for T in range(T_lo, T_max + 1):
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
@@ -432,44 +432,46 @@ def report_bits(report):
 
 
 @pytest.mark.parametrize("T_first", [None, 30], ids=["cold", "warm"])
-@pytest.mark.parametrize(("T", "T_max", "validate"), [(1, 40, False), (20, 20, True)],
-                         ids=["search", "fixed"])
-def test_group_reports_equal_one_point_groups(monkeypatch, T_first, T, T_max, validate):
+@pytest.mark.parametrize(("T", "T_max"), [(1, 40), (20, 20)], ids=["search", "fixed"])
+def test_group_reports_equal_one_point_groups(monkeypatch, T_first, T, T_max):
     # the (epsilon, W) points of a group run as the columns of one run, their
     # searches in lockstep but apart: each report, bit for bit, is the one a
     # group of that point alone gives. The search decodes at 0.30 and finds no
     # T up to T_max at 0.47; with T_first = 30 a full run fails past the
     # prefix its probes ran, and the search deepens it (six full runs at 0.44
-    # and W = 8). A fixed T runs once per point, validated. Each epsilon's
-    # landscape is one object, read by both of its W
-    points, lands = [], []
-    for eps in (0.30, 0.44, 0.47):
-        land = landscape(eps, ENS36)
-        for W in (8, 12):
-            points.append((CoupledSpec(ens=ENS36, N=40, w=3, epsilon=eps),
-                           WindowSchedule(W=W, T=T, variant="extended", T_first=T_first)))
-            lands.append(land)
-    batches = []
+    # and W = 8). A fixed T runs once per point, validated; a search runs
+    # unvalidated. Each epsilon's landscape is made once, for both of its W
+    points = [(CoupledSpec(ens=ENS36, N=40, w=3, epsilon=eps),
+               WindowSchedule(W=W, T=T, variant="extended", T_first=T_first))
+              for eps in (0.30, 0.44, 0.47) for W in (8, 12)]
+    batches, made = [], []
 
     def counting_run_columns(columns, validate):
+        assert validate is (T == T_max)
         batches.append([(col.spec.epsilon, col.sched.W,
                          col.stop is None or col.stop.c_stop is None) for col in columns])
         return run_columns(columns, validate)
 
+    def counting_landscape(eps, *args, **kwargs):
+        made.append(eps)
+        return landscape(eps, *args, **kwargs)
+
     monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
-    alone = [measure_speed([point], T_max=T_max, lands=[land], validate=validate)[0]
-             for point, land in zip(points, lands)]
+    monkeypatch.setattr("scwde.speed.landscape", counting_landscape)
+    alone = [measure_speed([point], T_max=T_max)[0] for point in points]
     full_runs = {(spec.epsilon, sched.W): sum(full for batch in batches for e, W, full in batch
                                               if (e, W) == (spec.epsilon, sched.W))
                  for spec, sched in points}
     batches.clear()
-    group = measure_speed(points, T_max=T_max, lands=lands, validate=validate)
+    made.clear()
+    group = measure_speed(points, T_max=T_max)
+    assert made == [0.30, 0.44, 0.47]
     assert [report_bits(r) for r in group] == [report_bits(r) for r in alone]
     assert [(r.epsilon, r.W) for r in group] == [(s.epsilon, d.W) for s, d in points]
     assert alone[0].T_min is not None and alone[0].A1 is not None
     assert alone[4].T_min is None and alone[5].T_min is None
     assert max(len(batch) for batch in batches) == 6
-    if T_first is not None and not validate:
+    if T_first is not None and T < T_max:
         assert full_runs == {(0.30, 8): 3, (0.30, 12): 2, (0.44, 8): 6, (0.44, 12): 5,
                              (0.47, 8): 1, (0.47, 12): 1}
 
@@ -495,12 +497,14 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
 
     monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.480)
-    [rep] = measure_speed([(spec, WindowSchedule(W=15, T=1, variant="extended"))], validate=False)
+    [rep] = measure_speed([(spec, WindowSchedule(W=15, T=1, variant="extended"))])
     whole = [call for call in calls if call[1].c == call[0].c_max(spec)]
     assert rep.T_min == 75 and rep.c_prime is not None
     assert len(whole) == 1
     sched, final, blocks, stop = whole[0]
-    assert stop.failed_at is None and final.t == 75
+    lone, _ = run_wd(spec, sched, validate=False)
+    assert stop.failed_at is None and sched.T == 75
+    assert (final.x.tobytes(), final.c) == (lone.x.tobytes(), lone.c)
     assert (rep.c_prime, rep.A1) == steady_and_a1(blocks, spec, sched)
 
 
@@ -510,8 +514,7 @@ def test_memory_holds_a_window_not_the_run():
     spec = CoupledSpec(ens=ENS36, N=400, w=4, epsilon=0.465)
     tracemalloc.start()
     try:
-        [rep] = measure_speed([(spec, WindowSchedule(W=12, T=1, variant="extended"))], T_max=60,
-                              validate=False)
+        [rep] = measure_speed([(spec, WindowSchedule(W=12, T=1, variant="extended"))], T_max=60)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -540,25 +543,35 @@ def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy
     assert calls == []
 
 
-def test_landscape_at_another_epsilon_rejected_before_any_run(monkeypatch):
-    calls = []
-
-    def counting_run_columns(columns, validate):
-        calls.append(columns)
-        return run_columns(columns, validate)
-
-    monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
-    spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
-    with pytest.raises(ValueError, match="does not match"):
-        measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60,
-                      lands=[landscape(0.47, ENS36)])
-    assert calls == []
-
-
 def test_landscape_without_critical_points_leaves_th2_empty():
     # below the BP threshold U' has no nontrivial zero: x_b and x_d are absent
     spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.3)
-    [rep] = measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60,
-                          lands=[landscape(0.3, ENS36)])
+    [rep] = measure_speed([(spec, WindowSchedule(W=10, T=1, variant="extended"))], T_max=60)
     assert rep.T_min is not None
     assert (rep.th2_finite, rep.th2_infinite) == (None,) * 2
+
+
+def test_one_landscape_per_ensemble_and_epsilon(monkeypatch):
+    # two ensembles at one epsilon: each run of points that shares (ensemble,
+    # epsilon) gets its own landscape, and each point's th2 is read from its
+    # own ensemble's. A batch of run_columns shares one ensemble, so the
+    # stand-in runs each column alone
+    made = []
+
+    def counting_landscape(eps, ens, **kwargs):
+        made.append((eps, ens.label()))
+        return landscape(eps, ens, **kwargs)
+
+    def column_by_column(columns, validate):
+        return [run_columns([col], validate)[0] for col in columns]
+
+    monkeypatch.setattr("scwde.speed.landscape", counting_landscape)
+    monkeypatch.setattr("scwde.speed.run_columns", column_by_column)
+    points = [(CoupledSpec(ens=ens, N=40, w=3, epsilon=0.45),
+               WindowSchedule(W=W, T=1, variant="extended"))
+              for ens in (ENS36, UncoupledEnsemble.regular(4, 8)) for W in (8, 10)]
+    reports = measure_speed(points, T_max=60)
+    assert made == [(0.45, "x3_x6"), (0.45, "x4_x8")]
+    for (spec, sched), rep in zip(points, reports):
+        th2 = bound_th2(spec, sched.W, landscape(0.45, spec.ens))
+        assert (rep.th2_finite, rep.th2_infinite) == (th2.finite_w, th2.infinite_w)

@@ -159,16 +159,14 @@ chains_on_N = st.integers(min_value=1, max_value=16).flatmap(lambda N: st.tuples
     T_first=st.none() | st.integers(min_value=1, max_value=8),
     variant=st.sampled_from(["literal", "extended"]),
     validate=st.booleans(),
-    record=st.none() | st.lists(st.integers(min_value=1, max_value=20), max_size=4),
 )
 @example(ens=ENS36, N_chains=(12, [(0.42, 5, 2, None), (0.47, 5, 5, 3), (0.3, 5, 3, 6)]), w=3,
-         T_first=7, variant="extended", validate=True, record=None)
+         T_first=7, variant="extended", validate=True)
 # the widest window possible and the narrowest: the W = N column ends after
 # w windows, and until then the W = 1 column is written through the mask
 @example(ens=ENS36, N_chains=(9, [(0.42, 1, 3, None), (0.47, 9, 2, None), (0.3, 4, 5, 7)]),
-         w=3, T_first=None, variant="extended", validate=False, record=[1, 3, 4])
-def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, variant, validate,
-                                              record):
+         w=3, T_first=None, variant="extended", validate=False)
+def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, variant, validate):
     # each column of a batched run is its chain run alone, bit for bit: the
     # final vector, the window it ended at, and every block and stop-hook
     # vector its hooks saw, whatever the other columns' W, T and stop windows
@@ -178,13 +176,13 @@ def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, varian
         spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
         log = [], []
-        [final] = run_columns([logged_column(spec, sched, stop_at, log)], validate, record)
-        alone.append((final.x.tobytes(), final.c, final.t, log))
+        [final] = run_columns([logged_column(spec, sched, stop_at, log)], validate)
+        alone.append((final.x.tobytes(), final.c, log))
         columns.append((spec, sched, stop_at))
     logs = [([], []) for _ in chains]
     finals = run_columns([logged_column(*col, log) for col, log in zip(columns, logs)],
-                         validate, record)
-    assert [(f.x.tobytes(), f.c, f.t, log) for f, log in zip(finals, logs)] == alone
+                         validate)
+    assert [(f.x.tobytes(), f.c, log) for f, log in zip(finals, logs)] == alone
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,18 +398,19 @@ class TestRunWd:
 
         final, blocks = run_with({5, 7})
         assert sorted(blocks) == [1, 2, 3, 4, 5]
-        assert (final.c, final.t) == (5, 3)
+        assert final.c == 5
         assert np.array_equal(final.x, full[5][-1])
         # a hook that never returns true runs the whole schedule
         final, _ = run_with(set())
         assert final.c == 13 and np.array_equal(final.x, full[13][-1])
 
     def test_blocks_handed_over_as_each_window_ends(self):
-        # on_block gets each selected window's read-only block, in order and
-        # before stop; run_wd's second item is always None
+        # on_block gets every window's read-only block, in order and before
+        # stop, up to the window stop ends the run at; run_wd's second item
+        # is always None
         spec = spec36(N=20)
         sched = WindowSchedule(W=8, T=3, variant="literal", T_first=5)
-        _, full = recorded_run(spec, sched, record_windows=[7, 2, 5, 6])
+        _, full = recorded_run(spec, sched)
         events = []
 
         def on_block(c, block):
@@ -422,20 +421,14 @@ class TestRunWd:
             events.append(("stop", c, None))
             return c == 6
 
-        [final] = run_columns([Column(spec, sched, stop, on_block)], True, [7, 2, 5, 6])
+        [final] = run_columns([Column(spec, sched, stop, on_block)], True)
         assert final.c == 6
-        assert run_wd(spec, sched, validate=True, record_windows=[2])[1] is None
-        assert [e[:2] for e in events if e[0] == "block" or e[1] in (2, 5, 6)] == [
-            ("block", 2), ("stop", 2), ("block", 5), ("stop", 5), ("block", 6), ("stop", 6)]
+        assert run_wd(spec, sched, validate=True)[1] is None
+        assert [e[:2] for e in events] == [
+            (kind, c) for c in range(1, 7) for kind in ("block", "stop")]
         for kind, c, block in events:
             if kind == "block":
                 assert np.array_equal(block, full[c])
-
-    def test_trajectory_window_filter(self):
-        spec = spec36(N=20)
-        sched = WindowSchedule(W=8, T=3, variant="literal")
-        _, blocks = recorded_run(spec, sched, record_windows=[4, 5])
-        assert sorted(blocks) == [4, 5]
 
     def test_monotone_across_configurations(self):
         spec = spec36(N=30)
@@ -457,27 +450,27 @@ class TestRunWd:
 class TestDecodeSuccess:
     def test_all_zero_succeeds(self):
         spec = spec36()
-        state = DEState(x=np.zeros(spec.chain_len), c=1, t=0)
+        state = DEState(x=np.zeros(spec.chain_len), c=1)
         rep = decode_success(state, spec)
         assert rep.success and rep.avg == 0.0 and rep.max == 0.0
 
     def test_all_ones_fails(self):
         spec = spec36()
-        rep = decode_success(DEState(x=np.ones(spec.chain_len), c=1, t=0), spec)
+        rep = decode_success(DEState(x=np.ones(spec.chain_len), c=1), spec)
         assert not rep.success
 
     def test_max_policy_is_stricter(self):
         spec = spec36(N=10, w=1)
         x = np.zeros(spec.chain_len)
         x[3] = 5e-6  # avg 5e-7 < 1e-6 < max
-        state = DEState(x=x, c=1, t=0)
+        state = DEState(x=x, c=1)
         assert decode_success(state, spec, SuccessRule(policy="average")).success
         assert not decode_success(state, spec, SuccessRule(policy="max")).success
 
     def test_bad_policy_rejected(self):
         spec = spec36()
         with pytest.raises(ValueError):
-            decode_success(DEState(x=np.ones(spec.chain_len), c=1, t=0), spec,
+            decode_success(DEState(x=np.ones(spec.chain_len), c=1), spec,
                            SuccessRule(policy="median"))
 
 
