@@ -4,9 +4,9 @@
 Roughly: thresholds for both regular ensembles, the potential landscape,
 one recorded wave trajectory, the speed-vs-window table, and the two
 speed-vs-erasure staircases. The staircase sweep is the slow part
-(about 1.3 s with 2 workers on a 2-vCPU host).
+(0.9-1.2 s on a 2-vCPU host).
 
-Usage: python scripts/reproduce_all.py [--out out] [--workers N]
+Usage: python scripts/reproduce_all.py [--out out] [--skip-staircase]
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from scwde.cli import default_workers
 from scwde.cli import main as scwde_main
 
 
@@ -28,7 +27,6 @@ def run(argv: list[str]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out")
-    parser.add_argument("--workers", type=int, default=default_workers())
     parser.add_argument(
         "--skip-staircase",
         action="store_true",
@@ -39,15 +37,9 @@ def main() -> None:
     run(["thresholds", "--preset", "fig4", "--out", f"{args.out}/thresholds"])
     run(["landscape", "--preset", "fig2", "--out", f"{args.out}/landscape"])
     run(["wave", "--preset", "fig3", "--out", f"{args.out}/wave"])
-    run([
-        "speed", "--preset", "table1", "--out", f"{args.out}/speed_table",
-        "--workers", str(args.workers),
-    ])
+    run(["speed", "--preset", "table1", "--out", f"{args.out}/speed_table"])
     if not args.skip_staircase:
-        run([
-            "speed", "--preset", "fig4", "--out", f"{args.out}/speed_staircase",
-            "--workers", str(args.workers),
-        ])
+        run(["speed", "--preset", "fig4", "--out", f"{args.out}/speed_staircase"])
 
 
 if __name__ == "__main__":

@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -145,11 +143,10 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _speed_task(cfg: RunConfig, group) -> list[SpeedReport]:
+def _speed_task(cfg: RunConfig, ens: UncoupledEnsemble, epsilons) -> list[SpeedReport]:
     """One ensemble of the grid, its (epsilon, W) points the columns of one T
     search over 1..T_max, or over [T, T] for a fixed T: a report per point,
     in the grid's order (epsilon outer, W inner)."""
-    ens, epsilons = group
     points = [(CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps), cfg.window_schedule(W))
               for eps in epsilons for W in cfg.W]
     return measure_speed(
@@ -163,25 +160,14 @@ def _speed_task(cfg: RunConfig, group) -> list[SpeedReport]:
     )
 
 
-def cmd_speed(cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_speed(cfg: RunConfig, out: Path) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
-    groups = list(zip(cfg.ensembles, cfg.epsilon))
     out.mkdir(parents=True, exist_ok=True)
-    task = partial(_speed_task, cfg)
-    if workers > 1 and len(groups) > 1:
-        # imported here: the other commands never start multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-                done = list(pool.map(task, groups))
-        except BrokenProcessPool as exc:
-            print(f"worker failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-    else:
-        done = list(map(task, groups))
-    multi = len(groups) > 1
+    # every ensemble runs before any file is written, so a failure leaves
+    # --out empty
+    done = [_speed_task(cfg, ens, epsilons) for ens, epsilons in zip(cfg.ensembles, cfg.epsilon)]
+    multi = len(cfg.ensembles) > 1
     for ens, ens_reports in zip(cfg.ensembles, done):
         name = f"speed_{ens.label()}.csv" if multi else "speed.csv"
         _write_csv(
@@ -238,22 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--preset", choices=PRESETS, help="named built-in configuration")
         p.add_argument("--out", type=Path, default=Path("scwde_out"))
         if name == "speed":
-            p.add_argument(
-                "--workers",
-                type=int,
-                default=default_workers(),
-                help="worker processes, each running one ensemble's grid at a time "
-                     "(default: the CPUs this process may use)",
-            )
+            # accepted and range-checked for the callers that pass it, and
+            # ignored: the ensembles run one after another in this process
+            p.add_argument("--workers", type=int, default=1,
+                           help="accepted for compatibility and ignored (an int >= 1)")
     return parser
-
-
-def default_workers() -> int:
-    """The CPUs this process may run on, where the platform says so; else
-    the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def main(argv=None) -> int:
@@ -269,10 +244,9 @@ def main(argv=None) -> int:
         if args.command == "wave":
             return cmd_wave(cfg, out)
         if args.command == "speed":
-            return cmd_speed(cfg, out, args.workers)
+            return cmd_speed(cfg, out)
         return cmd_thresholds(cfg, out)
-    # A pool worker's exception arrives here with its own type and maps as in
-    # a one-process run; a type not named below is a fault of the program.
+    # An exception type not named below is a fault of the program.
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,12 +4,10 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -634,65 +632,30 @@ def test_grid_n_capped():
         config_from_mapping({**BASE_RUN, "grid_n": 1_000_000_000})
 
 
-@pytest.fixture
-def inline_pool(monkeypatch) -> SimpleNamespace:
-    """Replace the process pool by one that runs the tasks inline and
-    records its size and the (ensemble label, epsilons) of each task, an
-    ensemble of the grid, in the order ``map`` receives them."""
-    seen = SimpleNamespace(sizes=[], groups=[])
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            seen.sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, groups):
-            seen.groups.extend((ens.label(), epsilons) for ens, epsilons in groups)
-            return map(fn, groups)
-
-    # cmd_speed imports the pool class from here when it makes a pool
-    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", InlinePool)
-    return seen
-
-
-def test_worker_pool_capped_at_grid_points(tmp_path, inline_pool):
-    # a process pool starts all of its workers at the first task, so the
-    # pool must not ask for more than there are tasks: here 2 ensembles of
-    # 2 epsilons by 2 W each
-    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10],
-                               "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02}})
-    assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--workers", "100000"]) == 0
-    assert inline_pool.sizes == [2]
-    for name in ("speed_x3_x6.csv", "speed_x4_x8.csv"):
-        assert len(read_csv(tmp_path / "out" / name)) == 5
-
-
 TWO_ENSEMBLES = {
     **{k: v for k, v in BASE_RUN.items() if k != "ensemble"},
     "ensembles": [{"L": "x^4", "R": "x^8"}, {"L": "x^3", "R": "x^6"}],
 }
 
 
-def test_all_ensembles_share_one_pool(tmp_path, capfd, inline_pool):
-    # one point per ensemble: both run through one pool of two workers, and
-    # the files and stdout are those of a one-process run
-    cfg = write_cfg(tmp_path, TWO_ENSEMBLES)
-    outputs = []
-    for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "pool")):
-        assert main(["speed", "--config", str(cfg), "--out", str(out),
-                     "--workers", workers]) == 0
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        outputs.append((files, capfd.readouterr().out))
-    assert inline_pool.sizes == [2]
-    assert outputs[0] == outputs[1]
-    assert sorted(outputs[0][0]) == ["speed_x3_x6.csv", "speed_x4_x8.csv"]
-    assert outputs[0][1].splitlines()[0].startswith("x4_x8 epsilon=0.3 W=8")
+def test_speed_runs_in_one_process(tmp_path):
+    # --workers is accepted and ignored: a grid of two ensembles run with two
+    # workers imports no multiprocessing and writes what one worker writes
+    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10]})
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        stdout = python_c(
+            "import sys; from scwde.cli import main; "
+            f"code = main(['speed', '--config', {str(cfg)!r}, '--out', {str(out)!r}, "
+            f"'--workers', '{workers}']); "
+            "print(code, sorted({'concurrent.futures.process', 'multiprocessing'} "
+            "& set(sys.modules)))")
+        runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, stdout))
+    assert runs[0] == runs[1]
+    assert sorted(runs[1][0]) == ["speed_x3_x6.csv", "speed_x4_x8.csv"]
+    assert runs[1][1].splitlines()[-1] == "0 []"
+    assert len(runs[1][1].splitlines()) == 5  # a line per (ensemble, W), then the check
 
 
 # Groups of unequal cost: (4,8) has the larger MAP threshold, so its epsilon
@@ -701,19 +664,26 @@ STAIRS = {**TWO_ENSEMBLES, "ensembles": TWO_ENSEMBLES["ensembles"][::-1],
           "epsilon": {"start": 0.475, "stop": "map_threshold", "step": 0.01}, "W": [10, 8]}
 
 
-def test_speed_dispatches_in_grid_order(tmp_path, capfd, inline_pool):
+def test_speed_dispatches_in_grid_order(tmp_path, capfd, monkeypatch):
     # a task is an ensemble, its (epsilon, W) points the columns of one run.
-    # The pool gets the ensembles in the grid's order, and the rows and
-    # stdout are those of a one-process run
+    # The ensembles run in the grid's order, which is the order of the rows
+    # and stdout, whatever --workers says
+    run, groups = scwde.cli.measure_speed, []
+
+    def recording_group(points, **kwargs):
+        groups.append((points[0][0].ens.label(),
+                       tuple(dict.fromkeys(spec.epsilon for spec, _ in points))))
+        return run(points, **kwargs)
+
+    monkeypatch.setattr("scwde.cli.measure_speed", recording_group)
     cfg = write_cfg(tmp_path, STAIRS)
     outputs = []
-    for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "pool")):
+    for workers, out in (("1", tmp_path / "one"), ("4", tmp_path / "four")):
         assert main(["speed", "--config", str(cfg), "--out", str(out),
                      "--workers", workers]) == 0
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         outputs.append((files, capfd.readouterr().out))
-    assert inline_pool.sizes == [2]
-    assert inline_pool.groups == [("x3_x6", (0.475, 0.485)), ("x4_x8", (0.475, 0.485, 0.495))]
+    assert groups == [("x3_x6", (0.475, 0.485)), ("x4_x8", (0.475, 0.485, 0.495))] * 2
     assert outputs[0] == outputs[1]
     assert [line.split(":")[0] for line in outputs[0][1].splitlines()] == [
         "x3_x6 epsilon=0.475 W=8", "x3_x6 epsilon=0.475 W=10",
@@ -726,7 +696,7 @@ def test_speed_dispatches_in_grid_order(tmp_path, capfd, inline_pool):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_first_failure_in_dispatch_order_surfaces(tmp_path, capfd, monkeypatch, workers):
-    # every group fails; the pool forks after the patch, so its workers fail too
+    # every group fails; the first in grid order is the one reported
     def failing_group(points, **kwargs):
         raise ValueError(f"group {points[0][0].ens.label()}")
 
@@ -742,51 +712,24 @@ GRID_12X3X2 = {**TWO_ENSEMBLES, "ensembles": [{"L": "x^3", "R": f"x^{r}"} for r 
                "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01}, "W": [8, 10]}
 
 
-def test_first_failure_cancels_the_queued_points(tmp_path, capfd, monkeypatch):
+def test_first_failure_stops_the_later_ensembles(tmp_path, capfd, monkeypatch):
     # every group (one per ensemble, its points three epsilons by two W)
-    # leaves a marker; the first one dispatched, (3, 4), fails at once and the
-    # rest sleep. pool.map cancels the futures it has not yet yielded when one
-    # raises, so the groups still queued then never run (only those the
-    # workers had taken do)
-    markers = tmp_path / "markers"
-    markers.mkdir()
+    # leaves a marker; the first in grid order, (3, 4), fails, and no
+    # ensemble after it starts
+    markers = []
 
     def marking_group(points, **kwargs):
         assert [(spec.epsilon, sched.W) for spec, sched in points] == [
             (0.28, 8), (0.28, 10), (0.29, 8), (0.29, 10), (0.30, 8), (0.30, 10)]
-        label = points[0][0].ens.label()
-        (markers / label).touch()
-        if label == "x3_x4":
-            raise ValueError("first group fails")
-        time.sleep(0.5)
+        markers.append(points[0][0].ens.label())
+        raise ValueError("first group fails")
 
     monkeypatch.setattr("scwde.cli.measure_speed", marking_group)
     cfg = write_cfg(tmp_path, GRID_12X3X2)
-    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--workers", "2"])
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 1, "configuration error: first group fails\n")
-    assert (markers / "x3_x4").exists()
-    assert len(list(markers.iterdir())) < 12
-
-
-def test_one_group_runs_without_a_pool(tmp_path):
-    # a grid of one ensemble is one task, whatever its W: more workers start
-    # no pool and import no multiprocessing, and write what one worker writes
-    cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01},
-                               "W": [8, 10]})
-    runs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"out{workers}"
-        stdout = python_c(
-            "import sys; from scwde.cli import main; "
-            f"code = main(['speed', '--config', {str(cfg)!r}, '--out', {str(out)!r}, "
-            f"'--workers', '{workers}']); "
-            "print(code, sorted({'concurrent.futures.process', 'multiprocessing'} "
-            "& set(sys.modules)))")
-        runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, stdout))
-    assert runs[0] == runs[1]
-    assert runs[1][1].splitlines()[-1] == "0 []"
-    assert len(runs[1][1].splitlines()) == 7  # a line per (epsilon, W), then the check
+    assert markers == ["x3_x4"]
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
@@ -887,17 +830,6 @@ def test_usage_error_exits_with_one_line(tmp_path, capfd, monkeypatch, argv, mes
     code = main(argv)
     assert one_line_exit(capfd, code, 1, f"configuration error: {message}\n") == ""
     assert list(tmp_path.iterdir()) == []
-
-
-def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
-    def default():
-        return build_parser().parse_args(["speed", "--preset", "table1"]).workers
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
-    assert default() == 2
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert default() == 6
 
 
 def test_help_exits_0_and_lists_the_presets(capsys):
@@ -1043,23 +975,18 @@ def test_any_failure_partway_leaves_no_csv(tmp_path, monkeypatch, failure, expec
         (ValueError("window size 9 exceeds coupling length 8"), 1,
          "configuration error: window size 9"),
         (ConfigError("bad key"), 1, "configuration error: bad key"),
-        ("exit", 2, "worker failure: "),
     ],
-    ids=["chain-check", "non-convergence", "floating-point", "value", "config", "dead-worker"],
+    ids=["chain-check", "non-convergence", "floating-point", "value", "config"],
 )
-def test_worker_failure_exits_with_one_line(tmp_path, capfd, monkeypatch, failure,
-                                            expected, prefix):
-    # the pool forks its two workers after the patch, so they run the
-    # stand-in; a grid of two ensembles makes two tasks, so a pool is made
+def test_speed_failure_exits_with_one_line(tmp_path, capfd, monkeypatch, failure,
+                                           expected, prefix):
+    # an ensemble of a two-ensemble grid that raises exits by its type
     def failing_group(*args, **kwargs):
-        if failure == "exit":
-            os._exit(3)
         raise failure
 
     monkeypatch.setattr("scwde.cli.measure_speed", failing_group)
     cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10]})
-    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--workers", "2"])
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, expected, prefix)
 
 
@@ -1079,8 +1006,8 @@ def python_c(code, **env_vars):
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # only a speed run with more than one worker makes a process pool, so
-    # importing the CLI does not pay for multiprocessing
+    # no command starts a process, so importing the CLI does not pay for
+    # multiprocessing
     code = ("import sys, scwde.cli; "
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
     assert python_c(code) == "[]\n"
@@ -1099,9 +1026,9 @@ def test_cli_import_starts_no_blas_threads(user_value, expected):
         assert threads == "1"
 
 
-def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):
-    # a fixed T runs validated, inside the two forked workers, one for each
-    # ensemble
+def test_chain_check_in_a_speed_grid_exits_2(tmp_path, capfd, monkeypatch):
+    # a fixed T runs validated: the first ensemble of a two-ensemble grid
+    # fails its sweep checks
     kernel = scwde.window._window_kernel
 
     def kernel_negating(*args):  # args: (workspace, reads, channel, out)
@@ -1110,8 +1037,7 @@ def test_chain_check_in_worker_exits_2(tmp_path, capfd, monkeypatch):
 
     monkeypatch.setattr("scwde.window._window_kernel", kernel_negating)
     cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10]})
-    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--workers", "2"])
+    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 2, "numerical failure: erasure left [0, 1]")
 
 

@@ -37,8 +37,7 @@ def run_script(name, *args, timeout):
 
 def test_reproduce_all_without_staircase(tmp_path):
     out = tmp_path / "out"
-    done = run_script("reproduce_all.py", "--out", str(out), "--skip-staircase",
-                      "--workers", "1", timeout=120)
+    done = run_script("reproduce_all.py", "--out", str(out), "--skip-staircase", timeout=120)
     assert done.returncode == 0, done.stderr
     for name, header in OUTPUTS.items():
         with open(out / name, newline="") as fh:
