@@ -658,6 +658,43 @@ def test_speed_runs_in_one_process(tmp_path):
     assert len(runs[1][1].splitlines()) == 5  # a line per (ensemble, W), then the check
 
 
+def test_one_group_runs_without_a_pool(tmp_path):
+    # a grid of one ensemble, whatever its epsilons and W, is one windowed
+    # run: more workers import no multiprocessing and write what one writes
+    cfg = write_cfg(tmp_path, {**BASE_RUN, "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.01},
+                               "W": [8, 10]})
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        stdout = python_c(
+            "import sys; from scwde.cli import main; "
+            f"code = main(['speed', '--config', {str(cfg)!r}, '--out', {str(out)!r}, "
+            f"'--workers', '{workers}']); "
+            "print(code, sorted({'concurrent.futures.process', 'multiprocessing'} "
+            "& set(sys.modules)))")
+        runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, stdout))
+    assert runs[0] == runs[1]
+    assert runs[1][1].splitlines()[-1] == "0 []"
+    assert len(runs[1][1].splitlines()) == 7  # a line per (epsilon, W), then the check
+
+
+def test_workers_beyond_the_grid_points_change_nothing(tmp_path, capfd):
+    # 2 ensembles of 2 epsilons by 2 W are 8 points; asking for far more
+    # workers than that writes what one worker writes
+    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10],
+                               "epsilon": {"start": 0.28, "stop": 0.30, "step": 0.02}})
+    outputs = []
+    for workers in ("1", "100000"):
+        out = tmp_path / f"out{workers}"
+        assert main(["speed", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())},
+                        capfd.readouterr().out))
+    assert outputs[0] == outputs[1]
+    for name in ("speed_x3_x6.csv", "speed_x4_x8.csv"):
+        assert len(read_csv(tmp_path / "out100000" / name)) == 5
+
+
 # Groups of unequal cost: (4,8) has the larger MAP threshold, so its epsilon
 # grid reaches 0.495 where that of (3,6) stops at 0.485.
 STAIRS = {**TWO_ENSEMBLES, "ensembles": TWO_ENSEMBLES["ensembles"][::-1],
@@ -832,6 +869,13 @@ def test_usage_error_exits_with_one_line(tmp_path, capfd, monkeypatch, argv, mes
     assert list(tmp_path.iterdir()) == []
 
 
+def test_workers_default_to_1_whatever_the_cpus(monkeypatch):
+    # the default no longer follows the CPUs this process may use
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert build_parser().parse_args(["speed", "--preset", "table1"]).workers == 1
+
+
 def test_help_exits_0_and_lists_the_presets(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["speed", "--help"])
@@ -975,8 +1019,9 @@ def test_any_failure_partway_leaves_no_csv(tmp_path, monkeypatch, failure, expec
         (ValueError("window size 9 exceeds coupling length 8"), 1,
          "configuration error: window size 9"),
         (ConfigError("bad key"), 1, "configuration error: bad key"),
+        (MemoryError(), 1, "configuration error: the run does not fit in memory"),
     ],
-    ids=["chain-check", "non-convergence", "floating-point", "value", "config"],
+    ids=["chain-check", "non-convergence", "floating-point", "value", "config", "memory"],
 )
 def test_speed_failure_exits_with_one_line(tmp_path, capfd, monkeypatch, failure,
                                            expected, prefix):
