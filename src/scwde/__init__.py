@@ -24,8 +24,11 @@ from .scalar import (
 from .speed import (
     SpeedReport,
     LandscapeBounds,
+    SuccessReport,
+    SuccessRule,
     bound_a1,
     bound_th2,
+    decode_success,
     measure_speed,
 )
 from .window import (
@@ -33,10 +36,7 @@ from .window import (
     Column,
     CoupledSpec,
     DEState,
-    SuccessReport,
-    SuccessRule,
     WindowSchedule,
-    decode_success,
     run_columns,
     run_wd,
 )

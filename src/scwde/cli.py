@@ -13,8 +13,8 @@ import numpy as np
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_preset
 from .coupled import coupled_potential
 from .scalar import NonConvergence, UncoupledEnsemble, bp_threshold, landscape, map_threshold
-from .speed import SpeedReport, SteadyStateScan, measure_speed
-from .window import CoupledSpec, decode_success, run_wd
+from .speed import SpeedReport, SteadyStateScan, decode_success, measure_speed
+from .window import CoupledSpec, run_wd
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -143,30 +143,18 @@ def cmd_wave(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _speed_task(cfg: RunConfig, ens: UncoupledEnsemble, epsilons) -> list[SpeedReport]:
-    """One ensemble of the grid, its (epsilon, W) points the columns of one T
-    search over 1..T_max, or over [T, T] for a fixed T: a report per point,
-    in the grid's order (epsilon outer, W inner)."""
-    points = [(CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps), cfg.window_schedule(W))
-              for eps in epsilons for W in cfg.W]
-    return measure_speed(
-        points,
-        T_max=cfg.T_max if cfg.T is None else cfg.T,
-        alpha=cfg.alpha,
-        success=cfg.success,
-        steady_tol=cfg.steady_tol,
-        grid_n=cfg.grid_n,
-        compute_bounds=cfg.bounds,
-    )
-
-
 def cmd_speed(cfg: RunConfig, out: Path) -> int:
     if not cfg.W:
         raise ConfigError("the speed command needs W (a value, list, or grid)")
     out.mkdir(parents=True, exist_ok=True)
-    # every ensemble runs before any file is written, so a failure leaves
-    # --out empty
-    done = [_speed_task(cfg, ens, epsilons) for ens, epsilons in zip(cfg.ensembles, cfg.epsilon)]
+    # an ensemble's (epsilon, W) points are the columns of one T search ([T, T]
+    # for a fixed T); all run before any file is written: a failure leaves --out empty
+    done = [measure_speed([(CoupledSpec(ens=ens, N=cfg.N, w=cfg.w, epsilon=eps),
+                            cfg.window_schedule(W)) for eps in epsilons for W in cfg.W],
+                          T_max=cfg.T_max if cfg.T is None else cfg.T, alpha=cfg.alpha,
+                          success=cfg.success, steady_tol=cfg.steady_tol, grid_n=cfg.grid_n,
+                          compute_bounds=cfg.bounds)
+            for ens, epsilons in zip(cfg.ensembles, cfg.epsilon)]
     multi = len(cfg.ensembles) > 1
     for ens, ens_reports in zip(cfg.ensembles, done):
         name = f"speed_{ens.label()}.csv" if multi else "speed.csv"

@@ -11,8 +11,8 @@ from typing import Any, Callable, Iterable, Optional
 import yaml
 
 from .scalar import GRID_N_DEFAULT, GRID_N_MIN, UncoupledEnsemble, map_threshold
-from .speed import STEADY_TOL, T_MAX_DEFAULT
-from .window import CoupledSpec, SuccessRule, WindowSchedule
+from .speed import STEADY_TOL, T_MAX_DEFAULT, SuccessRule
+from .window import CoupledSpec, WindowSchedule
 
 PRESETS = ("table1", "fig2", "fig3", "fig4")
 

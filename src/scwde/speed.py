@@ -4,22 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Generator, Optional, Sequence
+from typing import Generator, Literal, Optional, Sequence
 
 import numpy as np
 
 from .coupled import coupled_potential
 from .scalar import GRID_N_DEFAULT, PotentialLandscape, landscape, potential, potential_d1
-from .window import (
-    Column,
-    CoupledSpec,
-    DEState,
-    SuccessRule,
-    WindowSchedule,
-    decode_success,
-    run_columns,
-    slope_segment,
-)
+from .window import Column, CoupledSpec, DEState, WindowSchedule, run_columns, slope_segment
 
 STEADY_TOL = 1e-9
 T_MAX_DEFAULT = 200
@@ -27,6 +18,12 @@ T_MAX_DEFAULT = 200
 # Relative margin by which the frozen erasures must exceed the average-policy
 # limit before a search run stops; far above the rounding of a sum over N terms.
 ABORT_SLACK = 1e-9
+
+
+def _check_alpha(alpha: float) -> None:
+    """Both speed bounds scale by the Taylor constant alpha, which lies in [1, 2]."""
+    if not 1.0 <= alpha <= 2.0:
+        raise ValueError("alpha must lie in [1, 2]")
 
 
 class SteadyStateScan:
@@ -94,8 +91,7 @@ def bound_a1(
     over the window at x_now, reading x_0 as zero. alpha is the Taylor
     constant, in [1, 2].
     """
-    if not 1.0 <= alpha <= 2.0:
-        raise ValueError("alpha must lie in [1, 2]")
+    _check_alpha(alpha)
     num = alpha * (coupled_potential(x_now, spec, sched, c_prime)
                    - coupled_potential(x_next, spec, sched, c_prime))
     seg = slope_segment(x_now, c_prime, sched.W, spec)
@@ -131,6 +127,7 @@ def bound_th2(
     Requires the landscape to be taken at the spec's epsilon and to provide
     x_a, x_b, x_c0, x_d and D.
     """
+    _check_alpha(alpha)
     if abs(land.epsilon - spec.epsilon) > 1e-15:
         raise ValueError(
             f"landscape epsilon {land.epsilon} does not match spec epsilon {spec.epsilon}"
@@ -201,6 +198,43 @@ class SpeedReport:
 
     def csv_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.CSV_COLUMNS)
+
+
+@dataclass(frozen=True)
+class SuccessReport:
+    """``metric`` is the value the policy compares: ``avg`` or ``max``."""
+
+    success: bool
+    avg: float
+    max: float
+    metric: float
+
+
+@dataclass(frozen=True)
+class SuccessRule:
+    """When a run counts as decoded: the ``average`` policy compares the mean
+    erasure over variable positions 1..N against the threshold; ``max`` is
+    the stricter worst-position variant."""
+
+    threshold: float = 1e-6
+    policy: Literal["average", "max"] = "average"
+
+    def __post_init__(self) -> None:
+        if self.policy not in ("average", "max"):
+            raise ValueError(f"unknown success policy {self.policy!r}")
+        if not self.threshold > 0:  # NaN included
+            raise ValueError("success threshold must be positive")
+
+
+def decode_success(
+    final: DEState, spec: CoupledSpec, rule: SuccessRule = SuccessRule()
+) -> SuccessReport:
+    """Judge decoding from the erasures over variable positions 1..N."""
+    region = final.x[: spec.N]
+    avg = float(np.mean(region))
+    mx = float(np.max(region))
+    metric = avg if rule.policy == "average" else mx
+    return SuccessReport(success=bool(metric < rule.threshold), avg=avg, max=mx, metric=metric)
 
 
 class _FrozenPrefixStop:
@@ -280,6 +314,7 @@ def _search(
 def _th2_bounds(land: PotentialLandscape, points, alpha: float) -> list[Optional[LandscapeBounds]]:
     """``bound_th2`` of each point ``(spec, sched)`` on ``land``, or None where
     the landscape lacks a critical point."""
+    _check_alpha(alpha)  # below, a ValueError of bound_th2 reads as a lacking landscape
     bounds = []
     for spec, sched in points:
         try:

@@ -193,43 +193,6 @@ def _window_kernel(ws: _Workspace, reads: np.ndarray, eps_u: np.ndarray, out: np
     np.divide(out, ws.width, out)
 
 
-@dataclass(frozen=True)
-class SuccessReport:
-    """``metric`` is the value the policy compares: ``avg`` or ``max``."""
-
-    success: bool
-    avg: float
-    max: float
-    metric: float
-
-
-@dataclass(frozen=True)
-class SuccessRule:
-    """When a run counts as decoded: the ``average`` policy compares the mean
-    erasure over variable positions 1..N against the threshold; ``max`` is
-    the stricter worst-position variant."""
-
-    threshold: float = 1e-6
-    policy: Literal["average", "max"] = "average"
-
-    def __post_init__(self) -> None:
-        if self.policy not in ("average", "max"):
-            raise ValueError(f"unknown success policy {self.policy!r}")
-        if not self.threshold > 0:  # NaN included
-            raise ValueError("success threshold must be positive")
-
-
-def decode_success(
-    final: DEState, spec: CoupledSpec, rule: SuccessRule = SuccessRule()
-) -> SuccessReport:
-    """Judge decoding from the erasures over variable positions 1..N."""
-    region = final.x[: spec.N]
-    avg = float(np.mean(region))
-    mx = float(np.max(region))
-    metric = avg if rule.policy == "average" else mx
-    return SuccessReport(success=bool(metric < rule.threshold), avg=avg, max=mx, metric=metric)
-
-
 class Column(NamedTuple):
     """One chain of ``run_columns``: its ensemble and channel, its schedule,
     and the hooks ``run_columns`` calls for this chain alone."""
@@ -266,10 +229,11 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
     The padded layout holds a column per chain, positions-major, so window c
     of every chain starts at position c-w+1 of one contiguous block, as wide
     as the widest column it sweeps, updated by sweeps that write into buffers
-    made once per run. Each column rounds as its chain run alone does: its
-    first W rows of a wider block are summed as its own, and it is written
-    only there. The columns are kept in descending T, so sweep t writes the
-    leading columns, those with T_c >= t.
+    made once per set of live columns. Each column rounds as its chain run
+    alone does: its first W rows of a wider block are summed as its own, and
+    one selection of those rows serves both the checks and the write. The
+    columns are kept in descending T, so sweep t writes the leading columns,
+    those with T_c >= t.
 
     Each column's hooks see that chain alone. ``on_block(c, block)`` is
     called after every window c with a new read-only (T_c+1, N+w-1) array of
@@ -295,7 +259,6 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
     buf = _padded(np.ones((L, len(live))), w)
     eps = _channel_profile(spec, [col.spec.epsilon for col in live])
     finals: list[Optional[DEState]] = [None] * len(columns)
-    workspaces: dict[tuple, tuple] = {}  # by block width and the number of columns a sweep writes
     for c in range(1, max(col.sched.c_max(spec) for col in columns) + 1):
         if c == 1 or len(keep) < len(live):  # the live columns' views, new after one leaves
             if c > 1:
@@ -304,48 +267,43 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
             x = buf[w : w + L]
             x_cols = [x[:, j] for j in range(len(live))]
             leading: dict[int, tuple] = {}
-            Ts, Ws = [col.sched.T for col in live], [col.sched.W for col in live]
-            hooked = [j for j, col in enumerate(live) if col.on_block is not None]
+            Ws = [col.sched.W for col in live]
         lo = c - 1
-        T_c = Ts if c > 1 else [col.sched.iterations_for(1) for col in live]
-        rows = {j: np.empty((T_c[j] + 1, L)) for j in hooked}
+        rows = {j: np.empty((col.sched.iterations_for(c) + 1, L))
+                for j, col in enumerate(live) if col.on_block is not None}
         for j, block in rows.items():
             block[0] = x_cols[j]
         prev = x.copy() if validate else None
         t = 0
-        for m in range(len(live), 0, -1):  # sweeps t..T_c[m-1] write columns :m
-            if T_c[m - 1] == t:
+        for m in range(len(live), 0, -1):  # sweeps t..T_c of column m-1 write columns :m
+            T_c = live[m - 1].sched.iterations_for(c)
+            if T_c == t:
                 continue
             if m not in leading:
                 # one column sweeps as a 1-D view: numpy accumulates a 1-D array
                 # faster than one axis of a 2-D one, and rounds it the same
                 pick, W = (np.s_[:m] if m > 1 else 0), max(Ws[:m])
-                # where a narrower column's rows of the block are its own
-                mask = np.arange(W)[:, None] < Ws[:m] if min(Ws[:m]) < W else None
-                leading[m] = W, mask, x[:, pick], buf[:, pick], eps[:, pick]
-                if (W, m) not in workspaces:
-                    cols = (m,) if m > 1 else ()
-                    workspaces[W, m] = _Workspace(spec, W, cols), np.empty((W,) + cols)
-            W, mask, x_m, buf_m, eps_m = leading[m]
-            ws, new_vals = workspaces[W, m]
+                cols = (m,) if m > 1 else ()
+                # the rows each column owns: no sweep checks or writes past its window
+                own = np.arange(W)[:, None] < Ws[:m] if min(Ws[:m]) < W else True
+                leading[m] = (W, own, x[:, pick], buf[:, pick], eps[:, pick],
+                              _Workspace(spec, W, cols), np.empty((W,) + cols))
+            W, own, x_m, buf_m, eps_m, ws, new_vals = leading[m]
             target = x_m[lo : lo + W]
             reads, eps_u = _window_views(buf_m, eps_m, c, W, w)
             # x is read before out is written
-            out = new_vals if validate or mask is not None else target
+            out = new_vals if validate or own is not True else target
             recording = [(x_cols[j], block) for j, block in rows.items() if j < m]
-            for t in range(t + 1, T_c[m - 1] + 1):
+            for t in range(t + 1, T_c + 1):
                 _window_kernel(ws, reads, eps_u, out)
                 if validate:
-                    if mask is not None:
-                        np.copyto(new_vals, target, where=~mask)
-                    if (new_vals > target + MONOTONE_SLACK).any():
+                    if (new_vals > target + MONOTONE_SLACK).any(where=own):
                         raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
-                    if (new_vals < -MONOTONE_SLACK).any() or (
-                            new_vals > 1.0 + MONOTONE_SLACK).any():
+                    if (new_vals < -MONOTONE_SLACK).any(where=own) or (
+                            new_vals > 1.0 + MONOTONE_SLACK).any(where=own):
                         raise ChainCheckError("erasure left [0, 1]")
-                    target[...] = new_vals
-                elif mask is not None:
-                    np.copyto(target, new_vals, where=mask)
+                if out is new_vals:
+                    np.copyto(target, new_vals, where=own)
                 for col_x, block in recording:
                     block[t] = col_x
         if validate:

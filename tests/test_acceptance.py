@@ -30,8 +30,8 @@ from scwde.scalar import (
     potential_d1,
     potential_d2,
 )
-from scwde.speed import bound_th2, measure_speed
-from scwde.window import CoupledSpec, WindowSchedule, decode_success, run_wd
+from scwde.speed import bound_th2, decode_success, measure_speed
+from scwde.window import CoupledSpec, WindowSchedule, run_wd
 
 ENS36 = UncoupledEnsemble.regular(3, 6)
 

@@ -1,7 +1,8 @@
 """Module layout: no scwde module imports another scwde module's private
 names, every public function or class has a caller in the package, every
 parameter default of a public function is overridden by some package call,
-no module makes a BLAS call, and one driver calls the window kernel.
+no module makes a BLAS call, one driver calls the window kernel, and one
+module reads the success policy.
 
 A private helper (leading underscore) belongs to the module that defines it;
 a module that needs it should go through that module's public functions. A
@@ -83,6 +84,14 @@ def call_sites(paths: list[Path], name: str) -> list[str]:
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.Call)
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def attribute_reads(paths: list[Path], name: str) -> list[str]:
+    """``module:line`` of every read of an attribute ``name`` in ``paths``."""
+    return [f"{path.stem}:{node.lineno}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.ctx, ast.Load)]
 
 
 # numpy names whose work goes to BLAS or LAPACK
@@ -173,6 +182,20 @@ def test_call_sites_detected(tmp_path):
     (tmp_path / "b.py").write_text("import a\n\n\ndef other():\n    a._kernel()\n")
     # a reference that is not a call does not count
     assert call_sites(sorted(tmp_path.glob("*.py")), "_kernel") == ["a:5", "b:5"]
+
+
+def test_the_success_policy_is_read_in_one_module():
+    # the success verdict and the T search's stop hook both live in speed.py,
+    # so a second reader of SuccessRule.policy would be a second copy of it
+    assert [site for site in attribute_reads(SOURCES, "policy")
+            if not site.startswith("speed:")] == []
+
+
+def test_attribute_reads_detected(tmp_path):
+    (tmp_path / "a.py").write_text("rule.policy = 1\nmetric = rule.policy\nf(cfg.success.policy)\n")
+    (tmp_path / "b.py").write_text("policy = record.get('policy')\nlabel = r.success_policy\n")
+    # a store, a name, a key and another attribute do not count
+    assert attribute_reads(sorted(tmp_path.glob("*.py")), "policy") == ["a:2", "a:3"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

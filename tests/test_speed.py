@@ -12,15 +12,15 @@ from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, poten
 from scwde.speed import (
     STEADY_TOL,
     SpeedReport,
+    SuccessRule,
     bound_a1,
     bound_th2,
+    decode_success,
     measure_speed,
 )
 from scwde.window import (
     CoupledSpec,
-    SuccessRule,
     WindowSchedule,
-    decode_success,
     run_columns,
     run_wd,
 )
@@ -346,7 +346,7 @@ class TestMeasureSpeed:
         # the wave speed collapses approaching the potential threshold:
         # 0.002 below it, even 200 iterations per window cannot decode
         from scwde.scalar import map_threshold
-        from scwde.window import decode_success
+        from scwde.speed import decode_success
 
         eps = round(map_threshold(ENS36) - 0.002, 6)
         spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=eps)
@@ -541,6 +541,21 @@ def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy
         measure_speed([(spec, WindowSchedule(W=12, T=T, variant="extended"))],
                       success=SuccessRule(threshold, policy))
     assert calls == []
+
+
+@pytest.mark.parametrize("eps", [0.465, 0.3], ids=["critical-points", "below-bp"])
+def test_alpha_out_of_range_rejected_before_any_run(monkeypatch, eps):
+    # both bounds check alpha, so a call with bounds fails in its landscape
+    # step, also where the landscape lacks the points bound_th2 reads
+    def no_run(columns, validate):
+        raise AssertionError("run_columns called")
+
+    monkeypatch.setattr("scwde.speed.run_columns", no_run)
+    spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=eps)
+    with pytest.raises(ValueError, match=r"alpha must lie in \[1, 2\]"):
+        measure_speed([(spec, WindowSchedule(W=12, T=1, variant="extended"))], alpha=3.0)
+    with pytest.raises(ValueError, match=r"alpha must lie in \[1, 2\]"):
+        bound_th2(spec, 12, landscape(eps, ENS36), alpha=3.0)
 
 
 def test_landscape_without_critical_points_leaves_th2_empty():

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from oracles import SWEEP_ENSEMBLES, recorded_run, update_by_definition, update_out_of_place
 from scwde.scalar import UncoupledEnsemble
-from scwde.speed import _FrozenPrefixStop
+from scwde.speed import SuccessRule, _FrozenPrefixStop, decode_success
 from scwde.window import (
     MONOTONE_SLACK,
     ChainCheckError,
     Column,
     CoupledSpec,
     DEState,
-    SuccessRule,
     WindowSchedule,
-    decode_success,
     run_columns,
     run_wd,
 )
@@ -250,6 +248,36 @@ def test_write_beside_a_narrower_window_is_out_of_window():
         mp.setattr("scwde.window._window_kernel", writing_kernel)
         with pytest.raises(ChainCheckError, match="out-of-window positions changed"):
             run_columns(columns, validate=True)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("value", [2.0, -1.0])
+def test_rows_past_a_narrower_window_are_neither_checked_nor_written(validate, value):
+    # the block of a W = 5 and a W = 9 column spans 9 rows; the narrow
+    # column's rows 5-8 of each sweep's output lie right of its window, so
+    # junk there leaves both columns' runs as they are alone
+    kernel = scwde.window._window_kernel
+    columns = [Column(spec36(N=30, eps=e), WindowSchedule(W=W, T=3, variant="literal"))
+               for e, W in ((0.42, 5), (0.40, 9))]
+    alone = [run_wd(col.spec, col.sched, validate)[0] for col in columns]
+
+    def junk_kernel(rows):
+        def write(ws, reads, eps_u, out):
+            kernel(ws, reads, eps_u, out)
+            if out.ndim == 2:  # both columns, in the order given: T is equal
+                out[rows, 0] = value
+        return write
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("scwde.window._window_kernel", junk_kernel(np.s_[5:9]))
+        finals = run_columns(columns, validate)
+    assert [(f.x.tobytes(), f.c) for f in finals] == [(f.x.tobytes(), f.c) for f in alone]
+    if validate:  # row 4 is the narrow column's own
+        message = "erasure increased within window c=1, t=1" if value > 1 else r"left \[0, 1\]"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("scwde.window._window_kernel", junk_kernel(4))
+            with pytest.raises(ChainCheckError, match=message):
+                run_columns(columns, validate)
 
 
 @pytest.mark.parametrize("other", [
