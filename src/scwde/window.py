@@ -180,9 +180,9 @@ def _check_stage(ws: _Workspace, reads: np.ndarray) -> None:
 
 def _window_kernel(ws: _Workspace, reads: np.ndarray, eps_u: np.ndarray, out: np.ndarray) -> None:
     """New erasure values for the in-window positions z = c..c+W-1 from
-    window c's views (``_window_views``), written to ``out``, which may be
-    the W positions themselves. Every neighbor read comes from the views
-    (flooding update); positions outside 1..N+w-1 read as zero."""
+    window c's views (``_window_views``), written to ``out``. Every neighbor
+    read comes from the views (flooding update); positions outside 1..N+w-1
+    read as zero."""
     _check_stage(ws, reads)
     np.subtract(ws.one, ws.s, ws.one_minus_s)
     ws.lam(ws.one_minus_s, ws.f)
@@ -226,14 +226,14 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
     each chain's final ``DEState``, in the order given: the vector after the
     last window it ran, and that window's c.
 
-    The padded layout holds a column per chain, positions-major, so window c
-    of every chain starts at position c-w+1 of one contiguous block, as wide
-    as the widest column it sweeps, updated by sweeps that write into buffers
-    made once per set of live columns. Each column rounds as its chain run
-    alone does: its first W rows of a wider block are summed as its own, and
-    one selection of those rows serves both the checks and the write. The
-    columns are kept in descending T, so sweep t writes the leading columns,
-    those with T_c >= t.
+    The padded layout holds a column per chain, positions-major. Window c
+    copies the chains' read span, as wide as the widest window, once into
+    ``span``, a layer per sweep: sweep t reads layer t-1 and writes the
+    window rows of layer t, and each chain takes its last layer when the
+    window ends. Each column rounds as its chain run alone does: its first W
+    rows of a wider block are summed as its own, and only those are written.
+    The columns are kept in descending T, so sweep t writes the leading
+    columns, those with T_c >= t.
 
     Each column's hooks see that chain alone. ``on_block(c, block)`` is
     called after every window c with a new read-only (T_c+1, N+w-1) array of
@@ -243,9 +243,11 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
     result takes the chain out of the run there, with a copy of its vector.
     The run ends when no chain is left.
 
-    With ``validate`` every sweep is checked against the exact recursion: a
-    rise, a value outside [0, 1] or a change outside the chain's window, in
-    any column, raises ``ChainCheckError`` at the first sweep that shows it.
+    With ``validate`` each window is checked against the exact recursion
+    when it ends, before the chain or a hook sees it: a rise or a value
+    outside [0, 1] (NaN included) in the rows a column owns, in any sweep it
+    ran, raises ``ChainCheckError`` naming the first sweep that shows it; so
+    does a change to a read outside a column's window.
     """
     spec, sched = columns[0].spec, columns[0].sched
     shared = (spec.ens, spec.N, spec.w, sched.variant, sched.T_first)
@@ -264,58 +266,56 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
             if c > 1:
                 buf, eps = buf[:, keep].copy(), eps[:, keep].copy()
                 live, order = [live[j] for j in keep], [order[j] for j in keep]
-            x = buf[w : w + L]
-            x_cols = [x[:, j] for j in range(len(live))]
+            x_cols = [buf[w : w + L, j] for j in range(len(live))]
             leading: dict[int, tuple] = {}
             Ws = [col.sched.W for col in live]
-        lo = c - 1
-        rows = {j: np.empty((col.sched.iterations_for(c) + 1, L))
-                for j, col in enumerate(live) if col.on_block is not None}
-        for j, block in rows.items():
-            block[0] = x_cols[j]
-        prev = x.copy() if validate else None
+            # the read-span rows each column owns: its window, starting at row w-1
+            window_row = np.arange(max(Ws) + 2 * w - 2)[:, None] - (w - 1)
+            owned = (window_row >= 0) & (window_row < Ws)
+        lo, Ts = c - 1, [col.sched.iterations_for(c) for col in live]
+        chain, eps_c = _window_views(buf, eps, c, max(Ws), w)
+        span = np.broadcast_to(chain, (Ts[0] + 1,) + chain.shape).copy()
         t = 0
-        for m in range(len(live), 0, -1):  # sweeps t..T_c of column m-1 write columns :m
-            T_c = live[m - 1].sched.iterations_for(c)
-            if T_c == t:
-                continue
-            if m not in leading:
-                # one column sweeps as a 1-D view: numpy accumulates a 1-D array
-                # faster than one axis of a 2-D one, and rounds it the same
-                pick, W = (np.s_[:m] if m > 1 else 0), max(Ws[:m])
-                cols = (m,) if m > 1 else ()
-                # the rows each column owns: no sweep checks or writes past its window
-                own = np.arange(W)[:, None] < Ws[:m] if min(Ws[:m]) < W else True
-                leading[m] = (W, own, x[:, pick], buf[:, pick], eps[:, pick],
-                              _Workspace(spec, W, cols), np.empty((W,) + cols))
-            W, own, x_m, buf_m, eps_m, ws, new_vals = leading[m]
-            target = x_m[lo : lo + W]
-            reads, eps_u = _window_views(buf_m, eps_m, c, W, w)
-            # x is read before out is written
-            out = new_vals if validate or own is not True else target
-            recording = [(x_cols[j], block) for j, block in rows.items() if j < m]
-            for t in range(t + 1, T_c + 1):
-                _window_kernel(ws, reads, eps_u, out)
-                if validate:
-                    if (new_vals > target + MONOTONE_SLACK).any(where=own):
-                        raise ChainCheckError(f"erasure increased within window c={c}, t={t}")
-                    if (new_vals < -MONOTONE_SLACK).any(where=own) or (
-                            new_vals > 1.0 + MONOTONE_SLACK).any(where=own):
-                        raise ChainCheckError("erasure left [0, 1]")
-                if out is new_vals:
-                    np.copyto(target, new_vals, where=own)
-                for col_x, block in recording:
-                    block[t] = col_x
+        # a validated run raises at the window's end, after sweeps that may overflow
+        with np.errstate(all="ignore" if validate else None):
+            for m in range(len(live), 0, -1):  # sweeps t..T_c of column m-1 write columns :m
+                if Ts[m - 1] == t:
+                    continue
+                if m not in leading:
+                    # one column sweeps as a 1-D view: numpy accumulates a 1-D array
+                    # faster than one axis of a 2-D one, and rounds it the same
+                    pick, W = (np.s_[:m] if m > 1 else 0), max(Ws[:m])
+                    cols = (m,) if m > 1 else ()
+                    # no sweep writes past a column's window
+                    own = owned[w - 1 : w - 1 + W, :m] if min(Ws[:m]) < W else True
+                    leading[m] = (pick, W, own, _Workspace(spec, W, cols), np.empty((W,) + cols))
+                pick, W, own, ws, new_vals = leading[m]
+                reads, rows = span[:, : W + 2 * w - 2, pick], span[:, w - 1 : w - 1 + W, pick]
+                eps_u = eps_c[: W + w - 1, pick]
+                for t in range(t + 1, Ts[m - 1] + 1):
+                    _window_kernel(ws, reads[t - 1], eps_u, rows[t] if own is True else new_vals)
+                    if own is not True:
+                        np.copyto(rows[t], new_vals, where=own)
         if validate:
-            outside = np.arange(L)[:, None] - lo >= Ws  # right of each column's window
-            outside[:lo] = True
-            if not np.array_equal(x[outside], prev[outside]):
+            new, ran = span[1:], owned & (np.arange(1, Ts[0] + 1)[:, None, None] <= Ts)
+            rise = ((new > span[:-1] + MONOTONE_SLACK) & ran).any(axis=(1, 2))
+            in_range = (new >= -MONOTONE_SLACK) & (new <= 1.0 + MONOTONE_SLACK)  # NaN is not
+            bad = rise | (~in_range & ran).any(axis=(1, 2))
+            if bad.any():
+                t = int(bad.argmax())
+                raise ChainCheckError(f"erasure increased within window c={c}, t={t + 1}"
+                                      if rise[t] else "erasure left [0, 1]")
+            if not (span[:, ~owned] == chain[~owned]).all():
                 raise ChainCheckError("out-of-window positions changed during sweeps")
         keep = []
         for j, col in enumerate(live):
-            if j in rows:
-                rows[j].flags.writeable = False
-                col.on_block(c, rows[j])
+            rows = span[: Ts[j] + 1, w - 1 : w - 1 + Ws[j], j]
+            x_cols[j][lo : lo + Ws[j]] = rows[-1]
+            if col.on_block is not None:
+                block = np.broadcast_to(x_cols[j], (Ts[j] + 1, L)).copy()
+                block[:, lo : lo + Ws[j]] = rows
+                block.flags.writeable = False
+                col.on_block(c, block)
             if (col.stop is not None and col.stop(c, x_cols[j])) or c == col.sched.c_max(spec):
                 finals[order[j]] = DEState(x=x_cols[j].copy(), c=c)
             else:

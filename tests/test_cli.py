@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -981,6 +982,28 @@ def test_chain_check_failure_partway_leaves_no_csv(tmp_path, capfd, monkeypatch)
                   "numerical failure: erasure increased within window c=5, t=1")
     assert list((tmp_path / "out").iterdir()) == []
 
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_validated_fault_prints_one_line(tmp_path, capfd, monkeypatch, action):
+    # fig3 runs T = 6 sweeps per window; every sweep of window 3 scales its
+    # output by 1e100, so the sweeps after the first overflow before the
+    # window's checks raise; they do so silently, also with warnings as errors
+    kernel, calls = scwde.window._window_kernel, []
+
+    def kernel_scaling(*args):  # args: (workspace, reads, channel, out)
+        calls.append(None)
+        kernel(*args)
+        if 12 < len(calls) <= 18:
+            args[-1][...] *= 1e100
+
+    monkeypatch.setattr("scwde.window._window_kernel", kernel_scaling)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        code = main(["wave", "--preset", "fig3", "--out", str(tmp_path / "out")])
+    one_line_exit(capfd, code, 2,
+                  "numerical failure: erasure increased within window c=3, t=1")
+    assert caught == [] and len(calls) == 18
 
 
 @pytest.mark.parametrize(("failure", "expected"), [

@@ -280,6 +280,51 @@ def test_rows_past_a_narrower_window_are_neither_checked_nor_written(validate, v
                 run_columns(columns, validate)
 
 
+@pytest.mark.parametrize(("faults", "message"), [
+    # only the narrow column rises, and only at t = 3
+    ({3: (0, 1.0)}, "erasure increased within window c=1, t=3"),
+    # a value left [0, 1] at t = 2 comes before a rise at t = 4 in the other column
+    ({2: (0, -0.5), 4: (1, 1.0)}, r"erasure left \[0, 1\]$"),
+])
+def test_checks_at_window_end_name_the_first_failing_sweep(faults, message):
+    # the checks of a W = 5 and W = 9 batch run when the window ends, over
+    # every sweep, and report the first one that breaks the recursion
+    kernel, calls = scwde.window._window_kernel, []
+    columns = [Column(spec36(N=30, eps=e), WindowSchedule(W=W, T=5, variant="literal"))
+               for e, W in ((0.42, 5), (0.40, 9))]
+
+    def faulty_kernel(ws, reads, eps_u, out):
+        calls.append(None)
+        kernel(ws, reads, eps_u, out)
+        if len(calls) in faults:  # both columns, in the order given: T is equal
+            column, value = faults[len(calls)]
+            out[0, column] = value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("scwde.window._window_kernel", faulty_kernel)
+        with pytest.raises(ChainCheckError, match=message):
+            run_columns(columns, validate=True)
+
+
+@pytest.mark.parametrize("at", [2, 46], ids=["window-1", "last-window"])
+def test_nan_fails_the_range_check_in_its_window(at):
+    # N = 30, W = 8, T = 2: 23 windows of two sweeps; a NaN written on the
+    # last sweep of a window raises when that window ends, before any other
+    kernel, calls = scwde.window._window_kernel, []
+
+    def nan_kernel(ws, reads, eps_u, out):
+        calls.append(None)
+        kernel(ws, reads, eps_u, out)
+        if len(calls) == at:
+            out[0] = np.nan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("scwde.window._window_kernel", nan_kernel)
+        with pytest.raises(ChainCheckError, match=r"erasure left \[0, 1\]"):
+            run_wd(spec36(N=30), WindowSchedule(W=8, T=2, variant="literal"), validate=True)
+    assert len(calls) == at
+
+
 @pytest.mark.parametrize("other", [
     {"spec": CoupledSpec(ens=UncoupledEnsemble.regular(4, 8), N=20, w=3, epsilon=0.4)},
     {"spec": CoupledSpec(ens=ENS36, N=21, w=3, epsilon=0.4)},
@@ -354,8 +399,11 @@ class TestRunWd:
             # the last read lies right of the window, w-1 positions beyond it
             (lambda reads, new: reads.__setitem__(-1, 0.5) or new,
              "out-of-window positions changed"),
+            # the first read lies left of the window, w-1 positions before it
+            (lambda reads, new: reads.__setitem__(0, 0.5) or new,
+             "out-of-window positions changed"),
         ],
-        ids=["rise", "range", "outside"],
+        ids=["rise", "range", "outside", "outside-left"],
     )
     def test_broken_sweep_is_a_chain_check_error(self, monkeypatch, broken, message):
         kernel = scwde.window._window_kernel
