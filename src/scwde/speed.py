@@ -358,9 +358,7 @@ def measure_speed(
     prefix: the prefix grows every round. Each round makes one full run,
     T_max included, and nothing is run again after the search: the T_min
     run's scan gives c' and the start states the trajectory bound reads.
-    ``sched.T`` = T_max tests one fixed budget with one full run. A call in
-    which every point does so searches nothing, and its runs are validated
-    (``run_columns``); a call with a search runs unvalidated.
+    ``sched.T`` = T_max tests one fixed budget with one full run.
 
     The points' searches run in lockstep as the columns of ``run_columns``:
     the pending probes of every search still going run as one batch, and
@@ -382,14 +380,13 @@ def measure_speed(
     if compute_bounds:
         th2s = [th2 for (ens, eps), run in groupby(points, lambda p: (p[0].ens, p[0].epsilon))
                 for th2 in _th2_bounds(landscape(eps, ens, grid_n=grid_n), run, alpha)]
-    validate = all(sched.T == T_max for _, sched in points)
     searches = [_search(spec, sched, T_max, success, steady_tol if compute_bounds else None)
                 for spec, sched in points]
     pending = {i: next(search) for i, search in enumerate(searches)}
     found = {}
     while pending:
         batch = [i for i, (_, full) in pending.items() if not full] or list(pending)
-        finals = run_columns([pending[i][0] for i in batch], validate)
+        finals = run_columns([pending[i][0] for i in batch])
         for i, final in zip(batch, finals):
             try:
                 pending[i] = searches[i].send(final)

@@ -89,8 +89,8 @@ class WindowSchedule:
 
 
 class ChainCheckError(ArithmeticError):
-    """A validated run broke a property of the exact recursion: an erasure
-    rose during the sweeps, left [0, 1], or changed outside the window."""
+    """A run broke a property of the exact recursion: an erasure rose
+    during the sweeps, left [0, 1], or changed outside the window."""
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,14 @@ def run_wd(
     ``run_columns``, whose hooks and checks it documents.
 
     The returned pair holds the vector after the last window, as a
-    ``DEState``, and None, kept for callers that unpack two items.
+    ``DEState``, and None. The None, and ``validate``, ignored since every
+    run is checked, are kept for callers that unpack two items and pass it.
     """
-    (final,) = run_columns([Column(spec, sched, on_block=on_block)], validate)
+    (final,) = run_columns([Column(spec, sched, on_block=on_block)])
     return final, None
 
 
-def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
+def run_columns(columns: Sequence[Column]) -> list[DEState]:
     """Run chains that share ens, N, w, the variant and ``T_first``, and
     differ in epsilon, W and T, as the columns of one windowed run: T_c
     sweeps at each configuration c, up to the chain's own last one. Return
@@ -243,11 +244,11 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
     result takes the chain out of the run there, with a copy of its vector.
     The run ends when no chain is left.
 
-    With ``validate`` each window is checked against the exact recursion
-    when it ends, before the chain or a hook sees it: a rise or a value
-    outside [0, 1] (NaN included) in the rows a column owns, in any sweep it
-    ran, raises ``ChainCheckError`` naming the first sweep that shows it; so
-    does a change to a read outside a column's window.
+    Every window is checked against the exact recursion when it ends,
+    before the chain or a hook sees it: a rise or a value outside [0, 1]
+    (NaN included) in the rows a column owns, in any sweep it ran, raises
+    ``ChainCheckError`` naming the first sweep that shows it; so does a
+    change to a read outside a column's window.
     """
     spec, sched = columns[0].spec, columns[0].sched
     shared = (spec.ens, spec.N, spec.w, sched.variant, sched.T_first)
@@ -267,17 +268,16 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
                 buf, eps = buf[:, keep].copy(), eps[:, keep].copy()
                 live, order = [live[j] for j in keep], [order[j] for j in keep]
             x_cols = [buf[w : w + L, j] for j in range(len(live))]
-            leading: dict[int, tuple] = {}
+            leading, unchecked = {}, {}
             Ws = [col.sched.W for col in live]
             # the read-span rows each column owns: its window, starting at row w-1
             window_row = np.arange(max(Ws) + 2 * w - 2)[:, None] - (w - 1)
             owned = (window_row >= 0) & (window_row < Ws)
-        lo, Ts = c - 1, [col.sched.iterations_for(c) for col in live]
+        lo, Ts = c - 1, tuple(col.sched.iterations_for(c) for col in live)
         chain, eps_c = _window_views(buf, eps, c, max(Ws), w)
         span = np.broadcast_to(chain, (Ts[0] + 1,) + chain.shape).copy()
         t = 0
-        # a validated run raises at the window's end, after sweeps that may overflow
-        with np.errstate(all="ignore" if validate else None):
+        with np.errstate(all="ignore"):  # a fault raises at its window's end, past any overflow
             for m in range(len(live), 0, -1):  # sweeps t..T_c of column m-1 write columns :m
                 if Ts[m - 1] == t:
                     continue
@@ -296,17 +296,20 @@ def run_columns(columns: Sequence[Column], validate: bool) -> list[DEState]:
                     _window_kernel(ws, reads[t - 1], eps_u, rows[t] if own is True else new_vals)
                     if own is not True:
                         np.copyto(rows[t], new_vals, where=own)
-        if validate:
-            new, ran = span[1:], owned & (np.arange(1, Ts[0] + 1)[:, None, None] <= Ts)
-            rise = ((new > span[:-1] + MONOTONE_SLACK) & ran).any(axis=(1, 2))
-            in_range = (new >= -MONOTONE_SLACK) & (new <= 1.0 + MONOTONE_SLACK)  # NaN is not
-            bad = rise | (~in_range & ran).any(axis=(1, 2))
-            if bad.any():
-                t = int(bad.argmax())
-                raise ChainCheckError(f"erasure increased within window c={c}, t={t + 1}"
-                                      if rise[t] else "erasure left [0, 1]")
-            if not (span[:, ~owned] == chain[~owned]).all():
-                raise ChainCheckError("out-of-window positions changed during sweeps")
+        if Ts not in unchecked:  # cells (t, row, column) of rows not owned or t > T_c
+            unchecked[Ts] = ~owned | (np.arange(1, Ts[0] + 1)[:, None, None] > Ts)
+        skip, new, old = unchecked[Ts], span[1:], span[:-1]
+        # no rise and none above 1 in one comparison; NaN fails both
+        ok = ((new <= np.minimum(old, 1.0) + MONOTONE_SLACK) & (new >= -MONOTONE_SLACK)) | skip
+        if not ok.all():
+            t = int((~ok).any(axis=(1, 2)).argmax())
+            rise = ((new[t] > old[t] + MONOTONE_SLACK) & ~skip[t]).any()
+            raise ChainCheckError(f"erasure increased within window c={c}, t={t + 1}"
+                                  if rise else "erasure left [0, 1]")
+        # a sweep reaches a read outside its window only through layers 0..T_c-1, so
+        # the last layer keeps the chain's value and a change shows in two adjacent layers
+        if not ((new == old) | owned).all():
+            raise ChainCheckError("out-of-window positions changed during sweeps")
         keep = []
         for j, col in enumerate(live):
             rows = span[: Ts[j] + 1, w - 1 : w - 1 + Ws[j], j]

@@ -81,7 +81,7 @@ def map_by_de_bisection(ens):
     return _bisect_channel(non_negative)
 
 
-def recorded_run(spec, sched, validate=True, stop=None, record_windows=None):
+def recorded_run(spec, sched, stop=None, record_windows=None):
     """(final state, {c: block}) of a one-column run: the read-only
     (T_c+1, N+w-1) block ``on_block`` gets for each window c among
     ``record_windows`` (every window when None)."""
@@ -91,7 +91,7 @@ def recorded_run(spec, sched, validate=True, stop=None, record_windows=None):
         if record_windows is None or c in record_windows:
             blocks[c] = block
 
-    [final] = run_columns([Column(spec, sched, stop, collect)], validate)
+    [final] = run_columns([Column(spec, sched, stop, collect)])
     return final, blocks
 
 

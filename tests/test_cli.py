@@ -781,9 +781,9 @@ def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
         made.append((eps, weakref.ref(land)))
         return land
 
-    def checking_run_columns(columns, validate):
+    def checking_run_columns(columns):
         held.extend(eps for eps, ref in made if ref() is not None)
-        return run_columns(columns, validate)
+        return run_columns(columns)
 
     monkeypatch.setattr("scwde.speed.landscape", counting_landscape)
     monkeypatch.setattr("scwde.speed.run_columns", checking_run_columns)
@@ -1094,9 +1094,10 @@ def test_cli_import_starts_no_blas_threads(user_value, expected):
         assert threads == "1"
 
 
-def test_chain_check_in_a_speed_grid_exits_2(tmp_path, capfd, monkeypatch):
-    # a fixed T runs validated: the first ensemble of a two-ensemble grid
-    # fails its sweep checks
+@pytest.mark.parametrize("T", [{"T": 6}, {"T": "auto", "T_max": 16}], ids=["fixed", "search"])
+def test_chain_check_in_a_speed_grid_exits_2(tmp_path, capfd, monkeypatch, T):
+    # every run is checked, a T search's too: the first ensemble of a
+    # two-ensemble grid fails its sweep checks, silently, and writes nothing
     kernel = scwde.window._window_kernel
 
     def kernel_negating(*args):  # args: (workspace, reads, channel, out)
@@ -1104,9 +1105,12 @@ def test_chain_check_in_a_speed_grid_exits_2(tmp_path, capfd, monkeypatch):
         args[-1][...] = -args[-1] - 1e-6
 
     monkeypatch.setattr("scwde.window._window_kernel", kernel_negating)
-    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10]})
-    code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    cfg = write_cfg(tmp_path, {**TWO_ENSEMBLES, "W": [8, 10], **T})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out")])
     one_line_exit(capfd, code, 2, "numerical failure: erasure left [0, 1]")
+    assert caught == [] and list((tmp_path / "out").iterdir()) == []
 
 
 # Bounded values: every run they can configure stays small and fast.

@@ -225,7 +225,7 @@ class TestCoupledGradient:
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.42)
         sched = WindowSchedule(W=8, T=500, variant="literal")
         ctx = Config(spec, sched, 15)
-        [final] = run_columns([Column(spec, sched, stop=lambda c, x: c == 15)], validate=False)
+        [final] = run_columns([Column(spec, sched, stop=lambda c, x: c == 15)])
         assert final.c == 15
         assert np.linalg.norm(gradient(final.x, ctx)) < 1e-8
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scwde.window
 from oracles import recorded_run, scan_of, slope_margins, steady_state_by_backward_scan
-from scwde.config import config_from_mapping
+from scwde.config import config_from_mapping, load_preset
 from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, potential_d1
 from scwde.speed import (
     STEADY_TOL,
@@ -19,6 +20,7 @@ from scwde.speed import (
     measure_speed,
 )
 from scwde.window import (
+    ChainCheckError,
     CoupledSpec,
     WindowSchedule,
     run_columns,
@@ -118,7 +120,7 @@ def test_forward_scan_matches_backward_oracle(N, w, data):
     windows = data.draw(st.none() | st.lists(st.integers(min_value=1, max_value=c_max),
                                              min_size=1, unique=True), label="windows")
     tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]), label="tol")
-    _, blocks = recorded_run(spec, sched, record_windows=windows, validate=False)
+    _, blocks = recorded_run(spec, sched, record_windows=windows)
     if data.draw(st.booleans(), label="nan"):
         c = data.draw(st.sampled_from(sorted(blocks)), label="nan window")
         block = blocks[c] = blocks[c].copy()
@@ -287,9 +289,9 @@ class TestMeasureSpeed:
     def test_first_T_above_T_max_rejected_before_any_run(self, monkeypatch):
         calls = []
 
-        def counting_run_columns(columns, validate):
+        def counting_run_columns(columns):
             calls.append(columns)
-            return run_columns(columns, validate)
+            return run_columns(columns)
 
         monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
         spec = CoupledSpec(ens=ENS36, N=40, w=3, epsilon=0.45)
@@ -318,10 +320,10 @@ class TestMeasureSpeed:
         assert wide.T_min == 24 and wide.c_prime is not None and wide.A1 is not None
         runs = []
 
-        def counting_run_columns(columns, validate):
+        def counting_run_columns(columns):
             [col] = columns
             runs.append((col.sched.T, col.stop, col.on_block is not None))
-            return run_columns(columns, validate)
+            return run_columns(columns)
 
         monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
         [rep] = measure_speed([(spec, WindowSchedule(W=10, T=T, variant="extended"))], T_max=24)
@@ -415,7 +417,7 @@ def test_search_matches_linear_scan(
     )
     for T in range(T_lo, T_max + 1):
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-        final, blocks = recorded_run(spec, sched, validate=False)
+        final, blocks = recorded_run(spec, sched)
         verdict = decode_success(final, spec, SuccessRule(policy=policy))
         if verdict.success:
             break
@@ -439,18 +441,17 @@ def test_group_reports_equal_one_point_groups(monkeypatch, T_first, T, T_max):
     # group of that point alone gives. The search decodes at 0.30 and finds no
     # T up to T_max at 0.47; with T_first = 30 a full run fails past the
     # prefix its probes ran, and the search deepens it (six full runs at 0.44
-    # and W = 8). A fixed T runs once per point, validated; a search runs
-    # unvalidated. Each epsilon's landscape is made once, for both of its W
+    # and W = 8). A fixed T runs once per point. Each epsilon's landscape is
+    # made once, for both of its W
     points = [(CoupledSpec(ens=ENS36, N=40, w=3, epsilon=eps),
                WindowSchedule(W=W, T=T, variant="extended", T_first=T_first))
               for eps in (0.30, 0.44, 0.47) for W in (8, 12)]
     batches, made = [], []
 
-    def counting_run_columns(columns, validate):
-        assert validate is (T == T_max)
+    def counting_run_columns(columns):
         batches.append([(col.spec.epsilon, col.sched.W,
                          col.stop is None or col.stop.c_stop is None) for col in columns])
-        return run_columns(columns, validate)
+        return run_columns(columns)
 
     def counting_landscape(eps, *args, **kwargs):
         made.append(eps)
@@ -482,7 +483,7 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
     # that run as it goes, and takes c' and A1 from it without a rerun
     calls = []
 
-    def counting_run_columns(columns, validate):
+    def counting_run_columns(columns):
         [col] = columns
         blocks = {}
         if col.on_block is not None:
@@ -491,7 +492,7 @@ def test_search_runs_the_whole_schedule_once(monkeypatch):
                 col.on_block(c, block)
 
             columns = [col._replace(on_block=on_block)]
-        [final] = run_columns(columns, validate)
+        [final] = run_columns(columns)
         calls.append((col.sched, final, blocks, col.stop))
         return [final]
 
@@ -531,9 +532,9 @@ def test_memory_holds_a_window_not_the_run():
 def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy, match, T):
     calls = []
 
-    def counting_run_columns(columns, validate):
+    def counting_run_columns(columns):
         calls.append(columns)
-        return run_columns(columns, validate)
+        return run_columns(columns)
 
     monkeypatch.setattr("scwde.speed.run_columns", counting_run_columns)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.465)
@@ -543,11 +544,30 @@ def test_bad_success_rule_rejected_before_any_run(monkeypatch, threshold, policy
     assert calls == []
 
 
+def test_fault_in_a_search_batch_names_its_first_sweep(monkeypatch):
+    # the T search runs checked: on the table1 points, a rise of 0.25 in the
+    # first column of the 40th sweep, inside a batch of probes, raises for
+    # the window and sweep it broke instead of reaching a T_min
+    cfg, kernel, calls = load_preset("table1"), scwde.window._window_kernel, []
+
+    def rising_kernel(ws, reads, eps_u, out):
+        calls.append(None)
+        kernel(ws, reads, eps_u, out)
+        if len(calls) == 40:
+            (out if out.ndim == 2 else out[:, None])[:, 0] += 0.25
+
+    monkeypatch.setattr("scwde.window._window_kernel", rising_kernel)
+    points = [(CoupledSpec(ens=cfg.ensembles[0], N=cfg.N, w=cfg.w, epsilon=cfg.epsilon[0][0]),
+               cfg.window_schedule(W)) for W in cfg.W]
+    with pytest.raises(ChainCheckError, match=r"^erasure increased within window c=1, t=9$"):
+        measure_speed(points, T_max=cfg.T_max, alpha=cfg.alpha, success=cfg.success)
+
+
 @pytest.mark.parametrize("eps", [0.465, 0.3], ids=["critical-points", "below-bp"])
 def test_alpha_out_of_range_rejected_before_any_run(monkeypatch, eps):
     # both bounds check alpha, so a call with bounds fails in its landscape
     # step, also where the landscape lacks the points bound_th2 reads
-    def no_run(columns, validate):
+    def no_run(columns):
         raise AssertionError("run_columns called")
 
     monkeypatch.setattr("scwde.speed.run_columns", no_run)
@@ -577,8 +597,8 @@ def test_one_landscape_per_ensemble_and_epsilon(monkeypatch):
         made.append((eps, ens.label()))
         return landscape(eps, ens, **kwargs)
 
-    def column_by_column(columns, validate):
-        return [run_columns([col], validate)[0] for col in columns]
+    def column_by_column(columns):
+        return [run_columns([col])[0] for col in columns]
 
     monkeypatch.setattr("scwde.speed.landscape", counting_landscape)
     monkeypatch.setattr("scwde.speed.run_columns", column_by_column)

@@ -73,26 +73,22 @@ chain_and_window = st.integers(min_value=1, max_value=16).flatmap(
     T=st.integers(min_value=1, max_value=4),
     T_first=st.none() | st.integers(min_value=1, max_value=8),
     variant=st.sampled_from(["literal", "extended"]),
-    validate=st.booleans(),
 )
 # the edge shapes, run every time: w = 1 with W = 1 (each mean is one
 # value), a constant lambda (its Horner fills the buffer), a warm first
-# window, and the validated path (which writes through a separate buffer)
-@example(ens=ENS36, NW=(6, 1), w=1, eps=0.42, T=3, T_first=None, variant="extended",
-         validate=False)
+# window, and a w = 4 chain of another ensemble
+@example(ens=ENS36, NW=(6, 1), w=1, eps=0.42, T=3, T_first=None, variant="extended")
 @example(ens=SWEEP_ENSEMBLES[2], NW=(9, 4), w=3, eps=0.5, T=2, T_first=None,
-         variant="extended", validate=False)
-@example(ens=ENS36, NW=(12, 5), w=3, eps=0.45, T=2, T_first=7, variant="literal",
-         validate=False)
+         variant="extended")
+@example(ens=ENS36, NW=(12, 5), w=3, eps=0.45, T=2, T_first=7, variant="literal")
 @example(ens=SWEEP_ENSEMBLES[1], NW=(14, 6), w=4, eps=0.47, T=3, T_first=None,
-         variant="extended", validate=True)
-def test_run_matches_out_of_place_arithmetic_bitwise(ens, NW, w, eps, T, T_first, variant,
-                                                     validate):
+         variant="extended")
+def test_run_matches_out_of_place_arithmetic_bitwise(ens, NW, w, eps, T, T_first, variant):
     # the engine's views and buffered steps round exactly as new arrays do
     N, W = NW
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    final, blocks = recorded_run(spec, sched, validate=validate)
+    final, blocks = recorded_run(spec, sched)
     x, expected = run_out_of_place(spec, sched)
     assert final.x.tobytes() == x.tobytes()
     assert sorted(blocks) == sorted(expected)
@@ -118,7 +114,7 @@ def test_run_rows_match_definition(ens, N, w, eps, T, T_first, variant, data):
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    _, blocks = recorded_run(spec, sched, validate=False)
+    _, blocks = recorded_run(spec, sched)
     for c in sorted(blocks):
         block = blocks[c]
         for t in range(block.shape[0] - 1):
@@ -156,15 +152,14 @@ chains_on_N = st.integers(min_value=1, max_value=16).flatmap(lambda N: st.tuples
     w=st.integers(min_value=1, max_value=4),
     T_first=st.none() | st.integers(min_value=1, max_value=8),
     variant=st.sampled_from(["literal", "extended"]),
-    validate=st.booleans(),
 )
 @example(ens=ENS36, N_chains=(12, [(0.42, 5, 2, None), (0.47, 5, 5, 3), (0.3, 5, 3, 6)]), w=3,
-         T_first=7, variant="extended", validate=True)
+         T_first=7, variant="extended")
 # the widest window possible and the narrowest: the W = N column ends after
 # w windows, and until then the W = 1 column is written through the mask
 @example(ens=ENS36, N_chains=(9, [(0.42, 1, 3, None), (0.47, 9, 2, None), (0.3, 4, 5, 7)]),
-         w=3, T_first=None, variant="extended", validate=False)
-def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, variant, validate):
+         w=3, T_first=None, variant="extended")
+def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, variant):
     # each column of a batched run is its chain run alone, bit for bit: the
     # final vector, the window it ended at, and every block and stop-hook
     # vector its hooks saw, whatever the other columns' W, T and stop windows
@@ -174,12 +169,11 @@ def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, varian
         spec = CoupledSpec(ens=ens, N=N, w=w, epsilon=eps)
         sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
         log = [], []
-        [final] = run_columns([logged_column(spec, sched, stop_at, log)], validate)
+        [final] = run_columns([logged_column(spec, sched, stop_at, log)])
         alone.append((final.x.tobytes(), final.c, log))
         columns.append((spec, sched, stop_at))
     logs = [([], []) for _ in chains]
-    finals = run_columns([logged_column(*col, log) for col, log in zip(columns, logs)],
-                         validate)
+    finals = run_columns([logged_column(*col, log) for col, log in zip(columns, logs)])
     assert [(f.x.tobytes(), f.c, log) for f, log in zip(finals, logs)] == alone
 
 
@@ -223,7 +217,7 @@ def test_rise_in_one_column_raises_its_lone_message(N, w, T_first, variant, data
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("scwde.window._window_kernel", rising_kernel)
             with pytest.raises(ChainCheckError) as exc:
-                run_columns(batch, validate=True)
+                run_columns(batch)
         return str(exc.value)
 
     lone = message([columns[target]])
@@ -247,19 +241,18 @@ def test_write_beside_a_narrower_window_is_out_of_window():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("scwde.window._window_kernel", writing_kernel)
         with pytest.raises(ChainCheckError, match="out-of-window positions changed"):
-            run_columns(columns, validate=True)
+            run_columns(columns)
 
 
-@pytest.mark.parametrize("validate", [True, False])
 @pytest.mark.parametrize("value", [2.0, -1.0])
-def test_rows_past_a_narrower_window_are_neither_checked_nor_written(validate, value):
+def test_rows_past_a_narrower_window_are_neither_checked_nor_written(value):
     # the block of a W = 5 and a W = 9 column spans 9 rows; the narrow
     # column's rows 5-8 of each sweep's output lie right of its window, so
     # junk there leaves both columns' runs as they are alone
     kernel = scwde.window._window_kernel
     columns = [Column(spec36(N=30, eps=e), WindowSchedule(W=W, T=3, variant="literal"))
                for e, W in ((0.42, 5), (0.40, 9))]
-    alone = [run_wd(col.spec, col.sched, validate)[0] for col in columns]
+    alone = [run_wd(col.spec, col.sched, validate=True)[0] for col in columns]
 
     def junk_kernel(rows):
         def write(ws, reads, eps_u, out):
@@ -270,14 +263,14 @@ def test_rows_past_a_narrower_window_are_neither_checked_nor_written(validate, v
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("scwde.window._window_kernel", junk_kernel(np.s_[5:9]))
-        finals = run_columns(columns, validate)
+        finals = run_columns(columns)
     assert [(f.x.tobytes(), f.c) for f in finals] == [(f.x.tobytes(), f.c) for f in alone]
-    if validate:  # row 4 is the narrow column's own
-        message = "erasure increased within window c=1, t=1" if value > 1 else r"left \[0, 1\]"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("scwde.window._window_kernel", junk_kernel(4))
-            with pytest.raises(ChainCheckError, match=message):
-                run_columns(columns, validate)
+    # row 4 is the narrow column's own
+    message = "erasure increased within window c=1, t=1" if value > 1 else r"left \[0, 1\]"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("scwde.window._window_kernel", junk_kernel(4))
+        with pytest.raises(ChainCheckError, match=message):
+            run_columns(columns)
 
 
 @pytest.mark.parametrize(("faults", "message"), [
@@ -303,7 +296,7 @@ def test_checks_at_window_end_name_the_first_failing_sweep(faults, message):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("scwde.window._window_kernel", faulty_kernel)
         with pytest.raises(ChainCheckError, match=message):
-            run_columns(columns, validate=True)
+            run_columns(columns)
 
 
 @pytest.mark.parametrize("at", [2, 46], ids=["window-1", "last-window"])
@@ -337,10 +330,9 @@ def test_columns_differ_only_in_epsilon_W_and_T(other):
                   WindowSchedule(W=8, T=2, variant="literal"))
     # epsilon, W and T may differ, and an equal ensemble need not be the same object
     assert len(run_columns([base, base._replace(spec=spec36(N=20, eps=0.4),
-                                                sched=WindowSchedule(9, 5, "literal"))],
-                           validate=True)) == 2
+                                                sched=WindowSchedule(9, 5, "literal"))])) == 2
     with pytest.raises(ValueError, match="columns must differ only in epsilon, W and T"):
-        run_columns([base, base._replace(**other)], validate=True)
+        run_columns([base, base._replace(**other)])
 
 
 class TestSweepAndSlide:
@@ -357,10 +349,11 @@ class TestSweepAndSlide:
         assert np.all(after[:11] == 0.0) and np.all(after[11:] == 1.0)
 
     def test_outside_window_bit_identical(self):
-        # unvalidated, so run_wd's own out-of-window check cannot mask a change
+        # every block holds row 0 outside its window: blocks are built from the
+        # chain vector with only the window's rows taken from the sweeps
         spec = spec36(N=30)
         sched = WindowSchedule(W=11, T=4, variant="extended")
-        _, blocks = recorded_run(spec, sched, validate=False)
+        _, blocks = recorded_run(spec, sched)
         for c in sorted(blocks):
             block = blocks[c]
             inside = np.zeros(spec.chain_len, dtype=bool)
@@ -369,8 +362,7 @@ class TestSweepAndSlide:
 
     def test_monotone_in_iteration(self):
         spec = spec36()
-        _, blocks = recorded_run(spec, WindowSchedule(W=11, T=6, variant="literal"),
-                         validate=False)
+        _, blocks = recorded_run(spec, WindowSchedule(W=11, T=6, variant="literal"))
         for c in sorted(blocks):
             assert np.all(np.diff(blocks[c], axis=0) <= 1e-12)
 
@@ -497,7 +489,7 @@ class TestRunWd:
             events.append(("stop", c, None))
             return c == 6
 
-        [final] = run_columns([Column(spec, sched, stop, on_block)], True)
+        [final] = run_columns([Column(spec, sched, stop, on_block)])
         assert final.c == 6
         assert run_wd(spec, sched, validate=True)[1] is None
         assert [e[:2] for e in events] == [
@@ -573,7 +565,7 @@ def test_random_small_runs_stay_in_unit_interval(N, w, eps, T, data):
 def abort_window(spec, sched, rule):
     """The window where the search's stop rule failed the run; inf when it never did."""
     stop = _FrozenPrefixStop(spec, rule)
-    [final] = run_columns([Column(spec, sched, stop)], validate=False)
+    [final] = run_columns([Column(spec, sched, stop)])
     assert final.c == (sched.c_max(spec) if stop.failed_at is None else stop.failed_at)
     return math.inf if stop.failed_at is None else stop.failed_at
 
@@ -603,8 +595,8 @@ def test_final_erasures_monotone_in_T(
     fewer_sched, more_sched = (
         WindowSchedule(W=W, T=T_, variant=variant, T_first=T_first) for T_ in (T, T + 1)
     )
-    fewer, fewer_blocks = recorded_run(spec, fewer_sched, validate=False)
-    more, more_blocks = recorded_run(spec, more_sched, validate=False)
+    fewer, fewer_blocks = recorded_run(spec, fewer_sched)
+    more, more_blocks = recorded_run(spec, more_sched)
     assert np.all(more.x <= fewer.x + MONOTONE_SLACK)
     for c in sorted(fewer_blocks):
         assert np.all(more_blocks[c][-1] <= fewer_blocks[c][-1] + MONOTONE_SLACK)
@@ -634,14 +626,14 @@ def test_abort_stops_only_failing_runs(
     W = data.draw(st.integers(min_value=1, max_value=N))
     spec = CoupledSpec(ens=UncoupledEnsemble.regular(*degrees), N=N, w=w, epsilon=eps)
     sched = WindowSchedule(W=W, T=T, variant=variant, T_first=T_first)
-    full, full_blocks = recorded_run(spec, sched, validate=False)
+    full, full_blocks = recorded_run(spec, sched)
     if threshold == "tie":
         metric = decode_success(full, spec, SuccessRule(policy=policy)).metric
         threshold = max(float(np.nextafter(metric, 1.0)), 1e-300)
     rule = SuccessRule(threshold, policy)
     verdict = decode_success(full, spec, rule)
     stop = _FrozenPrefixStop(spec, rule)
-    stopped, blocks = recorded_run(spec, sched, validate=False, stop=stop)
+    stopped, blocks = recorded_run(spec, sched, stop=stop)
     if stop.failed_at is not None:
         assert stopped.c == stop.failed_at
         assert not verdict.success
@@ -653,7 +645,7 @@ def test_abort_stops_only_failing_runs(
     # a run stopped after window c_stop survives it unless the rule failed it by then
     c_stop = data.draw(st.integers(min_value=1, max_value=sched.c_max(spec)))
     prefix_stop = _FrozenPrefixStop(spec, rule, c_stop)
-    [prefix] = run_columns([Column(spec, sched, prefix_stop)], validate=False)
+    [prefix] = run_columns([Column(spec, sched, prefix_stop)])
     assert prefix_stop.failed_at == (stop.failed_at if stopped.c <= c_stop else None)
     assert prefix.c == min(c_stop, stopped.c)
 
