@@ -155,7 +155,7 @@ class _Workspace:
     Each column is summed on its own, in position order, so a column rounds
     as the same chain run alone does."""
 
-    def __init__(self, spec: CoupledSpec, W: int, cols: tuple = ()) -> None:
+    def __init__(self, spec: CoupledSpec, W: int, cols: tuple) -> None:
         w, n = spec.w, W + 2 * spec.w - 2
         self.rho, self.lam = spec.ens.rho, spec.ens.lam
         self.one, self.width = np.ones(()), np.array(float(w))
@@ -231,10 +231,9 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
     copies the chains' read span, as wide as the widest window, once into
     ``span``, a layer per sweep: sweep t reads layer t-1 and writes the
     window rows of layer t, and each chain takes its last layer when the
-    window ends. Each column rounds as its chain run alone does: its first W
+    window ends. Every live column sweeps up to the largest T_c, and takes
+    layer T_c. Each column rounds as its chain run alone does: its first W
     rows of a wider block are summed as its own, and only those are written.
-    The columns are kept in descending T, so sweep t writes the leading
-    columns, those with T_c >= t.
 
     Each column's hooks see that chain alone. ``on_block(c, block)`` is
     called after every window c with a new read-only (T_c+1, N+w-1) array of
@@ -246,9 +245,9 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
 
     Every window is checked against the exact recursion when it ends,
     before the chain or a hook sees it: a rise or a value outside [0, 1]
-    (NaN included) in the rows a column owns, in any sweep it ran, raises
-    ``ChainCheckError`` naming the first sweep that shows it; so does a
-    change to a read outside a column's window.
+    (NaN included) in the rows a column owns, in any of its sweeps 1..T_c,
+    raises ``ChainCheckError`` naming the first sweep that shows it; so does
+    a change to a read outside a column's window.
     """
     spec, sched = columns[0].spec, columns[0].sched
     shared = (spec.ens, spec.N, spec.w, sched.variant, sched.T_first)
@@ -257,8 +256,7 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
         if (col.spec.ens, col.spec.N, col.spec.w, col.sched.variant, col.sched.T_first) != shared:
             raise ValueError("columns must differ only in epsilon, W and T")
     w, L = spec.w, spec.chain_len
-    order = sorted(range(len(columns)), key=lambda j: -columns[j].sched.T)
-    live = [columns[j] for j in order]
+    live, index = list(columns), list(range(len(columns)))
     buf = _padded(np.ones((L, len(live))), w)
     eps = _channel_profile(spec, [col.spec.epsilon for col in live])
     finals: list[Optional[DEState]] = [None] * len(columns)
@@ -266,38 +264,25 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
         if c == 1 or len(keep) < len(live):  # the live columns' views, new after one leaves
             if c > 1:
                 buf, eps = buf[:, keep].copy(), eps[:, keep].copy()
-                live, order = [live[j] for j in keep], [order[j] for j in keep]
+                live, index = [live[j] for j in keep], [index[j] for j in keep]
             x_cols = [buf[w : w + L, j] for j in range(len(live))]
-            leading, unchecked = {}, {}
+            unchecked = {}
             Ws = [col.sched.W for col in live]
+            W = max(Ws)
             # the read-span rows each column owns: its window, starting at row w-1
-            window_row = np.arange(max(Ws) + 2 * w - 2)[:, None] - (w - 1)
+            window_row = np.arange(W + 2 * w - 2)[:, None] - (w - 1)
             owned = (window_row >= 0) & (window_row < Ws)
+            own = owned[w - 1 : w - 1 + W]  # no sweep writes past a column's window
+            ws, new_vals = _Workspace(spec, W, (len(live),)), np.empty(own.shape)
         lo, Ts = c - 1, tuple(col.sched.iterations_for(c) for col in live)
-        chain, eps_c = _window_views(buf, eps, c, max(Ws), w)
-        span = np.broadcast_to(chain, (Ts[0] + 1,) + chain.shape).copy()
-        t = 0
+        reads, eps_u = _window_views(buf, eps, c, W, w)
+        span = np.broadcast_to(reads, (max(Ts) + 1,) + reads.shape).copy()
         with np.errstate(all="ignore"):  # a fault raises at its window's end, past any overflow
-            for m in range(len(live), 0, -1):  # sweeps t..T_c of column m-1 write columns :m
-                if Ts[m - 1] == t:
-                    continue
-                if m not in leading:
-                    # one column sweeps as a 1-D view: numpy accumulates a 1-D array
-                    # faster than one axis of a 2-D one, and rounds it the same
-                    pick, W = (np.s_[:m] if m > 1 else 0), max(Ws[:m])
-                    cols = (m,) if m > 1 else ()
-                    # no sweep writes past a column's window
-                    own = owned[w - 1 : w - 1 + W, :m] if min(Ws[:m]) < W else True
-                    leading[m] = (pick, W, own, _Workspace(spec, W, cols), np.empty((W,) + cols))
-                pick, W, own, ws, new_vals = leading[m]
-                reads, rows = span[:, : W + 2 * w - 2, pick], span[:, w - 1 : w - 1 + W, pick]
-                eps_u = eps_c[: W + w - 1, pick]
-                for t in range(t + 1, Ts[m - 1] + 1):
-                    _window_kernel(ws, reads[t - 1], eps_u, rows[t] if own is True else new_vals)
-                    if own is not True:
-                        np.copyto(rows[t], new_vals, where=own)
+            for t in range(1, max(Ts) + 1):
+                _window_kernel(ws, span[t - 1], eps_u, new_vals)
+                np.copyto(span[t, w - 1 : w - 1 + W], new_vals, where=own)
         if Ts not in unchecked:  # cells (t, row, column) of rows not owned or t > T_c
-            unchecked[Ts] = ~owned | (np.arange(1, Ts[0] + 1)[:, None, None] > Ts)
+            unchecked[Ts] = ~owned | (np.arange(1, max(Ts) + 1)[:, None, None] > Ts)
         skip, new, old = unchecked[Ts], span[1:], span[:-1]
         # no rise and none above 1 in one comparison; NaN fails both
         ok = ((new <= np.minimum(old, 1.0) + MONOTONE_SLACK) & (new >= -MONOTONE_SLACK)) | skip
@@ -306,8 +291,8 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
             rise = ((new[t] > old[t] + MONOTONE_SLACK) & ~skip[t]).any()
             raise ChainCheckError(f"erasure increased within window c={c}, t={t + 1}"
                                   if rise else "erasure left [0, 1]")
-        # a sweep reaches a read outside its window only through layers 0..T_c-1, so
-        # the last layer keeps the chain's value and a change shows in two adjacent layers
+        # a sweep reaches a read outside its window only through the layers before the
+        # last, so that one keeps the chain's value and a change shows in two adjacent layers
         if not ((new == old) | owned).all():
             raise ChainCheckError("out-of-window positions changed during sweeps")
         keep = []
@@ -320,7 +305,7 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
                 block.flags.writeable = False
                 col.on_block(c, block)
             if (col.stop is not None and col.stop(c, x_cols[j])) or c == col.sched.c_max(spec):
-                finals[order[j]] = DEState(x=x_cols[j].copy(), c=c)
+                finals[index[j]] = DEState(x=x_cols[j].copy(), c=c)
             else:
                 keep.append(j)
         if not keep:

@@ -794,6 +794,25 @@ def test_one_landscape_per_epsilon(tmp_path, monkeypatch):
     assert (out / "speed.csv").read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize(("argv", "expected"), [
+    (["speed", "--preset", "table1"], 3354),
+    (["speed", "--preset", "fig4"], 42894),
+    (["wave", "--preset", "fig3"], 540),
+], ids=["table1", "fig4", "fig3"])
+def test_preset_runs_its_pinned_kernel_calls(tmp_path, monkeypatch, argv, expected):
+    # the work of a run is its kernel calls: one per sweep t of a window, up
+    # to the largest T of the columns still live there, whatever their number
+    kernel, calls = scwde.window._window_kernel, []
+
+    def counting_kernel(*args):
+        calls.append(None)
+        kernel(*args)
+
+    monkeypatch.setattr("scwde.window._window_kernel", counting_kernel)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == expected
+
+
 def one_line_exit(capfd, code, expected, prefix) -> str:
     """Check the exit code and the one stderr line; return stdout."""
     out, err = capfd.readouterr()

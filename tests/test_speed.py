@@ -554,7 +554,7 @@ def test_fault_in_a_search_batch_names_its_first_sweep(monkeypatch):
         calls.append(None)
         kernel(ws, reads, eps_u, out)
         if len(calls) == 40:
-            (out if out.ndim == 2 else out[:, None])[:, 0] += 0.25
+            out[:, 0] += 0.25
 
     monkeypatch.setattr("scwde.window._window_kernel", rising_kernel)
     points = [(CoupledSpec(ens=cfg.ensembles[0], N=cfg.N, w=cfg.w, epsilon=cfg.epsilon[0][0]),

@@ -159,6 +159,10 @@ chains_on_N = st.integers(min_value=1, max_value=16).flatmap(lambda N: st.tuples
 # w windows, and until then the W = 1 column is written through the mask
 @example(ens=ENS36, N_chains=(9, [(0.42, 1, 3, None), (0.47, 9, 2, None), (0.3, 4, 5, 7)]),
          w=3, T_first=None, variant="extended")
+# a T = 1 column rides along the 12 sweeps of a wider column until that one
+# stops after window 3; its sweeps past t = 1 reach neither its chain nor its hooks
+@example(ens=ENS36, N_chains=(10, [(0.42, 4, 1, None), (0.47, 7, 12, 3)]), w=2, T_first=None,
+         variant="literal")
 def test_columns_run_as_their_chains_run_alone(ens, N_chains, w, T_first, variant):
     # each column of a batched run is its chain run alone, bit for bit: the
     # final vector, the window it ended at, and every block and stop-hook
@@ -197,22 +201,23 @@ def test_rise_in_one_column_raises_its_lone_message(N, w, T_first, variant, data
                for e, (T, W) in zip(eps, chains)]
     target = data.draw(st.integers(min_value=0, max_value=len(chains) - 1))
     sched, spec = columns[target].sched, columns[target].spec
-    sweeps = sum(sched.iterations_for(c) for c in range(1, sched.c_max(spec) + 1))
-    at = data.draw(st.integers(min_value=1, max_value=sweeps))
+    sweeps = [(c, t) for c in range(1, sched.c_max(spec) + 1)
+              for t in range(1, sched.iterations_for(c) + 1)]  # (window, sweep) of the chain
+    c_at, t_at = sweeps[data.draw(st.integers(min_value=1, max_value=len(sweeps))) - 1]
     kernel = scwde.window._window_kernel
 
     def message(batch):
+        # window c makes one kernel call per sweep up to the largest T of the
+        # chains that reach it, so sweep t_at of window c_at is this call
+        at = t_at + sum(max(col.sched.iterations_for(c) for col in batch
+                            if c <= col.sched.c_max(col.spec)) for c in range(1, c_at))
         calls = []
 
         def rising_kernel(ws, reads, eps_u, out):
             kernel(ws, reads, eps_u, out)
-            # a sweep of one column passes 1-D views
-            channel, new = (eps_u, out) if out.ndim == 2 else (eps_u[:, None], out[:, None])
-            hit = np.flatnonzero(channel.max(axis=0) == eps[target])
-            if hit.size:
-                calls.append(None)
-                if len(calls) == at:
-                    new[:, hit[0]] += 2.0
+            calls.append(None)
+            if len(calls) == at:
+                out[:, np.flatnonzero(eps_u.max(axis=0) == eps[target])[0]] += 2.0
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("scwde.window._window_kernel", rising_kernel)
@@ -235,8 +240,7 @@ def test_write_beside_a_narrower_window_is_out_of_window():
 
     def writing_kernel(ws, reads, eps_u, out):
         kernel(ws, reads, eps_u, out)
-        if out.ndim == 2:  # both columns: reads[0] is position c-w+1
-            reads[5 + 3 - 1, 1] = 0.5
+        reads[5 + 3 - 1, 1] = 0.5  # reads[0] is position c-w+1
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("scwde.window._window_kernel", writing_kernel)
@@ -257,8 +261,7 @@ def test_rows_past_a_narrower_window_are_neither_checked_nor_written(value):
     def junk_kernel(rows):
         def write(ws, reads, eps_u, out):
             kernel(ws, reads, eps_u, out)
-            if out.ndim == 2:  # both columns, in the order given: T is equal
-                out[rows, 0] = value
+            out[rows, 0] = value  # the columns in the order given
         return write
 
     with pytest.MonkeyPatch.context() as mp:
@@ -289,7 +292,7 @@ def test_checks_at_window_end_name_the_first_failing_sweep(faults, message):
     def faulty_kernel(ws, reads, eps_u, out):
         calls.append(None)
         kernel(ws, reads, eps_u, out)
-        if len(calls) in faults:  # both columns, in the order given: T is equal
+        if len(calls) in faults:  # the columns in the order given
             column, value = faults[len(calls)]
             out[0, column] = value
 
