@@ -10,7 +10,7 @@ import numpy as np
 
 from .coupled import coupled_potential
 from .scalar import GRID_N_DEFAULT, PotentialLandscape, landscape, potential, potential_d1
-from .window import Column, CoupledSpec, DEState, WindowSchedule, run_columns, slope_segment
+from .window import Column, CoupledSpec, DEState, WindowSchedule, run_columns
 
 STEADY_TOL = 1e-9
 T_MAX_DEFAULT = 200
@@ -94,7 +94,7 @@ def bound_a1(
     _check_alpha(alpha)
     num = alpha * (coupled_potential(x_now, spec, sched, c_prime)
                    - coupled_potential(x_next, spec, sched, c_prime))
-    seg = slope_segment(x_now, c_prime, sched.W, spec)
+    seg = np.concatenate(([0.0], x_now))[c_prime - 1 : c_prime + sched.W]  # x_{c'-1}..x_{c'+W-1}
     den = float(np.sum(spec.ens.rho_d1(1.0 - seg[1:]) * np.diff(seg) ** 2))
     if abs(den) < 1e-300:
         raise ZeroDivisionError("flat steady profile: speed-bound denominator is zero")

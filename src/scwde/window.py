@@ -106,7 +106,7 @@ def _padded(x: np.ndarray, w: int) -> np.ndarray:
     position p sits at index p+w-1.
 
     The w zero ghost positions on each side cover every read of the window
-    kernel (w-1 beyond the chain) and the x_{c-1} read of ``slope_segment``.
+    kernel (w-1 beyond the chain).
     """
     shape = np.shape(x)
     buf = np.zeros((shape[0] + 2 * w,) + shape[1:])
@@ -120,11 +120,6 @@ def _channel_profile(spec: CoupledSpec, epsilons: Sequence[float]) -> np.ndarray
     eps = np.zeros((spec.N + 2 * spec.w, len(epsilons)))
     eps[spec.w : spec.w + spec.N] = epsilons
     return eps
-
-
-def slope_segment(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> np.ndarray:
-    """Positions c-1..c+W-1 of a chain vector: window c and its left neighbour."""
-    return _padded(x, spec.w)[c + spec.w - 2 : c + W + spec.w - 1]
 
 
 def window_check_stage(x: np.ndarray, c: int, W: int, spec: CoupledSpec) -> tuple:
@@ -244,10 +239,11 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
     The run ends when no chain is left.
 
     Every window is checked against the exact recursion when it ends,
-    before the chain or a hook sees it: a rise or a value outside [0, 1]
-    (NaN included) in the rows a column owns, in any of its sweeps 1..T_c,
-    raises ``ChainCheckError`` naming the first sweep that shows it; so does
-    a change to a read outside a column's window.
+    before the chain or a hook sees it, over every sweep it runs, past a
+    column's T_c too: a rise or a value outside [0, 1] (NaN included) in the
+    rows a column owns raises ``ChainCheckError`` naming the first sweep
+    that shows it; so does a change to a read outside a column's window.
+    Both checks read masks made once per set of live columns.
     """
     spec, sched = columns[0].spec, columns[0].sched
     shared = (spec.ens, spec.N, spec.w, sched.variant, sched.T_first)
@@ -266,29 +262,27 @@ def run_columns(columns: Sequence[Column]) -> list[DEState]:
                 buf, eps = buf[:, keep].copy(), eps[:, keep].copy()
                 live, index = [live[j] for j in keep], [index[j] for j in keep]
             x_cols = [buf[w : w + L, j] for j in range(len(live))]
-            unchecked = {}
             Ws = [col.sched.W for col in live]
             W = max(Ws)
             # the read-span rows each column owns: its window, starting at row w-1
             window_row = np.arange(W + 2 * w - 2)[:, None] - (w - 1)
             owned = (window_row >= 0) & (window_row < Ws)
+            unowned = ~owned
             own = owned[w - 1 : w - 1 + W]  # no sweep writes past a column's window
             ws, new_vals = _Workspace(spec, W, (len(live),)), np.empty(own.shape)
-        lo, Ts = c - 1, tuple(col.sched.iterations_for(c) for col in live)
+        lo, Ts = c - 1, [col.sched.iterations_for(c) for col in live]
         reads, eps_u = _window_views(buf, eps, c, W, w)
         span = np.broadcast_to(reads, (max(Ts) + 1,) + reads.shape).copy()
         with np.errstate(all="ignore"):  # a fault raises at its window's end, past any overflow
             for t in range(1, max(Ts) + 1):
                 _window_kernel(ws, span[t - 1], eps_u, new_vals)
                 np.copyto(span[t, w - 1 : w - 1 + W], new_vals, where=own)
-        if Ts not in unchecked:  # cells (t, row, column) of rows not owned or t > T_c
-            unchecked[Ts] = ~owned | (np.arange(1, max(Ts) + 1)[:, None, None] > Ts)
-        skip, new, old = unchecked[Ts], span[1:], span[:-1]
+        new, old = span[1:], span[:-1]
         # no rise and none above 1 in one comparison; NaN fails both
-        ok = ((new <= np.minimum(old, 1.0) + MONOTONE_SLACK) & (new >= -MONOTONE_SLACK)) | skip
+        ok = ((new <= np.minimum(old, 1.0) + MONOTONE_SLACK) & (new >= -MONOTONE_SLACK)) | unowned
         if not ok.all():
             t = int((~ok).any(axis=(1, 2)).argmax())
-            rise = ((new[t] > old[t] + MONOTONE_SLACK) & ~skip[t]).any()
+            rise = ((new[t] > old[t] + MONOTONE_SLACK) & owned).any()
             raise ChainCheckError(f"erasure increased within window c={c}, t={t + 1}"
                                   if rise else "erasure left [0, 1]")
         # a sweep reaches a read outside its window only through the layers before the

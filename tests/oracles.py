@@ -200,6 +200,15 @@ def delta_u1_by_definition(y, x, c, W, spec):
                      for z, g in zip(range(c, c + W), grad)))
 
 
+def slope_sum_by_definition(x, c, W, spec):
+    """The denominator of A1 at window c, one position at a time:
+    sum over z = c..c+W-1 of rho'(1 - x_z) (x_z - x_{z-1})^2, with x_0 read
+    as zero."""
+    ens, read = spec.ens, _reader(x, spec)
+    return sum(ens.rho_d1(1.0 - read(z)) * (read(z) - read(z - 1)) ** 2
+               for z in range(c, c + W))
+
+
 def slope_margins(x, c, W, spec):
     """Profile-slope margins at z = c..c+W-1:
     (x_z - x_{z-1}) - |x_z - eps lam(1 - rho(1 - x_z))| / w, with x_0 read

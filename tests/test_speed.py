@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scwde.window
-from oracles import recorded_run, scan_of, slope_margins, steady_state_by_backward_scan
+from oracles import (
+    recorded_run,
+    scan_of,
+    slope_margins,
+    slope_sum_by_definition,
+    steady_state_by_backward_scan,
+)
 from scwde.config import config_from_mapping, load_preset
+from scwde.coupled import coupled_potential
 from scwde.scalar import UncoupledEnsemble, de_step, landscape, potential, potential_d1
 from scwde.speed import (
     STEADY_TOL,
@@ -156,6 +163,19 @@ class TestBoundA1:
         c = sched.c_max(spec) + 1
         with pytest.raises(ValueError, match="outside"):
             bound_a1(spec, sched, c, blocks[c - 1][0], blocks[c - 1][0])
+
+    @pytest.mark.parametrize("c_prime", [1, 12])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slope_denominator_by_definition(self, c_prime, seed):
+        # A1 is the potential drop over the slope sum at window c', x_0 read as zero
+        spec = CoupledSpec(ens=ENS36, N=30, w=3, epsilon=0.45)
+        sched = WindowSchedule(W=8, T=6, variant="literal")
+        x_now, x_next = np.random.default_rng(seed).uniform(size=(2, spec.chain_len))
+        drop = (coupled_potential(x_now, spec, sched, c_prime)
+                - coupled_potential(x_next, spec, sched, c_prime))
+        expected = 2.0 * drop / slope_sum_by_definition(x_now, c_prime, sched.W, spec)
+        a1 = bound_a1(spec, sched, c_prime, x_now, x_next, alpha=2.0)
+        assert a1 == pytest.approx(expected, rel=1e-12)
 
     def test_alpha_range_checked(self, fig3_run):
         spec, sched, blocks = fig3_run

@@ -276,18 +276,20 @@ def test_rows_past_a_narrower_window_are_neither_checked_nor_written(value):
             run_columns(columns)
 
 
-@pytest.mark.parametrize(("faults", "message"), [
+@pytest.mark.parametrize(("Ts", "faults", "message"), [
     # only the narrow column rises, and only at t = 3
-    ({3: (0, 1.0)}, "erasure increased within window c=1, t=3"),
+    ((5, 5), {3: (0, 1.0)}, "erasure increased within window c=1, t=3"),
     # a value left [0, 1] at t = 2 comes before a rise at t = 4 in the other column
-    ({2: (0, -0.5), 4: (1, 1.0)}, r"erasure left \[0, 1\]$"),
+    ((5, 5), {2: (0, -0.5), 4: (1, 1.0)}, r"erasure left \[0, 1\]$"),
+    # the narrow column's sweep 2 of window 1 runs past its T = 1, and is checked
+    ((1, 3), {2: (0, 1.0)}, "erasure increased within window c=1, t=2"),
 ])
-def test_checks_at_window_end_name_the_first_failing_sweep(faults, message):
+def test_checks_at_window_end_name_the_first_failing_sweep(Ts, faults, message):
     # the checks of a W = 5 and W = 9 batch run when the window ends, over
-    # every sweep, and report the first one that breaks the recursion
+    # every sweep it runs, and report the first one that breaks the recursion
     kernel, calls = scwde.window._window_kernel, []
-    columns = [Column(spec36(N=30, eps=e), WindowSchedule(W=W, T=5, variant="literal"))
-               for e, W in ((0.42, 5), (0.40, 9))]
+    columns = [Column(spec36(N=30, eps=e), WindowSchedule(W=W, T=T, variant="literal"))
+               for e, W, T in zip((0.42, 0.40), (5, 9), Ts)]
 
     def faulty_kernel(ws, reads, eps_u, out):
         calls.append(None)
