@@ -241,7 +241,7 @@ def main(argv=None) -> int:
     except MemoryError:  # Python's own carries no message
         print("configuration error: the run does not fit in memory", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, ArithmeticError) as exc:  # ChainCheckError, ZeroDivisionError
+    except (NonConvergence, ArithmeticError) as exc:  # ChainCheckError is an ArithmeticError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

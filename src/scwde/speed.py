@@ -82,23 +82,22 @@ def bound_a1(
     x_now: np.ndarray,
     x_next: np.ndarray,
     alpha: float = 1.0,
-) -> float:
+) -> Optional[float]:
     """Upper bound on the speed from the potential drop per window slide.
 
     ``x_now`` and ``x_next`` are the start states (t = 0) of windows c' and
     c'+1 (``SteadyStateScan.starts``). Both potential evaluations use window
     configuration c'; the denominator sums rho'(1-x_z) (x_z - x_{z-1})^2
     over the window at x_now, reading x_0 as zero. alpha is the Taylor
-    constant, in [1, 2].
+    constant, in [1, 2]. None when the denominator is zero (a flat
+    profile): the bound does not exist.
     """
     _check_alpha(alpha)
     num = alpha * (coupled_potential(x_now, spec, sched, c_prime)
                    - coupled_potential(x_next, spec, sched, c_prime))
     seg = np.concatenate(([0.0], x_now))[c_prime - 1 : c_prime + sched.W]  # x_{c'-1}..x_{c'+W-1}
     den = float(np.sum(spec.ens.rho_d1(1.0 - seg[1:]) * np.diff(seg) ** 2))
-    if abs(den) < 1e-300:
-        raise ZeroDivisionError("flat steady profile: speed-bound denominator is zero")
-    return float(num / den)
+    return None if abs(den) < 1e-300 else float(num / den)
 
 
 @dataclass(frozen=True)
@@ -121,22 +120,19 @@ def bound_th2(
     W: int,
     land: PotentialLandscape,
     alpha: float = 1.0,
-) -> LandscapeBounds:
+) -> Optional[LandscapeBounds]:
     """Evaluate the landscape-only speed bounds for window size W.
 
-    Requires the landscape to be taken at the spec's epsilon and to provide
-    x_a, x_b, x_c0, x_d and D.
+    Requires the landscape to be taken at the spec's epsilon. None when it
+    lacks any of x_a, x_b, x_c0, x_d and D: the bounds do not exist.
     """
     _check_alpha(alpha)
     if abs(land.epsilon - spec.epsilon) > 1e-15:
         raise ValueError(
             f"landscape epsilon {land.epsilon} does not match spec epsilon {spec.epsilon}"
         )
-    needed = {"x_a": land.x_a, "x_b": land.x_b, "x_c0": land.x_c0, "x_d": land.x_d}
-    missing = [k for k, v in needed.items() if v is None]
-    if missing or land.D is None:
-        missing += ["D"] if land.D is None else []
-        raise ValueError(f"landscape lacks {', '.join(missing)}")
+    if None in (land.x_a, land.x_b, land.x_c0, land.x_d, land.D):
+        return None
     ens, w, eps = spec.ens, spec.w, land.epsilon
     u_xb = float(potential(land.x_b, eps, ens))
     u_xd = float(potential(land.x_d, eps, ens))
@@ -311,19 +307,6 @@ def _search(
         lo, c_stop = T + 1, final.c
 
 
-def _th2_bounds(land: PotentialLandscape, points, alpha: float) -> list[Optional[LandscapeBounds]]:
-    """``bound_th2`` of each point ``(spec, sched)`` on ``land``, or None where
-    the landscape lacks a critical point."""
-    _check_alpha(alpha)  # below, a ValueError of bound_th2 reads as a lacking landscape
-    bounds = []
-    for spec, sched in points:
-        try:
-            bounds.append(bound_th2(spec, sched.W, land, alpha=alpha))
-        except ValueError:  # the landscape lacks a critical point
-            bounds.append(None)
-    return bounds
-
-
 def measure_speed(
     points: Sequence[tuple[CoupledSpec, WindowSchedule]],
     T_max: int = T_MAX_DEFAULT,
@@ -371,15 +354,21 @@ def measure_speed(
     ``compute_bounds`` the landscape bounds are attached too: before any
     run, each run of consecutive points that share ensemble and epsilon
     reads them from one landscape of ``grid_n`` samples, dropped before the
-    next is made. A ``sched.T`` > T_max raises ValueError before that.
+    next is made. A bound that does not exist (``bound_a1`` or ``bound_th2``
+    is None) leaves its fields None. A ``sched.T`` > T_max, or an alpha
+    outside [1, 2], raises ValueError before any landscape or run.
     """
     for _, sched in points:
         if sched.T > T_max:
             raise ValueError(f"T range {sched.T}..{T_max} is empty")
+    _check_alpha(alpha)
     th2s = [None] * len(points)
     if compute_bounds:
-        th2s = [th2 for (ens, eps), run in groupby(points, lambda p: (p[0].ens, p[0].epsilon))
-                for th2 in _th2_bounds(landscape(eps, ens, grid_n=grid_n), run, alpha)]
+        th2s = []
+        for (ens, eps), run in groupby(points, lambda p: (p[0].ens, p[0].epsilon)):
+            land = landscape(eps, ens, grid_n=grid_n)
+            th2s += [bound_th2(spec, sched.W, land, alpha=alpha) for spec, sched in run]
+            del land  # dropped before the next is made
     searches = [_search(spec, sched, T_max, success, steady_tol if compute_bounds else None)
                 for spec, sched in points]
     pending = {i: next(search) for i, search in enumerate(searches)}
@@ -398,14 +387,9 @@ def measure_speed(
         T, verdict, scan = found[i]
         t_min = T if verdict.success else None
 
-        c_prime = a1 = None
-        if t_min is not None and scan is not None:
-            c_prime = scan.c_prime
-            if c_prime is not None:
-                try:
-                    a1 = bound_a1(spec, sched, c_prime, *scan.starts, alpha=alpha)  # T is not read
-                except ZeroDivisionError:  # flat steady profile: A1 is undefined
-                    pass
+        c_prime = None if t_min is None or scan is None else scan.c_prime
+        a1 = None if c_prime is None else bound_a1(spec, sched, c_prime, *scan.starts,
+                                                   alpha=alpha)  # T is not read
 
         reports.append(SpeedReport(
             epsilon=spec.epsilon,

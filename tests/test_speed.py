@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -93,15 +94,14 @@ class TestSteadyStateScan:
 
     def test_zero_channel_profile_translates_trivially(self):
         # with eps = 0 every window clears instantly and the 0/1 step
-        # profile translates exactly; the trajectory bound is then
-        # rejected for having a flat in-window profile
+        # profile translates exactly; the in-window profile is then flat,
+        # so the trajectory bound does not exist
         spec = CoupledSpec(ens=ENS36, N=30, w=3, epsilon=0.0)
         sched = WindowSchedule(W=8, T=2, variant="literal")
         _, blocks = recorded_run(spec, sched)
         scan = scan_of(blocks, spec, sched.W)
         assert scan.c_prime is not None
-        with pytest.raises(ZeroDivisionError):
-            bound_a1(spec, sched, scan.c_prime, *scan.starts)
+        assert bound_a1(spec, sched, scan.c_prime, *scan.starts) is None
 
 
 def float_bits(value):
@@ -236,10 +236,9 @@ class TestBoundTh2:
         assert scaled.B2 == pytest.approx(expected, rel=1e-12)
         assert scaled.infinite_w == scaled.numerator / scaled.B2
 
-    def test_missing_landscape_points_rejected(self):
+    def test_missing_landscape_points_give_no_bounds(self):
         land_low = landscape(0.3, ENS36)
-        with pytest.raises(ValueError, match="lacks"):
-            bound_th2(CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.3), 15, land_low)
+        assert bound_th2(CoupledSpec(ens=ENS36, N=100, w=4, epsilon=0.3), 15, land_low) is None
 
     def test_epsilon_mismatch_rejected(self, land465):
         with pytest.raises(ValueError, match="does not match"):
@@ -401,10 +400,7 @@ def steady_and_a1(blocks, spec, sched):
     c_prime, _ = steady_state_by_backward_scan(blocks, spec, sched.W, STEADY_TOL)
     if c_prime is None:
         return None, None
-    try:
-        return c_prime, bound_a1(spec, sched, c_prime, blocks[c_prime][0], blocks[c_prime + 1][0])
-    except ZeroDivisionError:
-        return c_prime, None
+    return c_prime, bound_a1(spec, sched, c_prime, blocks[c_prime][0], blocks[c_prime + 1][0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -583,17 +579,19 @@ def test_fault_in_a_search_batch_names_its_first_sweep(monkeypatch):
         measure_speed(points, T_max=cfg.T_max, alpha=cfg.alpha, success=cfg.success)
 
 
-@pytest.mark.parametrize("eps", [0.465, 0.3], ids=["critical-points", "below-bp"])
-def test_alpha_out_of_range_rejected_before_any_run(monkeypatch, eps):
-    # both bounds check alpha, so a call with bounds fails in its landscape
-    # step, also where the landscape lacks the points bound_th2 reads
+@pytest.mark.parametrize(("eps", "compute_bounds"), [(0.465, True), (0.3, True), (0.465, False)],
+                         ids=["critical-points", "below-bp", "no-bounds"])
+def test_alpha_out_of_range_rejected_before_any_run(monkeypatch, eps, compute_bounds):
+    # measure_speed checks alpha itself, with bounds or without, also where
+    # the landscape lacks the points bound_th2 reads
     def no_run(columns):
         raise AssertionError("run_columns called")
 
     monkeypatch.setattr("scwde.speed.run_columns", no_run)
     spec = CoupledSpec(ens=ENS36, N=100, w=4, epsilon=eps)
     with pytest.raises(ValueError, match=r"alpha must lie in \[1, 2\]"):
-        measure_speed([(spec, WindowSchedule(W=12, T=1, variant="extended"))], alpha=3.0)
+        measure_speed([(spec, WindowSchedule(W=12, T=1, variant="extended"))], alpha=3.0,
+                      compute_bounds=compute_bounds)
     with pytest.raises(ValueError, match=r"alpha must lie in \[1, 2\]"):
         bound_th2(spec, 12, landscape(eps, ENS36), alpha=3.0)
 
@@ -606,16 +604,30 @@ def test_landscape_without_critical_points_leaves_th2_empty():
     assert (rep.th2_finite, rep.th2_infinite) == (None,) * 2
 
 
+def test_fault_in_th2_evaluation_raises(monkeypatch):
+    # a lacking landscape is None, so an exception inside the th2
+    # evaluation is a fault and reaches the caller, not an empty th2
+    def failing_d1(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("scwde.speed.potential_d1", failing_d1)
+    spec = CoupledSpec(ens=ENS36, N=30, w=3, epsilon=0.45)
+    with pytest.raises(ValueError, match="^boom$"):
+        measure_speed([(spec, WindowSchedule(W=8, T=1, variant="extended"))], T_max=60)
+
+
 def test_one_landscape_per_ensemble_and_epsilon(monkeypatch):
     # two ensembles at one epsilon: each run of points that shares (ensemble,
     # epsilon) gets its own landscape, and each point's th2 is read from its
-    # own ensemble's. A batch of run_columns shares one ensemble, so the
-    # stand-in runs each column alone
-    made = []
+    # own ensemble's, dropped before the next is made. A batch of
+    # run_columns shares one ensemble, so the stand-in runs each column alone
+    made, held = [], []
 
     def counting_landscape(eps, ens, **kwargs):
-        made.append((eps, ens.label()))
-        return landscape(eps, ens, **kwargs)
+        held.extend(label for _, label, ref in made if ref() is not None)
+        land = landscape(eps, ens, **kwargs)
+        made.append((eps, ens.label(), weakref.ref(land)))
+        return land
 
     def column_by_column(columns):
         return [run_columns([col])[0] for col in columns]
@@ -626,7 +638,8 @@ def test_one_landscape_per_ensemble_and_epsilon(monkeypatch):
                WindowSchedule(W=W, T=1, variant="extended"))
               for ens in (ENS36, UncoupledEnsemble.regular(4, 8)) for W in (8, 10)]
     reports = measure_speed(points, T_max=60)
-    assert made == [(0.45, "x3_x6"), (0.45, "x4_x8")]
+    assert [(eps, label) for eps, label, _ in made] == [(0.45, "x3_x6"), (0.45, "x4_x8")]
+    assert held == []
     for (spec, sched), rep in zip(points, reports):
         th2 = bound_th2(spec, sched.W, landscape(0.45, spec.ens))
         assert (rep.th2_finite, rep.th2_infinite) == (th2.finite_w, th2.infinite_w)
